@@ -29,11 +29,6 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return linalg.matrix_from_json(json.load(fh))
-
-
 def cmd_distance(args) -> int:
     h1 = load_section(args.h1)
     h2 = load_section(args.h2)
@@ -53,9 +48,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    h = linalg.posdef(_load_matrix(args.h))
-    u = linalg.hermitian(_load_matrix(args.u))
-    v = linalg.hermitian(_load_matrix(args.v))
+    h, u, v = (linalg.matrix_from_json(sections.read_json(path))
+               for path in (args.h, args.u, args.v))
     sec = fiber.sectional_curvature(h, u, v, args.alpha)
     _emit(args, {"sectional_curvature": sec, "alpha": args.alpha})
     return 0
@@ -70,26 +64,17 @@ def cmd_check(args) -> int:
 
 def cmd_example(args) -> int:
     mesh = disk.DiskMesh(args.nr, args.ntheta)
+    # the psh test runs on log det = 2 log|z|^2 (raufi) or phi = log|z|^2
     if args.name == "raufi":
-        report = disk.raufi_integrability(mesh, args.alpha)
-        u = disk.GridFunction.from_callable(
-            mesh, lambda z: np.log(np.abs(z) ** 2) * 2.0)  # log det
-        psh = disk.psh_check(u, radii=[0.05, 0.1])
-        report["psh_log_det"] = {
-            "max_violation": psh.max_violation, "passed": psh.passed,
-            "n_centers": psh.n_centers, "n_skipped": psh.n_skipped,
-        }
-    elif args.name == "line-bundle":
-        report = disk.line_bundle_norms(mesh)
-        u = disk.GridFunction.from_callable(
-            mesh, lambda z: np.log(np.abs(z) ** 2))
-        psh = disk.psh_check(u, radii=[0.05, 0.1])
-        report["psh_phi"] = {
-            "max_violation": psh.max_violation, "passed": psh.passed,
-            "n_centers": psh.n_centers, "n_skipped": psh.n_skipped,
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.name)
+        report, key, scale = disk.raufi_integrability(mesh, args.alpha), "psh_log_det", 2.0
+    else:
+        report, key, scale = disk.line_bundle_norms(mesh), "psh_phi", 1.0
+    u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2) * scale)
+    psh = disk.psh_check(u, radii=[0.05, 0.1])
+    report[key] = {
+        "max_violation": psh.max_violation, "passed": psh.passed,
+        "n_centers": psh.n_centers, "n_skipped": psh.n_skipped,
+    }
     _emit(args, report)
     return 0
 

@@ -7,12 +7,12 @@ completion metric, and CAT(0) comparison-triangle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
-from .errors import MeasureInconsistencyError, MeshMismatchError
+from .errors import MeasureInconsistencyError, MeshMismatchError, reject
 from .sections import (
     MetricSection,
     QuadratureMesh,
@@ -30,45 +30,40 @@ DEGENERATE = None  # marker value for nullset points
 class SingularSection:
     """Metric section that may degenerate on a weight-zero nullset.
 
-    ``values`` is a list with one positive-definite matrix per point, or
-    ``None`` at flagged degenerate points.  Almost-everywhere equivalence
+    ``values`` stacks one positive-definite matrix per point, with the
+    identity as a placeholder where the mask ``degenerate`` is set: at
+    the ``None`` entries of a sequence passed in place of a stack.
+    Almost-everywhere equivalence
     collapses, at quadrature scale, to equality on positive-weight
     points; degenerate markers are only admissible where the weight is
     excluded from the modeled measure.
     """
 
     mesh: QuadratureMesh
-    values: tuple
+    values: np.ndarray
+    degenerate: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vals = []
-        for i, v in enumerate(self.values):
-            if v is DEGENERATE:
-                vals.append(None)
-            else:
-                try:
-                    vals.append(linalg.posdef(v))
-                except Exception as exc:
-                    raise type(exc)(f"point id {self.mesh.ids[i]}: {exc}") from exc
-        if len(vals) != self.mesh.n_points:
-            raise ValueError("one value per mesh point required")
-        object.__setattr__(self, "values", tuple(vals))
+        vals = self.values
+        mask = np.zeros(self.mesh.n_points, dtype=bool)
+        if not isinstance(vals, np.ndarray):
+            mask = np.array([v is DEGENERATE for v in vals], dtype=bool)
+            vals = [np.eye(self.mesh.rank) if m else v for v, m in zip(vals, mask)]
+        object.__setattr__(self, "values", MetricSection(self.mesh, vals).values)
+        object.__setattr__(self, "degenerate", mask)
 
     @property
     def degenerate_ids(self):
-        return [int(self.mesh.ids[i]) for i, v in enumerate(self.values)
-                if v is None]
+        return self.mesh.ids[self.degenerate].tolist()
 
     def check_nullset(self) -> None:
-        for i, v in enumerate(self.values):
-            if v is None and self.mesh.weights[i] > 0:
-                raise MeasureInconsistencyError(
-                    f"degenerate point id {self.mesh.ids[i]} has positive "
-                    f"weight {self.mesh.weights[i]}")
+        ids, weights = self.mesh.ids, self.mesh.weights
+        reject(self.degenerate & (weights > 0), MeasureInconsistencyError,
+               lambda k: f"degenerate point id {ids[k]} has positive weight {weights[k]}")
 
 
 def singular_from_metric(h: MetricSection) -> SingularSection:
-    return SingularSection(h.mesh, tuple(h.values))
+    return SingularSection(h.mesh, h.values)
 
 
 @dataclass(frozen=True)
@@ -95,24 +90,20 @@ def integrability_report(sigma: SingularSection,
     if sigma.mesh.content_hash != h0.mesh.content_hash:
         raise MeshMismatchError("singular section and reference mesh differ")
     sigma.check_nullset()
-    mesh = sigma.mesh
-    acc_min = acc_max = acc_det = acc_dist = 0.0
-    for i in range(mesh.n_points):
-        v = sigma.values[i]
-        if v is None:
-            continue
-        lam = linalg.relative_spectrum(h0.values[i], v)
-        logs = np.log(lam)
-        w = mesh.weights[i]
-        acc_min += w * logs[0] ** 2
-        acc_max += w * logs[-1] ** 2
-        acc_det += w * logs.sum() ** 2
-        acc_dist += w * (np.dot(logs, logs) + mesh.alphas[i] * logs.sum() ** 2)
+    keep = ~sigma.degenerate
+    logs = np.log(linalg.relative_spectrum(h0.values[keep], sigma.values[keep]))
+    w = sigma.mesh.weights[keep]
+    log_det_sq = logs.sum(axis=-1) ** 2
+
+    def l2(f):
+        return float(np.sqrt((w * f).sum()))
+
     return IntegrabilityReport(
-        l2_log_lambda_min=float(np.sqrt(acc_min)),
-        l2_log_lambda_max=float(np.sqrt(acc_max)),
-        l2_log_det=float(np.sqrt(acc_det)),
-        l2_distance=float(np.sqrt(acc_dist)),
+        l2_log_lambda_min=l2(logs[:, 0] ** 2),
+        l2_log_lambda_max=l2(logs[:, -1] ** 2),
+        l2_log_det=l2(log_det_sq),
+        l2_distance=l2((logs * logs).sum(axis=-1)
+                       + sigma.mesh.alphas[keep] * log_det_sq),
         is_l2=True,
     )
 
@@ -149,15 +140,8 @@ def family_report(sigmas, h0s, levels,
         refinement_trend([r.l2_log_lambda_max for r in reports], levels)
         if all(r.l2_log_lambda_max > 0 for r in reports) else 0.0,
     )
-    last = reports[-1]
-    return IntegrabilityReport(
-        l2_log_lambda_min=last.l2_log_lambda_min,
-        l2_log_lambda_max=last.l2_log_lambda_max,
-        l2_log_det=last.l2_log_det,
-        l2_distance=last.l2_distance,
-        is_l2=bool(trend < trend_threshold),
-        refinement_trend=trend,
-    )
+    return replace(reports[-1], is_l2=bool(trend < trend_threshold),
+                   refinement_trend=trend)
 
 
 @dataclass(frozen=True)

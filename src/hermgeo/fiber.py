@@ -9,7 +9,8 @@ and exponential/log maps all live here.
 Expressions of the form h^{-1} v are never evaluated as an explicit
 inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
-so Hermiticity survives roundoff.
+so Hermiticity survives roundoff.  Every function also takes (..., r, r)
+stacks, with alpha one value per matrix, and validates arguments once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePlaneError, DimensionError
+from .errors import DegeneratePlaneError, ParameterError, reject
 
 __all__ = [
     "check_alpha",
@@ -38,32 +39,38 @@ __all__ = [
 ]
 
 
-def check_alpha(alpha: float, rank: int) -> float:
-    """Validate the metric parameter: alpha > -1/rank, strictly."""
-    alpha = float(alpha)
-    if not alpha > -1.0 / rank:
-        raise ValueError(f"alpha={alpha} not admissible for rank {rank}: "
-                         f"need alpha > {-1.0 / rank}")
-    return alpha
+def check_alpha(alpha, rank: int):
+    """Validate the metric parameter (a float or per-matrix array):
+    finite and alpha > -1/rank, strictly."""
+    a = np.asarray(alpha, dtype=float)
+    reject(~(np.isfinite(a) & (a > -1.0 / rank)), ParameterError,
+           lambda k: f"alpha={a[k]} not admissible for rank {rank}: "
+                     f"need alpha > {-1.0 / rank}")
+    return float(a) if a.ndim == 0 else a
 
 
-def _whitened(h: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
-    """Return h^{-1/2} v h^{-1/2} for each v; each result is Hermitian."""
-    hs = linalg.invsqrtm_posdef(h)
-    out = []
-    for v in vs:
-        m = hs @ linalg.hermitian(v) @ hs
-        out.append((m + m.conj().T) / 2)
-    return out
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha: float) -> float:
+def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
+    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian."""
+    return [linalg.hermitian_part(hsi @ v @ hsi) for v in vs]
+
+
+def _inner(vw: np.ndarray, ww: np.ndarray, alpha) -> np.ndarray:
+    """The inner product at the identity, applied to whitened vectors."""
+    return _trace(vw @ ww) + alpha * _trace(vw) * _trace(ww)
+
+
+def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
     h = linalg.posdef(h)
-    r = linalg.same_rank(h, np.asarray(v), np.asarray(w))
+    v = linalg.hermitian(v)
+    w = linalg.hermitian(w)
+    r = linalg.same_rank(h, v, w)
     alpha = check_alpha(alpha, r)
-    vw, ww = _whitened(h, v, w)
-    return float(np.trace(vw @ ww).real + alpha * np.trace(vw).real * np.trace(ww).real)
+    return _inner(*_whiten(linalg._roots(h)[1], v, w), alpha)
 
 
 def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -75,9 +82,8 @@ def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = linalg.hermitian(v)
     w = linalg.hermitian(w)
     linalg.same_rank(h, v, w)
-    hs = linalg.invsqrtm_posdef(h)
-    b = v @ hs @ hs @ w
-    return (b + b.conj().T) / 2
+    hsi = linalg._roots(h)[1]
+    return linalg.hermitian_part(v @ hsi @ hsi @ w)
 
 
 def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -89,29 +95,29 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     -h^{1/2} [[U', V'], W'] h^{1/2} / 4 in whitened coordinates.
     """
     h = linalg.posdef(h)
-    linalg.same_rank(h, np.asarray(u), np.asarray(v), np.asarray(w))
-    up, vp, wp = _whitened(h, u, v, w)
-    hs = linalg.sqrtm_posdef(h)
+    u, v, w = (linalg.hermitian(x) for x in (u, v, w))
+    linalg.same_rank(h, u, v, w)
+    hs, hsi = linalg._roots(h)
+    up, vp, wp = _whiten(hsi, u, v, w)
     k = up @ vp - vp @ up
     dbl = k @ wp - wp @ k
-    out = -0.25 * (hs @ dbl @ hs)
-    return (out + out.conj().T) / 2
+    return linalg.hermitian_part(-0.25 * (hs @ dbl @ hs))
 
 
 def _gram_schmidt_pair(h, u, v, alpha):
+    """Orthonormalize (u, v) for the inner product at h."""
     nu = np.sqrt(alpha_inner(h, u, u, alpha))
-    if nu < 1e-14:
-        raise DegeneratePlaneError("first vector has vanishing norm")
-    u = u / nu
-    v = v - alpha_inner(h, u, v, alpha) * u
+    reject(nu < 1e-14, DegeneratePlaneError,
+           lambda k: "first vector has vanishing norm")
+    u = u / nu[..., None, None]
+    v = v - alpha_inner(h, u, v, alpha)[..., None, None] * u
     nv = np.sqrt(alpha_inner(h, v, v, alpha))
-    if nv < 1e-12:
-        raise DegeneratePlaneError("vectors are linearly dependent")
-    return u, v / nv
+    reject(nv < 1e-12, DegeneratePlaneError,
+           lambda k: "vectors are linearly dependent")
+    return u, v / nv[..., None, None]
 
 
-def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray,
-                        alpha: float) -> float:
+def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     """Sectional curvature of the plane spanned by u, v at h.
 
     Equals tr([U, V]^2)/4 for an orthonormal pair; the commutator of the
@@ -125,17 +131,19 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     v = linalg.hermitian(v)
     r = linalg.same_rank(h, u, v)
     alpha = check_alpha(alpha, r)
-    dev = max(abs(alpha_inner(h, u, u, alpha) - 1.0),
-              abs(alpha_inner(h, v, v, alpha) - 1.0),
-              abs(alpha_inner(h, u, v, alpha)))
-    if dev > 1e-8:
+    hsi = linalg._roots(h)[1]
+    up, vp = _whiten(hsi, u, v)
+    dev = np.max([abs(_inner(up, up, alpha) - 1.0),
+                  abs(_inner(vp, vp, alpha) - 1.0),
+                  abs(_inner(up, vp, alpha))], axis=0)
+    if np.any(dev > 1e-8):
         u, v = _gram_schmidt_pair(h, u, v, alpha)
+        up, vp = _whiten(hsi, u, v)
         warnings.warn(
-            f"input pair deviated from orthonormality by {dev:.3e}; "
+            f"input pair deviated from orthonormality by {np.max(dev):.3e}; "
             "re-orthonormalized via Gram-Schmidt", stacklevel=2)
-    up, vp = _whitened(h, u, v)
     k = up @ vp - vp @ up
-    return -0.25 * float(np.linalg.norm(k) ** 2)
+    return -0.25 * np.linalg.norm(k, axis=(-2, -1)) ** 2
 
 
 @dataclass(frozen=True)
@@ -154,26 +162,30 @@ class FiberGeodesic:
         return geodesic_eval(self, t)
 
 
+def _geodesic(h: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
+    if t == 0.0:
+        return h
+    hs, hsi = linalg._roots(h)
+    s = linalg.hermitian_part(hsi @ a @ hsi)
+    return linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
+
+
 def geodesic_eval(g: FiberGeodesic, t: float) -> np.ndarray:
     """Evaluate the geodesic with start H and initial velocity A at time t."""
-    if t == 0.0:
-        return g.start
-    hs = linalg.sqrtm_posdef(g.start)
-    hsi = linalg.invsqrtm_posdef(g.start)
-    s = hsi @ g.velocity @ hsi
-    out = hs @ linalg.expm_hermitian(t * (s + s.conj().T) / 2) @ hs
-    return (out + out.conj().T) / 2
+    return _geodesic(g.start, g.velocity, t)
 
 
-def fiber_distance(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+def fiber_distance(p: np.ndarray, q: np.ndarray, alpha):
     """Geodesic distance sqrt(sum (log lam_i)^2 + alpha (log prod lam_i)^2),
 
     where lam_i are the eigenvalues of p^{-1} q.
     """
     lam = linalg.relative_spectrum(p, q)
-    alpha = check_alpha(alpha, lam.size)
+    alpha = check_alpha(alpha, lam.shape[-1])
     logs = np.log(lam)
-    return float(np.sqrt(np.dot(logs, logs) + alpha * logs.sum() ** 2))
+    # row @ column sums like np.dot of two vectors, per matrix of a stack
+    sq = (logs[..., None, :] @ logs[..., :, None])[..., 0, 0]
+    return np.sqrt(sq + alpha * logs.sum(axis=-1) ** 2)
 
 
 def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -184,14 +196,12 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = linalg.posdef(p)
     q = linalg.posdef(q)
     linalg.same_rank(p, q)
-    ps = linalg.sqrtm_posdef(p)
-    psi = linalg.invsqrtm_posdef(p)
-    mid = psi @ q @ psi
-    a = ps @ linalg.logm_posdef((mid + mid.conj().T) / 2) @ ps
-    return (a + a.conj().T) / 2
+    ps, psi = linalg._roots(p)
+    mid = linalg.hermitian_part(psi @ q @ psi)
+    return linalg.hermitian_part(ps @ linalg._logm(mid) @ ps)
 
 
-def geodesic_residual(g: FiberGeodesic, t: float, step: float) -> float:
+def geodesic_residual(g: FiberGeodesic, t: float, step: float):
     """Central-difference residual of d/dt(gamma^{-1} gamma-dot) at t.
 
     Uses the product-rule form g^{-1} g-ddot - (g^{-1} g-dot)^2 with both
@@ -209,32 +219,24 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float) -> float:
     gdot = (gp - gn) / (2 * step)
     gddot = (gp - 2 * gm + gn) / step**2
     q = np.linalg.solve(gm, gdot)
-    return float(np.linalg.norm(np.linalg.solve(gm, gddot) - q @ q))
+    return np.linalg.norm(np.linalg.solve(gm, gddot) - q @ q, axis=(-2, -1))
 
 
-def hermitian_basis(r: int) -> list[np.ndarray]:
-    """Orthonormal real basis of the r x r Hermitian matrices (Frobenius)."""
-    basis = []
-    for i in range(r):
-        e = np.zeros((r, r), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
+def hermitian_basis(r: int) -> np.ndarray:
+    """Orthonormal real basis of the r x r Hermitian matrices (Frobenius):
+    a stack of the diagonal units, then real and imaginary units per i < j."""
+    i, j = np.triu_indices(r, 1)
+    k = r + 2 * np.arange(len(i))
+    basis = np.zeros((r * r, r, r), dtype=np.complex128)
+    basis[np.arange(r), np.arange(r), np.arange(r)] = 1.0
     s = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = s
-            e[j, i] = s
-            basis.append(e)
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            basis.append(e)
+    basis[k, i, j] = basis[k, j, i] = s
+    basis[k + 1, i, j], basis[k + 1, j, i] = 1j * s, -1j * s
     return basis
 
 
 def exp_differential_min_singular(h: np.ndarray, v: np.ndarray,
-                                  fd_step: float = 1e-5) -> float:
+                                  fd_step: float = 1e-5):
     """Smallest singular value of the differential of the exponential map.
 
     The map v -> geodesic_eval({h, v}, 1) is differentiated by central
@@ -246,16 +248,9 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray,
         raise ValueError("fd_step must be positive")
     h = linalg.posdef(h)
     v = linalg.hermitian(v)
-    r = linalg.same_rank(h, v)
-    basis = hermitian_basis(r)
-
-    def coords(mat):
-        return np.array([np.trace(b @ mat).real for b in basis])
-
-    cols = []
-    for b in basis:
-        plus = geodesic_eval(FiberGeodesic(h, v + fd_step * b), 1.0)
-        minus = geodesic_eval(FiberGeodesic(h, v - fd_step * b), 1.0)
-        cols.append(coords((plus - minus) / (2 * fd_step)))
-    jac = np.column_stack(cols)
-    return float(np.linalg.svd(jac, compute_uv=False)[-1])
+    basis = hermitian_basis(linalg.same_rank(h, v))
+    steps, h, v = fd_step * basis, h[..., None, :, :], v[..., None, :, :]
+    plus, minus = _geodesic(h, v + steps, 1.0), _geodesic(h, v - steps, 1.0)
+    # jac[i, j]: coordinate i of the derivative along basis direction j
+    jac = _trace(basis[:, None] @ ((plus - minus) / (2 * fd_step))[..., None, :, :, :])
+    return np.linalg.svd(jac, compute_uv=False)[..., -1]

@@ -4,6 +4,8 @@ Everything downstream (fiber geodesics, section distances, curvature)
 reduces to the handful of primitives defined here.  All matrix functions
 go through the Hermitian eigendecomposition: the matrices are normal, so
 there is no need for Pade approximants or scaling-and-squaring.
+Each takes a matrix or an (..., r, r) stack; the underscored helpers
+skip validation, for callers whose input is already checked.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from .errors import (
     DimensionError,
     EigenConvergenceError,
     IllConditionedError,
+    NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
     OverflowGuardError,
+    WireFormatError,
+    reject,
 )
 
 RANK_LIMIT = 64
@@ -25,48 +30,99 @@ EXP_OVERFLOW_GUARD = 700.0
 COND_GUARD = 1e14
 
 
-def hermitian(a) -> np.ndarray:
-    """Validate and symmetrize a square complex matrix.
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger)/2 of each matrix of a stack."""
+    return (a + np.conj(a).swapaxes(-1, -2)) / 2
 
-    The input is replaced by (A + A^dagger)/2, which absorbs roundoff;
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """Reject NaN/inf input or overflowed products (eigh returns garbage)."""
+    reject(~np.isfinite(a).all(axis=(-2, -1)), NonFiniteError,
+           lambda k: "matrix has a non-finite entry")
+    return a
+
+
+def hermitian(a) -> np.ndarray:
+    """Validate and symmetrize a square complex matrix or stack of them.
+
+    Each matrix is replaced by (A + A^dagger)/2, which absorbs roundoff;
     inputs whose asymmetry exceeds ``ASYMMETRY_TOL`` (relative to the
     entry scale, so large well-conditioned products are not rejected for
     roundoff) are flagged as genuine errors rather than noise.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    r = a.shape[0]
+    r = a.shape[-1]
     if r < 1 or r > RANK_LIMIT:
         raise DimensionError(f"rank {r} outside supported range 1..{RANK_LIMIT}")
-    skew = (a - a.conj().T) / 2
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(skew).max() > ASYMMETRY_TOL * scale:
-        raise NotHermitianError(
-            f"asymmetry {np.abs(skew).max():.3e} exceeds "
-            f"{ASYMMETRY_TOL:.0e} * scale {scale:.3e}"
-        )
-    return (a + a.conj().T) / 2
+    h = hermitian_part(_finite(a))
+    skew = np.abs(a - h).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    reject(skew > ASYMMETRY_TOL * scale, NotHermitianError,
+           lambda k: f"asymmetry {skew[k]:.3e} exceeds "
+                     f"{ASYMMETRY_TOL:.0e} * scale {scale[k]:.3e}")
+    return h
 
 
 def posdef(a) -> np.ndarray:
-    """Validate a positive-definite Hermitian matrix (symmetrized copy)."""
+    """Validate positive-definite Hermitian matrices (symmetrized copy)."""
     h = hermitian(a)
-    w = np.linalg.eigvalsh(h)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e} <= 0")
+    w = np.linalg.eigvalsh(h)[..., 0]
+    reject(w <= 0, NotPositiveDefiniteError,
+           lambda k: f"smallest eigenvalue {w[k]:.3e} <= 0")
     return h
 
 
 def same_rank(*mats: np.ndarray) -> int:
     """Return the common rank of the given square matrices or raise."""
-    r = mats[0].shape[0]
+    r = mats[0].shape[-1]
     for m in mats[1:]:
-        if m.shape[0] != r:
+        if m.shape[-1] != r:
             raise DimensionError(
-                f"rank mismatch: {r} vs {m.shape[0]}"
+                f"rank mismatch: {r} vs {m.shape[-1]}"
             )
     return r
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(_finite(a))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"eigensolver failed on matrix with Frobenius norm "
+            f"{np.linalg.norm(a):.3e}: {exc}"
+        ) from exc
+
+
+def _recompose(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    return hermitian_part((u * fw[..., None, :]) @ np.conj(u).swapaxes(-1, -2))
+
+
+def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p^{1/2}, p^{-1/2}) from one eigendecomposition."""
+    w, u = _eigh(p)
+    s = np.sqrt(w)
+    return _recompose(u, s), _recompose(u, 1.0 / s)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    w, u = _eigh(a)
+    big = np.abs(w).max(axis=-1)
+    reject(big > EXP_OVERFLOW_GUARD, OverflowGuardError,
+           lambda k: f"eigenvalue magnitude {big[k]:.3e} exceeds exp guard "
+                     f"{EXP_OVERFLOW_GUARD}")
+    return _recompose(u, np.exp(w))
+
+
+def _logm(p: np.ndarray) -> np.ndarray:
+    w, u = _eigh(p)
+    reject(w[..., 0] <= 0, NotPositiveDefiniteError,
+           lambda k: f"smallest eigenvalue {w[k][0]:.3e} <= 0")
+    cond = w[..., -1] / w[..., 0]
+    reject(cond > COND_GUARD, IllConditionedError,
+           lambda k: f"condition number {cond[k]:.3e} exceeds guard {COND_GUARD:.0e}")
+    return _recompose(u, np.log(w))
 
 
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,56 +131,27 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, u)`` with eigenvalues ``w`` ascending and unitary ``u``
     such that ``u @ diag(w) @ u^dagger`` reconstructs the input.
     """
-    a = hermitian(a)
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigensolver failed on matrix with Frobenius norm "
-            f"{np.linalg.norm(a):.3e}: {exc}"
-        ) from exc
-    return w, u
-
-
-def _apply_spectral(a: np.ndarray, fn) -> np.ndarray:
-    w, u = eig_hermitian(a)
-    out = (u * fn(w)) @ u.conj().T
-    return (out + out.conj().T) / 2
+    return _eigh(hermitian(a))
 
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-definite Hermitian matrix."""
-    return _apply_spectral(posdef(p), np.sqrt)
+    return _roots(posdef(p))[0]
 
 
 def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive-definite matrix."""
-    return _apply_spectral(posdef(p), lambda w: 1.0 / np.sqrt(w))
+    return _roots(posdef(p))[1]
 
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix; result is positive definite."""
-    a = hermitian(a)
-    w, u = eig_hermitian(a)
-    if np.abs(w).max() > EXP_OVERFLOW_GUARD:
-        raise OverflowGuardError(
-            f"eigenvalue magnitude {np.abs(w).max():.3e} exceeds exp guard "
-            f"{EXP_OVERFLOW_GUARD}"
-        )
-    out = (u * np.exp(w)) @ u.conj().T
-    return (out + out.conj().T) / 2
+    return _expm(hermitian(a))
 
 
 def logm_posdef(p: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive-definite Hermitian matrix."""
-    p = posdef(p)
-    w = np.linalg.eigvalsh(p)
-    cond = w[-1] / w[0]
-    if cond > COND_GUARD:
-        raise IllConditionedError(
-            f"condition number {cond:.3e} exceeds guard {COND_GUARD:.0e}"
-        )
-    return _apply_spectral(p, np.log)
+    return _logm(posdef(p))
 
 
 def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -136,13 +163,10 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = posdef(p)
     q = posdef(q)
     same_rank(p, q)
-    ps = invsqrtm_posdef(p)
-    m = ps @ q @ ps
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if lam[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"relative spectrum has nonpositive value {lam[0]:.3e}"
-        )
+    ps = _roots(p)[1]
+    lam = np.linalg.eigvalsh(_finite(hermitian_part(ps @ q @ ps)))
+    reject(lam[..., 0] <= 0, NotPositiveDefiniteError,
+           lambda k: f"relative spectrum has nonpositive value {lam[k][0]:.3e}")
     return lam
 
 
@@ -154,8 +178,11 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the {"re", "im"} wire format back to a complex matrix."""
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireFormatError(f"matrix is not a {{re, im}} pair of arrays: {exc!r}") from exc
     if re.shape != im.shape:
         raise DimensionError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
     return re + 1j * im

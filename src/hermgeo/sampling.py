@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .fiber import alpha_inner
+from .fiber import _gram_schmidt_pair
 from .sections import (
     GaugeTransform,
     MetricSection,
@@ -26,7 +26,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def random_hermitian(rng: np.random.Generator, r: int,
                      scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    a = (a + a.conj().T) / 2
+    a = linalg.hermitian_part(a)
     norm = np.linalg.norm(a)
     if norm == 0:
         return a
@@ -43,12 +43,8 @@ def random_orthonormal_pair(rng: np.random.Generator, h: np.ndarray,
                             alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Two tangent vectors orthonormal for the inner product at h."""
     r = h.shape[0]
-    u = random_hermitian(rng, r)
-    u = u / np.sqrt(alpha_inner(h, u, u, alpha))
-    v = random_hermitian(rng, r)
-    v = v - alpha_inner(h, u, v, alpha) * u
-    v = v / np.sqrt(alpha_inner(h, v, v, alpha))
-    return u, v
+    return _gram_schmidt_pair(h, random_hermitian(rng, r),
+                              random_hermitian(rng, r), alpha)
 
 
 def random_mesh(rng: np.random.Generator, rank: int, n_points: int,

@@ -9,6 +9,7 @@ and the flat reference structure all live here.
 
 Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
+Values are validated once, at construction, into (n, r, r) stacks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +25,13 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionError,
+    HermGeoError,
     IllConditionedError,
     MeshMismatchError,
+    NonFiniteError,
+    ParameterError,
+    WireFormatError,
+    reject,
 )
 from .fiber import (
     FiberGeodesic,
@@ -36,6 +43,17 @@ from .fiber import (
 )
 
 GAUGE_COND_LIMIT = 1e12
+
+
+@contextmanager
+def _at_points(ids: np.ndarray):
+    """Re-raise an error about one matrix of a stack under its point id."""
+    try:
+        yield
+    except HermGeoError as exc:
+        if exc.index is None:
+            raise
+        raise type(exc)(f"point id {ids[exc.index]}: {exc.detail}") from exc
 
 
 @dataclass(frozen=True)
@@ -54,19 +72,21 @@ class QuadratureMesh:
     content_hash: str = field(init=False)
 
     def __post_init__(self):
+        if not 1 <= self.rank <= linalg.RANK_LIMIT:
+            raise DimensionError(f"rank {self.rank} outside 1..{linalg.RANK_LIMIT}")
         ids = np.asarray(self.ids, dtype=np.int64)
         weights = np.asarray(self.weights, dtype=float)
         alphas = np.asarray(self.alphas, dtype=float)
         if not (ids.shape == weights.shape == alphas.shape) or ids.ndim != 1:
             raise DimensionError("ids, weights, alphas must be equal-length 1-d")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("duplicate point ids")
         order = np.argsort(ids)
         ids, weights, alphas = ids[order], weights[order], alphas[order]
-        if np.any(weights <= 0):
-            raise ValueError("all quadrature weights must be positive")
-        for a in alphas:
-            check_alpha(a, self.rank)
+        with _at_points(ids):
+            reject(ids[1:] == ids[:-1], ParameterError, lambda k: "duplicate point id")
+            reject(~(np.isfinite(weights) & (weights > 0)), ParameterError,
+                   lambda k: f"quadrature weight {weights[k]} is not positive "
+                             "and finite")
+            check_alpha(alphas, self.rank)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "alphas", alphas)
@@ -105,13 +125,8 @@ def _check_values(mesh: QuadratureMesh, values, validator) -> np.ndarray:
     expected = (mesh.n_points, mesh.rank, mesh.rank)
     if values.shape != expected:
         raise DimensionError(f"values shape {values.shape} != {expected}")
-    out = np.empty_like(values)
-    for i in range(mesh.n_points):
-        try:
-            out[i] = validator(values[i])
-        except Exception as exc:
-            raise type(exc)(f"point id {mesh.ids[i]}: {exc}") from exc
-    return out
+    with _at_points(mesh.ids):
+        return validator(values)
 
 
 @dataclass(frozen=True)
@@ -139,12 +154,11 @@ class TangentSection:
 
 
 def _check_gauge(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > GAUGE_COND_LIMIT:
-        raise IllConditionedError(
-            f"gauge matrix condition {s[0] / max(s[-1], 1e-300):.3e} exceeds "
-            f"{GAUGE_COND_LIMIT:.0e}")
+    s = np.linalg.svd(linalg._finite(m), compute_uv=False)
+    cond = s[..., 0] / np.maximum(s[..., -1], 1e-300)
+    reject((s[..., -1] <= 0) | (cond > GAUGE_COND_LIMIT), IllConditionedError,
+           lambda k: f"gauge matrix condition {cond[k]:.3e} exceeds "
+                     f"{GAUGE_COND_LIMIT:.0e}")
     return m
 
 
@@ -173,7 +187,7 @@ class ScalarField:
             raise DimensionError(
                 f"values shape {values.shape} != ({self.mesh.n_points},)")
         if not np.all(np.isfinite(values)):
-            raise ValueError("scalar field has non-finite values")
+            raise NonFiniteError("scalar field has non-finite values")
         object.__setattr__(self, "values", values)
 
     def norm_l2(self) -> float:
@@ -185,44 +199,30 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
     """Weighted sum of fiber inner products: the L2 metric at h."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
-    total = 0.0
-    for i in range(mesh.n_points):
-        total += mesh.weights[i] * alpha_inner(
-            h.values[i], v.values[i], w.values[i], mesh.alphas[i])
-    return float(total)
+    inner = alpha_inner(h.values, v.values, w.values, mesh.alphas)
+    return float((mesh.weights * inner).sum())
 
 
 def section_distance(h1: MetricSection, h2: MetricSection) -> float:
     """sqrt of the weighted sum of squared fiber distances."""
     mesh = _same_mesh(h1, h2)
-    acc = 0.0
-    for i in range(mesh.n_points):
-        acc += mesh.weights[i] * fiber_distance(
-            h1.values[i], h2.values[i], mesh.alphas[i]) ** 2
-    return float(np.sqrt(acc))
+    d = fiber_distance(h1.values, h2.values, mesh.alphas)
+    return float(np.sqrt((mesh.weights * d**2).sum()))
 
 
 def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
     """Weighted *sum* of fiber distances (the L1-style lower-bound metric)."""
     mesh = _same_mesh(h1, h2)
-    acc = 0.0
-    for i in range(mesh.n_points):
-        acc += mesh.weights[i] * fiber_distance(
-            h1.values[i], h2.values[i], mesh.alphas[i])
-    return float(acc)
+    d = fiber_distance(h1.values, h2.values, mesh.alphas)
+    return float((mesh.weights * d).sum())
 
 
 def section_geodesic(h1: MetricSection, h2: MetricSection, t: float) -> MetricSection:
     """Pointwise geodesic from h1 to h2 at parameter t (any real t)."""
     mesh = _same_mesh(h1, h2)
-    out = np.empty_like(h1.values)
-    for i in range(mesh.n_points):
-        try:
-            vel = log_map(h1.values[i], h2.values[i])
-            out[i] = geodesic_eval(FiberGeodesic(h1.values[i], vel), t)
-        except Exception as exc:
-            raise type(exc)(f"point id {mesh.ids[i]}: {exc}") from exc
-    return MetricSection(mesh, out)
+    with _at_points(mesh.ids):
+        g = FiberGeodesic(h1.values, log_map(h1.values, h2.values))
+        return MetricSection(mesh, geodesic_eval(g, t))
 
 
 def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
@@ -250,12 +250,9 @@ def gauge_apply(phi: GaugeTransform, section):
     convention-free.
     """
     mesh = _same_mesh(phi, section)
-    out = np.empty_like(section.values)
-    for i in range(mesh.n_points):
-        p = phi.values[i]
-        m = p.conj().T @ section.values[i] @ p
-        out[i] = (m + m.conj().T) / 2
-    return type(section)(mesh, out)
+    p = phi.values
+    m = np.conj(p).swapaxes(-1, -2) @ section.values @ p
+    return type(section)(mesh, linalg.hermitian_part(m))
 
 
 def flat_inner(h0: MetricSection, v: TangentSection, w: TangentSection) -> float:
@@ -280,39 +277,46 @@ def section_to_json(section) -> dict:
     """Section wire format: rank plus per-point weight/alpha/matrix."""
     key = _SECTION_KEYS[type(section)]
     mesh = section.mesh
-    points = []
-    for i in range(mesh.n_points):
-        points.append({
-            "id": int(mesh.ids[i]),
-            "weight": float(mesh.weights[i]),
-            "alpha": float(mesh.alphas[i]),
-            key: linalg.matrix_to_json(section.values[i]),
-        })
-    return {"rank": mesh.rank, "points": points}
+    mats = linalg.matrix_to_json(section.values)
+    return {"rank": mesh.rank, "points": [
+        {"id": i, "weight": w, "alpha": a, key: {"re": re, "im": im}}
+        for i, w, a, re, im in zip(mesh.ids.tolist(), mesh.weights.tolist(),
+                                   mesh.alphas.tolist(), mats["re"], mats["im"])]}
 
 
 def section_from_json(obj: dict):
-    """Inverse of section_to_json; the matrix key selects the type."""
-    rank = int(obj["rank"])
-    pts = obj["points"]
-    if not pts:
-        raise ValueError("section has no points")
-    key = next(k for k in ("h", "v", "phi") if k in pts[0])
+    """Inverse of section_to_json (the matrix key selects the type);
+    input off the wire format raises WireFormatError."""
+    try:
+        rank = int(obj["rank"])
+        pts = obj["points"]
+        key = next(k for k in ("h", "v", "phi") if k in pts[0])
+        ids = [p["id"] for p in pts]
+        mesh = QuadratureMesh(rank=rank, ids=ids,
+                              weights=[p["weight"] for p in pts],
+                              alphas=[p["alpha"] for p in pts])
+        values = np.stack([linalg.matrix_from_json(p[key]) for p in pts])
+    except HermGeoError:
+        raise
+    except (LookupError, StopIteration, TypeError, ValueError) as exc:
+        raise WireFormatError(
+            "not a section: need a rank and points, each with id, weight, "
+            f"alpha and one matrix key of h, v, phi, all alike ({exc!r})") from exc
     cls = {v: k for k, v in _SECTION_KEYS.items()}[key]
-    mesh = QuadratureMesh(
-        rank=rank,
-        ids=[p["id"] for p in pts],
-        weights=[p["weight"] for p in pts],
-        alphas=[p["alpha"] for p in pts],
-    )
-    order = np.argsort([p["id"] for p in pts])
-    values = np.stack([linalg.matrix_from_json(pts[i][key]) for i in order])
-    return cls(mesh, values)
+    return cls(mesh, values[np.argsort(ids)])
+
+
+def read_json(path: str):
+    """Parse a JSON input file; other text raises WireFormatError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise WireFormatError(f"{path} is not JSON: {exc}") from exc
 
 
 def load_section(path: str):
-    with open(path) as fh:
-        return section_from_json(json.load(fh))
+    return section_from_json(read_json(path))
 
 
 def save_section(section, path: str) -> None:
@@ -334,13 +338,11 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
             header += [f"re_{i}{j}", f"im_{i}{j}"]
     writer = csv.writer(stream)
     writer.writerow(header)
-    for k in range(steps):
-        t = k / (steps - 1)
-        snap = section_geodesic(h1, h2, t)
-        for idx in range(mesh.n_points):
-            row = [f"{t:.12g}", int(mesh.ids[idx])]
-            m = snap.values[idx]
-            for i in range(r):
-                for j in range(r):
-                    row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-            writer.writerow(row)
+    with _at_points(mesh.ids):
+        g = FiberGeodesic(h1.values, log_map(h1.values, h2.values))
+        for k in range(steps):
+            t = k / (steps - 1)
+            m = geodesic_eval(g, t)
+            entries = np.stack([m.real, m.imag], axis=-1).reshape(mesh.n_points, -1)
+            writer.writerows([f"{t:.12g}", pid, *(f"{x:.17g}" for x in row)]
+                             for pid, row in zip(mesh.ids.tolist(), entries.tolist()))

@@ -8,11 +8,23 @@ self-describing down to the tolerance that tripped it.
 
 from __future__ import annotations
 
+from operator import ge, gt, le
+
 import numpy as np
 
 from . import fiber, linalg, sampling, sections
 from .completion import cat0_check, cat0_comparison_slack
 from .oracle import distance_oracle
+
+
+def _judge(rep: dict, table, **derived) -> dict:
+    """Set ``tolerances`` and ``passed`` from (metric, comparator, bound)
+    rows; a metric is a report key or a keyword of ``derived``."""
+    values = {**rep, **derived}
+    rep["tolerances"] = {metric: bound for metric, _, bound in table}
+    rep["passed"] = all(bool(cmp(values[metric], bound))
+                        for metric, cmp, bound in table)
+    return rep
 
 
 def run_invariants(seed: int = 42, samples: int = 100) -> dict:
@@ -141,34 +153,20 @@ def run_invariants(seed: int = 42, samples: int = 100) -> dict:
         "gauge_max_rel_err": float(worst_gauge),
         "theta_bound_min_slack": float(worst_theta),
         "conformal_max_rel_err": float(worst_conformal),
-        "tolerances": {
-            "jensen_min_slack": -1e-10,
-            "reciprocal_spectrum_max_err": 1e-9,
-            "congruence_max_rel_err": 1e-9,
-            "affinity_max_rel_err": 1e-9,
-            "roundtrip_max_rel_err": 1e-8,
-            "curvature_antisym_max_resid": 1e-12,
-            "bianchi_max_resid": 1e-12,
-            "sectional_max": 1e-12,
-            "gauge_max_rel_err": 1e-9,
-            "theta_bound_min_slack": -1e-10,
-            "conformal_max_rel_err": 1e-10,
-        },
     })
-    tol = rep["tolerances"]
-    rep["passed"] = bool(
-        rep["jensen_min_slack"] >= tol["jensen_min_slack"]
-        and rep["reciprocal_spectrum_max_err"] <= tol["reciprocal_spectrum_max_err"]
-        and rep["congruence_max_rel_err"] <= tol["congruence_max_rel_err"]
-        and rep["affinity_max_rel_err"] <= tol["affinity_max_rel_err"]
-        and rep["roundtrip_max_rel_err"] <= tol["roundtrip_max_rel_err"]
-        and rep["curvature_antisym_max_resid"] <= tol["curvature_antisym_max_resid"]
-        and rep["bianchi_max_resid"] <= tol["bianchi_max_resid"]
-        and rep["sectional_max"] <= tol["sectional_max"]
-        and rep["gauge_max_rel_err"] <= tol["gauge_max_rel_err"]
-        and rep["theta_bound_min_slack"] >= tol["theta_bound_min_slack"]
-        and rep["conformal_max_rel_err"] <= tol["conformal_max_rel_err"])
-    return rep
+    return _judge(rep, (
+        ("jensen_min_slack", ge, -1e-10),
+        ("reciprocal_spectrum_max_err", le, 1e-9),
+        ("congruence_max_rel_err", le, 1e-9),
+        ("affinity_max_rel_err", le, 1e-9),
+        ("roundtrip_max_rel_err", le, 1e-8),
+        ("curvature_antisym_max_resid", le, 1e-12),
+        ("bianchi_max_resid", le, 1e-12),
+        ("sectional_max", le, 1e-12),
+        ("gauge_max_rel_err", le, 1e-9),
+        ("theta_bound_min_slack", ge, -1e-10),
+        ("conformal_max_rel_err", le, 1e-10),
+    ))
 
 
 def run_cat0(seed: int = 7, samples: int = 200) -> dict:
@@ -203,10 +201,8 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
         "suite": "cat0", "seed": seed, "samples": samples,
         "min_slack": float(min_slack),
         "flat_max_abs_slack": float(worst_flat),
-        "tolerances": {"min_slack": -1e-10, "flat_max_abs_slack": 1e-9},
     }
-    rep["passed"] = bool(min_slack >= -1e-10 and worst_flat <= 1e-9)
-    return rep
+    return _judge(rep, (("min_slack", ge, -1e-10), ("flat_max_abs_slack", le, 1e-9)))
 
 
 def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
@@ -230,10 +226,8 @@ def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
         "segments": segments, "iterations": iterations,
         "max_rel_gap": float(max_rel_gap),
         "max_below": float(max_below),
-        "tolerances": {"max_rel_gap": 0.01, "max_below": 1e-6},
     }
-    rep["passed"] = bool(max_rel_gap <= 0.01 and max_below <= 1e-6)
-    return rep
+    return _judge(rep, (("max_rel_gap", le, 0.01), ("max_below", le, 1e-6)))
 
 
 def run_appendix(seed: int = 3, samples: int = 100) -> dict:
@@ -250,10 +244,10 @@ def run_appendix(seed: int = 3, samples: int = 100) -> dict:
         "suite": "appendix", "seed": seed, "samples": samples,
         "min_singular_value": float(min_sv),
         "identity_value": float(at_zero),
-        "tolerances": {"min_singular_value": 1e-3, "identity_dev": 1e-6},
     }
-    rep["passed"] = bool(min_sv > 1e-3 and abs(at_zero - 1.0) <= 1e-6)
-    return rep
+    # the differential at v = 0 is the identity, so its singular value is 1
+    return _judge(rep, (("min_singular_value", gt, 1e-3), ("identity_dev", le, 1e-6)),
+                  identity_dev=abs(at_zero - 1.0))
 
 
 SUITES = {

@@ -1,0 +1,235 @@
+"""Stacked section operations against per-point loops of single-matrix calls.
+
+The section ops hand whole (n, r, r) stacks to the fiber and linalg
+functions; a single matrix is the empty-batch case of the same code.
+These tests pin the stacked results to a Python loop over the points at
+1e-12 relative, on seeded data with condition numbers up to 1e12 and
+exp arguments near the overflow guard, and check that an error about
+one matrix of a stack names its mesh point id.
+"""
+
+import numpy as np
+import pytest
+
+from hermgeo import disk, fiber, linalg
+from hermgeo.completion import SingularSection, integrability_report
+from hermgeo.errors import (
+    NonFiniteError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
+    OverflowGuardError,
+)
+from hermgeo.sections import (
+    GaugeTransform,
+    MetricSection,
+    QuadratureMesh,
+    TangentSection,
+    gauge_apply,
+    l2_inner,
+    section_distance,
+    section_geodesic,
+    theta_metric,
+)
+
+REL = 1e-12
+MAX_COND = 1e12
+NEAR_GUARD = linalg.EXP_OVERFLOW_GUARD - 10.0
+RANKS = (1, 2, 4, 8)
+SIZES = (1, 50)
+
+
+def _dagger(a):
+    return np.conj(a).swapaxes(-1, -2)
+
+
+def _from_spectrum(u, w):
+    m = (u * w[..., None, :]) @ _dagger(u)
+    return (m + _dagger(m)) / 2
+
+
+def _unitary(rng, n, r):
+    g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    return np.linalg.qr(g)[0]
+
+
+def _hermitian(rng, n, r, scale=1.0):
+    g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    return scale * (g + _dagger(g)) / 2
+
+
+# (largest condition number of p, centre of the log-spectrum of S)
+REGIMES = {"ill": (MAX_COND, 0.0), "guard": (1e2, NEAR_GUARD), "mild": (1e4, 0.0)}
+
+
+def _case(rank, n, seed, regime):
+    """Seeded mesh and sections with plain-numpy construction.
+
+    ``p`` has log-condition numbers spread up to that of the regime
+    (point 0 sits exactly at it when rank > 1); ``q = p^{1/2} e^S
+    p^{1/2}``, where the eigenvalues of S lie within 5 of the regime's
+    centre: just below the exp guard in the "guard" regime.
+    """
+    max_cond, centre = REGIMES[regime]
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(0.0, np.log(max_cond), n)
+    spread[0] = np.log(max_cond)
+    x = np.sort(rng.uniform(-0.5, 0.5, (n, rank)), axis=-1)
+    x[:, 0], x[:, -1] = -0.5, 0.5
+    logs = spread[:, None] * x
+    u = _unitary(rng, n, rank)
+    p = _from_spectrum(u, np.exp(logs))
+    p_half = _from_spectrum(u, np.exp(logs / 2))
+    s = centre + rng.uniform(-5.0, 5.0, (n, rank))
+    e = _from_spectrum(_unitary(rng, n, rank), np.exp(s))
+    q = p_half @ e @ p_half
+    q = (q + _dagger(q)) / 2
+    mesh = QuadratureMesh(rank=rank, ids=np.arange(n),
+                          weights=rng.uniform(0.1, 2.0, n),
+                          alphas=rng.uniform(-1.0 / rank + 0.01, 1.0, n))
+    return mesh, p, q, rng
+
+
+def _assert_scalar(got, want, scale):
+    assert abs(got - want) <= REL * scale
+
+
+def _assert_stack(got, want):
+    # largest entries, not Frobenius norms, which overflow near the exp guard
+    err = np.abs(got - want).max(axis=(-2, -1))
+    assert np.all(err <= REL * np.abs(want).max(axis=(-2, -1)))
+
+
+cases = pytest.mark.parametrize("rank,n,regime", [
+    (r, n, regime) for r in RANKS for n in SIZES for regime in ("ill", "guard")])
+
+
+@cases
+def test_distance_and_theta_match_point_loop(rank, n, regime):
+    mesh, p, q, _ = _case(rank, n, 10 * rank + n, regime)
+    d = np.array([fiber.fiber_distance(p[i], q[i], mesh.alphas[i]) for i in range(n)])
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    want = np.sqrt((mesh.weights * d**2).sum())
+    _assert_scalar(section_distance(h1, h2), want, want)
+    want = (mesh.weights * d).sum()
+    _assert_scalar(theta_metric(h1, h2), want, want)
+
+
+@cases
+def test_l2_inner_matches_point_loop(rank, n, regime):
+    mesh, p, _, rng = _case(rank, n, 20 * rank + n, regime)
+    v, w = _hermitian(rng, n, rank), _hermitian(rng, n, rank)
+    terms = mesh.weights * np.array(
+        [fiber.alpha_inner(p[i], v[i], w[i], mesh.alphas[i]) for i in range(n)])
+    got = l2_inner(MetricSection(mesh, p), TangentSection(mesh, v),
+                   TangentSection(mesh, w))
+    _assert_scalar(got, terms.sum(), np.abs(terms).sum())
+
+
+@cases
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_section_geodesic_matches_point_loop(rank, n, regime, t):
+    mesh, p, q, _ = _case(rank, n, 30 * rank + n, regime)
+    want = np.stack([fiber.geodesic_eval(
+        fiber.FiberGeodesic(p[i], fiber.log_map(p[i], q[i])), t) for i in range(n)])
+    got = section_geodesic(MetricSection(mesh, p), MetricSection(mesh, q), t)
+    _assert_stack(got.values, want)
+
+
+@cases
+def test_gauge_apply_matches_point_loop(rank, n, regime):
+    mesh, p, _, rng = _case(rank, n, 40 * rank + n, regime)
+    g = rng.standard_normal((n, rank, rank)) + 1j * rng.standard_normal((n, rank, rank))
+    phi = np.eye(rank) + 0.5 * g / np.linalg.norm(g, axis=(-2, -1))[:, None, None]
+    want = np.stack([linalg.hermitian(phi[i].conj().T @ p[i] @ phi[i])
+                     for i in range(n)])
+    got = gauge_apply(GaugeTransform(mesh, phi), MetricSection(mesh, p))
+    _assert_stack(got.values, want)
+
+
+@cases
+def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
+    mesh, p, q, _ = _case(rank, n, 50 * rank + n, regime)
+    logs = np.log(np.stack([linalg.relative_spectrum(p[i], q[i]) for i in range(n)]))
+    w = mesh.weights
+    det_sq = logs.sum(axis=-1) ** 2
+    sigma = SingularSection(mesh, tuple(q))
+    rep = integrability_report(sigma, MetricSection(mesh, p))
+    for got, f in ((rep.l2_log_lambda_min, logs[:, 0] ** 2),
+                   (rep.l2_log_lambda_max, logs[:, -1] ** 2),
+                   (rep.l2_log_det, det_sq),
+                   (rep.l2_distance, (logs**2).sum(axis=-1) + mesh.alphas * det_sq)):
+        want = np.sqrt((w * f).sum())
+        _assert_scalar(got, want, want)
+    top = max(linalg.relative_spectrum(p[i], q[i])[-1] for i in range(n))
+    _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
+
+
+def test_boundedness_skips_degenerate_points():
+    mesh, p, q, _ = _case(2, 5, 7, "ill")
+    sigma = SingularSection(mesh, (None,) + tuple(q[1:]))
+    assert sigma.degenerate_ids == [0]
+    top = max(linalg.relative_spectrum(p[i], q[i])[-1] for i in range(1, 5))
+    _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
+
+
+@cases
+def test_dual_section_matches_point_loop(rank, n, regime):
+    # the inverse of a matrix loses about cond * eps of its symmetry, so
+    # the dual of the ill-conditioned p would fail the Hermitian check
+    mesh, p, _, _ = _case(rank, n, 60 * rank + n, "mild" if regime == "ill" else regime)
+    want = np.stack([np.linalg.inv(p[i]).T for i in range(n)])
+    got = disk.dual_section(SingularSection(mesh, p))
+    _assert_stack(got.values, want)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_section_distance_matches_plain_numpy_reference(rank):
+    mesh, p, q, _ = _case(rank, 50, 70 + rank, "mild")
+    lam = np.linalg.eigvals(np.linalg.solve(p, q)).real
+    logs = np.log(lam)
+    want = np.sqrt((mesh.weights * ((logs**2).sum(axis=-1)
+                                    + mesh.alphas * logs.sum(axis=-1) ** 2)).sum())
+    got = section_distance(MetricSection(mesh, p), MetricSection(mesh, q))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def _spoil(kind, m):
+    """Make one matrix non-Hermitian, indefinite or non-finite."""
+    m = m.copy()
+    if kind == "hermitian":
+        m[0, -1] += 1.0 + 1j if m.shape[-1] > 1 else 1j
+    elif kind == "posdef":
+        m[:] = -np.eye(m.shape[-1])
+    else:
+        m[0, 0] = np.nan
+    return m
+
+
+ERRORS = {"hermitian": NotHermitianError, "posdef": NotPositiveDefiniteError,
+          "finite": NonFiniteError}
+
+
+@pytest.mark.parametrize("kind", sorted(ERRORS))
+@pytest.mark.parametrize("rank,n,k", [(1, 1, 0), (2, 50, 17), (4, 50, 49), (8, 50, 0)])
+def test_bad_matrix_error_names_its_point(kind, rank, n, k):
+    mesh, p, _, _ = _case(rank, n, 80 + rank, "mild")
+    p[k] = _spoil(kind, p[k])
+    with pytest.raises(ERRORS[kind], match=f"^point id {k}: "):
+        MetricSection(mesh, p)
+    with pytest.raises(ERRORS[kind]) as info:
+        linalg.posdef(p)
+    assert info.value.index == k and str(info.value).startswith(f"at index {k}: ")
+    with pytest.raises(ERRORS[kind]) as info:
+        linalg.posdef(p[k])
+    assert info.value.index is None
+
+
+def test_stacked_guard_names_its_point():
+    mesh, p, _, _ = _case(2, 50, 90, "mild")
+    far = p.copy()
+    far[23] = p[23] * np.exp(400.0)
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, far)
+    section_geodesic(h1, h2, 1.0)
+    # extrapolating to t = 2 doubles the exp argument past the guard
+    with pytest.raises(OverflowGuardError, match="^point id 23: eigenvalue magnitude"):
+        section_geodesic(h1, h2, 2.0)

@@ -149,3 +149,95 @@ def test_fixture_roundtrip(tmp_path):
     f2 = tmp_path / "round.json"
     save_section(sec, str(f2))
     assert json.loads(f1.read_text()) == json.loads(f2.read_text())
+
+
+def _section_obj(weights=(1.0, 2.0)):
+    mesh = QuadratureMesh(rank=2, ids=np.arange(len(weights)), weights=list(weights),
+                          alphas=[0.0] * len(weights))
+    vals = np.broadcast_to(np.eye(2, dtype=complex), (len(weights), 2, 2))
+    return sections.section_to_json(MetricSection(mesh, vals))
+
+
+def _drop(key):
+    def edit(obj):
+        del obj["points"][1][key]
+    return edit
+
+
+def _drop_matrix_part(part):
+    def edit(obj):
+        del obj["points"][1]["h"][part]
+    return edit
+
+
+def _set(key, value):
+    def edit(obj):
+        obj["points"][1][key] = value
+    return edit
+
+
+def _rename_matrix(obj):
+    obj["points"][1]["v"] = obj["points"][1].pop("h")
+
+
+def _grow_matrix(obj):
+    obj["points"][1]["h"] = linalg.matrix_to_json(np.eye(3))
+
+
+def _infinite_entry(obj):
+    obj["points"][1]["h"]["re"][0][0] = float("inf")
+
+
+MALFORMED_SECTIONS = {
+    "no matrix key": _drop("h"),
+    "no id": _drop("id"),
+    "no weight": _drop("weight"),
+    "no alpha": _drop("alpha"),
+    "no re": _drop_matrix_part("re"),
+    "no im": _drop_matrix_part("im"),
+    "matrix keys disagree": _rename_matrix,
+    "matrix shapes disagree": _grow_matrix,
+    "negative weight": _set("weight", -1.0),
+    "nan weight": _set("weight", float("nan")),
+    "duplicate id": _set("id", 0),
+    "inadmissible alpha": _set("alpha", -5.0),
+    "infinite entry": _infinite_entry,
+}
+
+
+def assert_input_error(capsys, argv):
+    """The CLI exits 2 with one error line and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
+def test_malformed_section_exits_2(tmp_path, capsys, case):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    obj = _section_obj()
+    good.write_text(json.dumps(obj))
+    MALFORMED_SECTIONS[case](obj)
+    bad.write_text(json.dumps(obj))
+    assert_input_error(capsys, ["distance", str(good), str(bad)])
+
+
+@pytest.mark.parametrize("text", ["not json {", "[1, 2]", '{"rank": 2, "points": []}'])
+def test_non_section_json_exits_2(tmp_path, capsys, text):
+    f1, _ = conformal_pair(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert_input_error(capsys, ["distance", str(f1), str(bad)])
+    assert_input_error(capsys, ["geodesic", str(bad), str(f1)])
+
+
+def test_curvature_input_errors_exit_2(tmp_path, capsys):
+    write_matrix(tmp_path / "h.json", np.eye(2))
+    write_matrix(tmp_path / "u.json", np.diag([1, -1]) / np.sqrt(2))
+    write_matrix(tmp_path / "v.json", np.array([[0, 1], [1, 0]]) / np.sqrt(2))
+    (tmp_path / "bad.json").write_text("{")
+    args = [str(tmp_path / name) for name in ("h.json", "u.json", "v.json")]
+    assert_input_error(capsys, ["curvature", *args, "--alpha", "-5"])
+    assert_input_error(capsys, ["curvature", str(tmp_path / "bad.json"), *args[1:]])
+    write_matrix(tmp_path / "h.json", [[np.inf, 0], [0, 1]])
+    assert_input_error(capsys, ["curvature", *args])

@@ -5,6 +5,7 @@ from hermgeo import linalg
 from hermgeo.errors import (
     DimensionError,
     IllConditionedError,
+    NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
     OverflowGuardError,
@@ -152,3 +153,17 @@ def test_matrix_json_roundtrip():
     a = np.array([[1.0, 2.0 + 3.0j], [2.0 - 3.0j, 4.0]])
     back = linalg.matrix_from_json(linalg.matrix_to_json(a))
     assert np.array_equal(a, back)
+
+
+def test_non_finite_entries_rejected():
+    for bad in ([[np.inf, 0], [0, 1]], [[1, np.nan], [np.nan, 1]]):
+        with pytest.raises(NonFiniteError):
+            linalg.posdef(bad)
+        with pytest.raises(NonFiniteError):
+            linalg.hermitian(bad)
+
+
+def test_overflowed_relative_spectrum_rejected():
+    # p^{-1/2} q p^{-1/2} overflows although p and q are finite
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+        linalg.relative_spectrum(np.diag([1e-200, 1.0]), np.diag([1e200, 1.0]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hermgeo import sampling, sections
-from hermgeo.errors import MeshMismatchError
+from hermgeo.errors import HermGeoError, MeshMismatchError, ParameterError
 from hermgeo.sections import (
     MetricSection,
     QuadratureMesh,
@@ -41,6 +41,21 @@ def test_mesh_validation():
         QuadratureMesh(rank=2, ids=[0, 0], weights=[1.0, 1.0], alphas=[0, 0])
     with pytest.raises(ValueError):
         QuadratureMesh(rank=2, ids=[0], weights=[1.0], alphas=[-0.5])
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    ({"weights": [1.0, -1.0]}, ParameterError, "point id 1: quadrature weight"),
+    ({"weights": [np.nan, 1.0]}, ParameterError, "point id 0: quadrature weight"),
+    ({"weights": [1.0, np.inf]}, ParameterError, "point id 1: quadrature weight"),
+    ({"ids": [3, 3]}, ParameterError, "point id 3: duplicate point id"),
+    ({"alphas": [0.0, -0.5]}, ParameterError, "point id 1: alpha=-0.5"),
+    ({"alphas": [np.inf, 0.0]}, ParameterError, "point id 0: alpha=inf"),
+])
+def test_mesh_errors_are_typed(kwargs, error, message):
+    args = {"rank": 2, "ids": [0, 1], "weights": [1.0, 1.0], "alphas": [0.0, 0.0]}
+    with pytest.raises(error, match=message) as info:
+        QuadratureMesh(**{**args, **kwargs})
+    assert isinstance(info.value, HermGeoError) and isinstance(info.value, ValueError)
 
 
 def test_mesh_hash_identity():
