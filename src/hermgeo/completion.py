@@ -91,7 +91,7 @@ def integrability_report(sigma: SingularSection,
         raise MeshMismatchError("singular section and reference mesh differ")
     sigma.check_nullset()
     keep = ~sigma.degenerate
-    logs = np.log(linalg.relative_spectrum(h0.values[keep], sigma.values[keep]))
+    logs = np.log(linalg._relative_spectrum(h0.values[keep], sigma.values[keep]))
     w = sigma.mesh.weights[keep]
     log_det_sq = logs.sum(axis=-1) ** 2
 

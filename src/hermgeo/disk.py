@@ -278,5 +278,5 @@ def boundedness_bound(sigma: SingularSection, h0: MetricSection) -> float:
     if sigma.mesh.content_hash != h0.mesh.content_hash:
         raise DimensionError("singular section and reference mesh differ")
     keep = ~sigma.degenerate
-    lam = linalg.relative_spectrum(h0.values[keep], sigma.values[keep])
+    lam = linalg._relative_spectrum(h0.values[keep], sigma.values[keep])
     return float(lam[:, -1].max(initial=0.0))

@@ -67,7 +67,7 @@ class OracleFailureError(HermGeoError, RuntimeError):
 def reject(bad, cls: type[HermGeoError], detail) -> None:
     """Raise ``cls(detail(k))`` for the first True entry ``k`` of the mask
     ``bad``; a stacked mask also sets the error's ``index``."""
-    if np.any(bad):
+    if np.asarray(bad).any():
         flat = int(np.argmax(bad))
         raise cls(detail(np.unravel_index(flat, np.shape(bad))),
                   index=flat if np.ndim(bad) else None)

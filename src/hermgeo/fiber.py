@@ -10,7 +10,10 @@ Expressions of the form h^{-1} v are never evaluated as an explicit
 inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
 so Hermiticity survives roundoff.  Every function also takes (..., r, r)
-stacks, with alpha one value per matrix, and validates arguments once.
+stacks, with alpha one value per matrix, and validates arguments once,
+then calls an unvalidated kernel (``_distance``, ``_log``, ``_geodesic``);
+section ops call those kernels directly on the stacks their constructors
+validated.
 """
 
 from __future__ import annotations
@@ -162,10 +165,12 @@ class FiberGeodesic:
         return geodesic_eval(self, t)
 
 
-def _geodesic(h: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
+def _geodesic(h: np.ndarray, a: np.ndarray, t: float, roots=None) -> np.ndarray:
+    """The geodesic point at t; ``roots`` is (h^{1/2}, h^{-1/2}) when the
+    caller has already factored h."""
     if t == 0.0:
         return h
-    hs, hsi = linalg._roots(h)
+    hs, hsi = linalg._roots(h) if roots is None else roots
     s = linalg.hermitian_part(hsi @ a @ hsi)
     return linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
 
@@ -181,7 +186,11 @@ def fiber_distance(p: np.ndarray, q: np.ndarray, alpha):
     where lam_i are the eigenvalues of p^{-1} q.
     """
     lam = linalg.relative_spectrum(p, q)
-    alpha = check_alpha(alpha, lam.shape[-1])
+    return _distance(lam, check_alpha(alpha, lam.shape[-1]))
+
+
+def _distance(lam: np.ndarray, alpha) -> np.ndarray:
+    """The distance from the relative spectrum lam and an admissible alpha."""
     logs = np.log(lam)
     # row @ column sums like np.dot of two vectors, per matrix of a stack
     sq = (logs[..., None, :] @ logs[..., :, None])[..., 0, 0]
@@ -196,7 +205,12 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = linalg.posdef(p)
     q = linalg.posdef(q)
     linalg.same_rank(p, q)
-    ps, psi = linalg._roots(p)
+    return _log(linalg._roots(p), q)
+
+
+def _log(roots, q: np.ndarray) -> np.ndarray:
+    """log_map(p, q) with roots = (p^{1/2}, p^{-1/2})."""
+    ps, psi = roots
     mid = linalg.hermitian_part(psi @ q @ psi)
     return linalg.hermitian_part(ps @ linalg._logm(mid) @ ps)
 
@@ -250,7 +264,9 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray,
     v = linalg.hermitian(v)
     basis = hermitian_basis(linalg.same_rank(h, v))
     steps, h, v = fd_step * basis, h[..., None, :, :], v[..., None, :, :]
-    plus, minus = _geodesic(h, v + steps, 1.0), _geodesic(h, v - steps, 1.0)
+    roots = linalg._roots(h)
+    plus = _geodesic(h, v + steps, 1.0, roots)
+    minus = _geodesic(h, v - steps, 1.0, roots)
     # jac[i, j]: coordinate i of the derivative along basis direction j
     jac = _trace(basis[:, None] @ ((plus - minus) / (2 * fd_step))[..., None, :, :, :])
     return np.linalg.svd(jac, compute_uv=False)[..., -1]

@@ -163,6 +163,10 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = posdef(p)
     q = posdef(q)
     same_rank(p, q)
+    return _relative_spectrum(p, q)
+
+
+def _relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ps = _roots(p)[1]
     lam = np.linalg.eigvalsh(_finite(hermitian_part(ps @ q @ ps)))
     reject(lam[..., 0] <= 0, NotPositiveDefiniteError,

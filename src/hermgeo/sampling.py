@@ -62,9 +62,9 @@ def random_mesh(rng: np.random.Generator, rank: int, n_points: int,
 
 def random_metric_section(rng: np.random.Generator, mesh: QuadratureMesh,
                           spread: float = 1.0) -> MetricSection:
-    vals = np.stack([random_posdef(rng, mesh.rank, spread)
+    logs = np.stack([random_hermitian(rng, mesh.rank, spread)
                      for _ in range(mesh.n_points)])
-    return MetricSection(mesh, vals)
+    return MetricSection(mesh, linalg.expm_hermitian(logs))
 
 
 def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh,

@@ -9,7 +9,9 @@ and the flat reference structure all live here.
 
 Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
-Values are validated once, at construction, into (n, r, r) stacks.
+Values are validated once, at construction, into read-only (n, r, r)
+stacks; the section ops then call the unvalidated linalg and fiber
+kernels on those stacks.
 """
 
 from __future__ import annotations
@@ -33,14 +35,9 @@ from .errors import (
     WireFormatError,
     reject,
 )
-from .fiber import (
-    FiberGeodesic,
-    alpha_inner,
-    check_alpha,
-    fiber_distance,
-    geodesic_eval,
-    log_map,
-)
+from .fiber import _distance, _geodesic, _inner, _log, _whiten, check_alpha
+# unused here; bench/test_bench.py::test_tracer_restores_every_binding reads it
+from .fiber import fiber_distance  # noqa: F401
 
 GAUGE_COND_LIMIT = 1e12
 
@@ -87,9 +84,9 @@ class QuadratureMesh:
                    lambda k: f"quadrature weight {weights[k]} is not positive "
                              "and finite")
             check_alpha(alphas, self.rank)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "alphas", alphas)
+        for name, a in (("ids", ids), ("weights", weights), ("alphas", alphas)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         digest = hashlib.sha256()
         digest.update(np.int64(self.rank).tobytes())
         digest.update(ids.tobytes())
@@ -126,7 +123,9 @@ def _check_values(mesh: QuadratureMesh, values, validator) -> np.ndarray:
     if values.shape != expected:
         raise DimensionError(f"values shape {values.shape} != {expected}")
     with _at_points(mesh.ids):
-        return validator(values)
+        values = validator(values)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def _check_gauge(m: np.ndarray) -> np.ndarray:
     reject((s[..., -1] <= 0) | (cond > GAUGE_COND_LIMIT), IllConditionedError,
            lambda k: f"gauge matrix condition {cond[k]:.3e} exceeds "
                      f"{GAUGE_COND_LIMIT:.0e}")
-    return m
+    return m.copy()
 
 
 @dataclass(frozen=True)
@@ -199,21 +198,27 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
     """Weighted sum of fiber inner products: the L2 metric at h."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
-    inner = alpha_inner(h.values, v.values, w.values, mesh.alphas)
+    inner = _inner(*_whiten(linalg._roots(h.values)[1], v.values, w.values),
+                   mesh.alphas)
     return float((mesh.weights * inner).sum())
+
+
+def _fiber_distances(h1: MetricSection, h2: MetricSection):
+    mesh = _same_mesh(h1, h2)
+    with _at_points(mesh.ids):
+        lam = linalg._relative_spectrum(h1.values, h2.values)
+    return mesh, _distance(lam, mesh.alphas)
 
 
 def section_distance(h1: MetricSection, h2: MetricSection) -> float:
     """sqrt of the weighted sum of squared fiber distances."""
-    mesh = _same_mesh(h1, h2)
-    d = fiber_distance(h1.values, h2.values, mesh.alphas)
+    mesh, d = _fiber_distances(h1, h2)
     return float(np.sqrt((mesh.weights * d**2).sum()))
 
 
 def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
     """Weighted *sum* of fiber distances (the L1-style lower-bound metric)."""
-    mesh = _same_mesh(h1, h2)
-    d = fiber_distance(h1.values, h2.values, mesh.alphas)
+    mesh, d = _fiber_distances(h1, h2)
     return float((mesh.weights * d).sum())
 
 
@@ -221,8 +226,9 @@ def section_geodesic(h1: MetricSection, h2: MetricSection, t: float) -> MetricSe
     """Pointwise geodesic from h1 to h2 at parameter t (any real t)."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        g = FiberGeodesic(h1.values, log_map(h1.values, h2.values))
-        return MetricSection(mesh, geodesic_eval(g, t))
+        roots = linalg._roots(h1.values)
+        a = _log(roots, h2.values)
+        return MetricSection(mesh, _geodesic(h1.values, a, t, roots))
 
 
 def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
@@ -339,10 +345,11 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     writer = csv.writer(stream)
     writer.writerow(header)
     with _at_points(mesh.ids):
-        g = FiberGeodesic(h1.values, log_map(h1.values, h2.values))
+        roots = linalg._roots(h1.values)
+        a = _log(roots, h2.values)
         for k in range(steps):
             t = k / (steps - 1)
-            m = geodesic_eval(g, t)
+            m = _geodesic(h1.values, a, t, roots)
             entries = np.stack([m.real, m.imag], axis=-1).reshape(mesh.n_points, -1)
             writer.writerows([f"{t:.12g}", pid, *(f"{x:.17g}" for x in row)]
                              for pid, row in zip(mesh.ids.tolist(), entries.tolist()))

@@ -5,15 +5,25 @@ functions; a single matrix is the empty-batch case of the same code.
 These tests pin the stacked results to a Python loop over the points at
 1e-12 relative, on seeded data with condition numbers up to 1e12 and
 exp arguments near the overflow guard, and check that an error about
-one matrix of a stack names its mesh point id.
+one matrix of a stack names its mesh point id.  Section ops call the
+unvalidated kernels on their validated stacks: a cost model pins their
+eigensolve and validation counts per call, and a fuzz drives them past
+every guard.
 """
+
+import collections
+import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hermgeo import disk, fiber, linalg
 from hermgeo.completion import SingularSection, integrability_report
 from hermgeo.errors import (
+    HermGeoError,
     NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -29,6 +39,7 @@ from hermgeo.sections import (
     section_distance,
     section_geodesic,
     theta_metric,
+    write_geodesic_csv,
 )
 
 REL = 1e-12
@@ -233,3 +244,93 @@ def test_stacked_guard_names_its_point():
     # extrapolating to t = 2 doubles the exp argument past the guard
     with pytest.raises(OverflowGuardError, match="^point id 23: eigenvalue magnitude"):
         section_geodesic(h1, h2, 2.0)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count eigensolves and the linalg validators while a test runs."""
+    seen = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
+    for name in ("hermitian", "posdef"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    return seen
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_section_ops_cost_model(counts, n):
+    # per call, whatever the mesh size: only the geodesic point, a
+    # computed result, is validated again
+    mesh, p, q, _ = _case(2, n, 100 + n, "mild")
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    counts.clear()
+    section_distance(h1, h2)
+    assert counts == {"eig": 2}
+    counts.clear()
+    section_geodesic(h1, h2, 0.5)
+    assert counts == {"eig": 4, "hermitian": 1, "posdef": 1}
+    for steps in (2, 11):
+        counts.clear()
+        write_geodesic_csv(h1, h2, steps, io.StringIO())
+        assert counts == {"eig": steps + 1}
+
+
+LOG_COND_GUARD = np.log(linalg.COND_GUARD)
+
+
+@st.composite
+def _metric_pair(draw):
+    """Seeded stacks of ranks 1-4 on 1-4 points.  Each matrix's
+    log-spectrum spreads up to 1.2 times log(COND_GUARD); its centre lies
+    within half the exp guard for p and within the whole guard for q, so
+    log(p^{-1} q) reaches the guard at t in [0, 1] and crosses it at
+    t in [-2, 3], and some q overflow before they reach the boundary."""
+    rank, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = QuadratureMesh(rank=rank, ids=np.arange(n), weights=rng.uniform(0.1, 2.0, n),
+                          alphas=rng.uniform(-1.0 / rank + 0.01, 1.0, n))
+    stacks = []
+    for reach in (0.5, 1.0):
+        centre = rng.uniform(-reach, reach) * linalg.EXP_OVERFLOW_GUARD
+        spread = rng.uniform(0.0, 1.2) * LOG_COND_GUARD
+        x = np.sort(rng.uniform(-0.5, 0.5, (n, rank)), axis=-1)
+        if rank > 1:
+            x[:, 0], x[:, -1] = -0.5, 0.5
+        stacks.append(_from_spectrum(_unitary(rng, n, rank), np.exp(centre + spread * x)))
+    return mesh, stacks[0], stacks[1]
+
+
+def _csv_numbers(h1, h2):
+    out = io.StringIO()
+    write_geodesic_csv(h1, h2, 5, out)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+    return np.array([float(x) for row in rows for x in row[2:]])
+
+
+FUZZ_OPS = {
+    "distance": lambda h1, h2, t: section_distance(h1, h2),
+    "geodesic": lambda h1, h2, t: section_geodesic(h1, h2, t).values,
+    "csv": lambda h1, h2, t: _csv_numbers(h1, h2),
+}
+
+
+# numpy warns about the overflows these inputs are built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(FUZZ_OPS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pair=_metric_pair(), t=st.floats(-2.0, 3.0))
+def test_guards_hold_on_the_unvalidated_path(op, pair, t):
+    mesh, p, q = pair
+    try:
+        out = FUZZ_OPS[op](MetricSection(mesh, p), MetricSection(mesh, q), t)
+    except HermGeoError as exc:
+        event(type(exc).__name__)  # shown by pytest --hypothesis-show-statistics
+        return
+    assert np.all(np.isfinite(out))

@@ -292,3 +292,30 @@ def test_geodesic_csv():
     mid = lines[2].split(",")
     assert float(mid[0]) == 0.5
     assert float(mid[2]) == pytest.approx(np.e)
+
+
+STACK_MAKERS = {
+    MetricSection: lambda rng, r: sampling.random_posdef(rng, r),
+    TangentSection: lambda rng, r: sampling.random_hermitian(rng, r),
+    sections.GaugeTransform:
+        lambda rng, r: np.eye(r) + 0.1 * sampling.random_hermitian(rng, r),
+}
+
+
+@pytest.mark.parametrize("cls", list(STACK_MAKERS), ids=lambda c: c.__name__)
+def test_validated_stacks_are_read_only_copies(cls):
+    # section ops trust what the constructors checked, so the stored
+    # stacks must not change afterwards, and the caller's arrays must
+    # stay the caller's
+    rng = sampling.make_rng(5)
+    ids, weights, alphas = np.array([1, 0]), np.array([1.0, 2.0]), np.array([0.0, 0.5])
+    mesh = QuadratureMesh(rank=2, ids=ids, weights=weights, alphas=alphas)
+    vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)]).astype(complex)
+    section = cls(mesh, vals)
+    for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[1]
+    for given in (vals, ids, weights, alphas):
+        assert given.flags.writeable
+    vals[0] = vals[1]
+    assert not np.array_equal(section.values[0], section.values[1])
