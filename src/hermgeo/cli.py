@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import disk, fiber, linalg, sections, suites
-from .completion import cauchy_experiment
 from .errors import HermGeoError
-from .sections import ScalarField, load_section, section_distance
+from .sections import load_section, section_distance
 
 
 def _emit(args, payload: dict) -> None:
@@ -83,37 +83,18 @@ def cmd_integrability(args) -> int:
     from .completion import integrability_report, singular_from_metric
     sigma = singular_from_metric(load_section(args.sigma))
     h0 = load_section(args.h0)
-    rep = integrability_report(sigma, h0)
-    _emit(args, {
-        "l2_log_lambda_min": rep.l2_log_lambda_min,
-        "l2_log_lambda_max": rep.l2_log_lambda_max,
-        "l2_log_det": rep.l2_log_det,
-        "l2_distance": rep.l2_distance,
-        "is_l2": rep.is_l2,
-    })
+    rep = asdict(integrability_report(sigma, h0))
+    del rep["refinement_trend"]  # a single report has no refinement family
+    _emit(args, rep)
     return 0
 
 
 def cmd_completion_demo(args) -> int:
     """Cauchy experiment: truncations of the unbounded profile log|z|^2
     converging to a non-smooth limit in the completion metric."""
-    mesh = disk.DiskMesh(args.nr, args.ntheta)
-    quad = mesh.quadrature(rank=1, alpha=args.alpha)
-    h0 = sections.MetricSection(
-        quad, np.ones((quad.n_points, 1, 1), dtype=complex))
-    phi = np.log(np.abs(mesh.points()) ** 2)
-    f_limit = ScalarField(quad, phi)
-    f_seq = [ScalarField(quad, np.maximum(phi, -float(k)))
-             for k in range(1, args.levels + 1)]
-    rep = cauchy_experiment(h0, f_seq, f_limit)
-    _emit(args, {
-        "alpha": args.alpha,
-        "levels": args.levels,
-        "step_distances": list(rep.step_distances),
-        "partial_sums": list(rep.partial_sums),
-        "to_limit": list(rep.to_limit),
-        "to_limit_formula": list(rep.to_limit_formula),
-    })
+    rep = disk.log_truncation_experiment(disk.DiskMesh(args.nr, args.ntheta),
+                                         args.alpha, args.levels)
+    _emit(args, {"alpha": args.alpha, "levels": args.levels, **asdict(rep)})
     return 0
 
 
@@ -181,10 +162,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HermGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HermGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import MeasureInconsistencyError, MeshMismatchError, reject
+from .errors import MeasureInconsistencyError, reject
 from .sections import (
     MetricSection,
     QuadratureMesh,
     ScalarField,
+    _same_mesh,
     conformal_distance,
     conformal_scale,
     section_distance,
@@ -78,34 +79,43 @@ class IntegrabilityReport:
     refinement_trend: float | None = None
 
 
-def integrability_report(sigma: SingularSection,
-                         h0: MetricSection) -> IntegrabilityReport:
-    """L2 norms of log lambda_min, log lambda_max and log det of the
-    relative endomorphism, plus the full distance integral.
+def kept_spectrum(sigma: SingularSection, h0: MetricSection) -> np.ndarray:
+    """Relative spectrum of h0^{-1} sigma at the points off the nullset,
+    after checking that both share a mesh and the nullset has no weight."""
+    _same_mesh(sigma, h0)
+    sigma.check_nullset()
+    keep = ~sigma.degenerate
+    return linalg._relative_spectrum(h0.values[keep], sigma.values[keep])
+
+
+def l2_report(logs: np.ndarray, weights: np.ndarray, alphas) -> IntegrabilityReport:
+    """L2 norms of log lambda_min, log lambda_max, log det and the distance
+    from ascending log-eigenvalues ``logs`` (n, r), weights and alphas.
 
     At a fixed quadrature every norm is finite, so ``is_l2`` is True
     here; divergence can only be witnessed by a refinement family (see
     ``refinement_trend``).
     """
-    if sigma.mesh.content_hash != h0.mesh.content_hash:
-        raise MeshMismatchError("singular section and reference mesh differ")
-    sigma.check_nullset()
-    keep = ~sigma.degenerate
-    logs = np.log(linalg._relative_spectrum(h0.values[keep], sigma.values[keep]))
-    w = sigma.mesh.weights[keep]
     log_det_sq = logs.sum(axis=-1) ** 2
 
     def l2(f):
-        return float(np.sqrt((w * f).sum()))
+        return float(np.sqrt((weights * f).sum()))
 
     return IntegrabilityReport(
         l2_log_lambda_min=l2(logs[:, 0] ** 2),
         l2_log_lambda_max=l2(logs[:, -1] ** 2),
         l2_log_det=l2(log_det_sq),
-        l2_distance=l2((logs * logs).sum(axis=-1)
-                       + sigma.mesh.alphas[keep] * log_det_sq),
+        l2_distance=l2((logs * logs).sum(axis=-1) + alphas * log_det_sq),
         is_l2=True,
     )
+
+
+def integrability_report(sigma: SingularSection,
+                         h0: MetricSection) -> IntegrabilityReport:
+    """``l2_report`` of the relative endomorphism H = h0^{-1} sigma."""
+    keep = ~sigma.degenerate
+    return l2_report(np.log(kept_spectrum(sigma, h0)),
+                     sigma.mesh.weights[keep], sigma.mesh.alphas[keep])
 
 
 def refinement_trend(norms, levels) -> float:
@@ -207,7 +217,7 @@ def cat0_comparison_slack(p: MetricSection, q: MetricSection, r: MetricSection,
     actual = section_distance(xs, xt)
     if a < 1e-12 or b < 1e-12:
         # collapsed comparison triangle: both comparison points sit on a segment
-        comparison = abs(s * a - t * b) if a >= b else abs(t * b - s * a)
+        comparison = abs(s * a - t * b)
     else:
         cos_theta = np.clip((a**2 + b**2 - c**2) / (2 * a * b), -1.0, 1.0)
         comparison = np.sqrt(max(

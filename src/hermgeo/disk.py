@@ -13,10 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .completion import SingularSection, integrability_report
+from .completion import (
+    CauchyReport,
+    SingularSection,
+    cauchy_experiment,
+    kept_spectrum,
+    l2_report,
+)
 from .errors import DimensionError
-from .sections import MetricSection, QuadratureMesh
+from .fiber import check_alpha
+from .sections import MetricSection, QuadratureMesh, ScalarField
 
 __all__ = [
     "DiskMesh",
@@ -26,6 +32,7 @@ __all__ = [
     "identity_reference",
     "raufi_integrability",
     "line_bundle_norms",
+    "log_truncation_experiment",
     "psh_check",
     "PshReport",
     "dual_section",
@@ -138,12 +145,12 @@ def raufi_eigenvalues(t: np.ndarray):
     """Exact eigenvalues (1 + 2t ± sqrt(1 + 4t)) / 2 at t = |z|^2.
 
     Read off the characteristic polynomial: trace 1 + 2t, determinant
-    t^2.  (A double eigenvalue t would contradict that trace, so the
-    spectrum is computed here rather than assumed; the determinant
-    identity det = |z|^4 is what the integrability numbers rest on.)
+    t^2; the small root is t^2 over the large one (Vieta), as the "-"
+    root cancels for small t.  (A double eigenvalue t would contradict
+    that trace, so the spectrum is computed here rather than assumed.)
     """
-    root = np.sqrt(1.0 + 4.0 * t)
-    return (1.0 + 2.0 * t - root) / 2.0, (1.0 + 2.0 * t + root) / 2.0
+    lam_hi = (1.0 + 2.0 * t + np.sqrt(1.0 + 4.0 * t)) / 2.0
+    return t**2 / lam_hi, lam_hi
 
 
 def raufi_section(mesh: DiskMesh, alpha: float = 0.0) -> SingularSection:
@@ -161,33 +168,25 @@ def identity_reference(mesh: DiskMesh, rank: int = 2,
 
 
 def raufi_integrability(mesh: DiskMesh, alpha: float = 0.0) -> dict:
-    """Integrability report for the disk example.
+    """Integrability report for the disk example against the identity.
 
-    ``log_det_sq_integral`` converges to 8*pi under refinement; the full
-    distance integral uses the exact eigenvalues.  The report also
-    carries the eigenvalue data so the trace/determinant bookkeeping is
-    visible rather than buried.
+    The L2 norms come from the exact eigenvalues; ``log_det_sq_integral``
+    converges to 8*pi under refinement.  The report also carries the
+    eigenvalue data so the trace/determinant bookkeeping is visible
+    rather than buried.
     """
-    if not alpha > -0.5:
-        raise ValueError("alpha must exceed -1/2 for rank 2")
-    z = mesh.points()
-    t = np.abs(z) ** 2
-    w = mesh.cell_weights()
+    check_alpha(alpha, 2)
+    t = np.abs(mesh.points()) ** 2
     lam_lo, lam_hi = raufi_eigenvalues(t)
-    log_det = np.log(lam_lo * lam_hi)          # equals 2 log|z|^2 exactly
-    log_det_sq = float((w * log_det**2).sum())
-    dist_sq = float((w * (np.log(lam_lo) ** 2 + np.log(lam_hi) ** 2
-                          + alpha * log_det**2)).sum())
-    sigma = raufi_section(mesh, alpha)
-    h0 = identity_reference(mesh, 2, alpha)
-    report = integrability_report(sigma, h0)
+    report = l2_report(np.log(np.stack([lam_lo, lam_hi], axis=-1)),
+                       mesh.cell_weights(), alpha)
     return {
         "n_r": mesh.n_r,
         "n_theta": mesh.n_theta,
         "alpha": alpha,
-        "log_det_sq_integral": log_det_sq,
+        "log_det_sq_integral": report.l2_log_det**2,
         "log_det_sq_target": float(8.0 * np.pi),
-        "distance_sq_integral": dist_sq,
+        "distance_sq_integral": report.l2_distance**2,
         "is_l2": report.is_l2,
         "l2_log_lambda_min": report.l2_log_lambda_min,
         "l2_log_lambda_max": report.l2_log_lambda_max,
@@ -212,6 +211,17 @@ def line_bundle_norms(mesh: DiskMesh) -> dict:
         "phi_sq_integral": val,
         "phi_sq_target": float(2.0 * np.pi),
     }
+
+
+def log_truncation_experiment(mesh: DiskMesh, alpha: float = 0.0,
+                              levels: int = 8) -> CauchyReport:
+    """Cauchy experiment over the rank-1 reference h0 = 1: the truncations
+    max(log|z|^2, -k), k = 1..levels, toward the unbounded limit log|z|^2."""
+    h0 = identity_reference(mesh, 1, alpha)
+    phi = np.log(np.abs(mesh.points()) ** 2)
+    f_seq = [ScalarField(h0.mesh, np.maximum(phi, -float(k)))
+             for k in range(1, levels + 1)]
+    return cauchy_experiment(h0, f_seq, ScalarField(h0.mesh, phi))
 
 
 @dataclass(frozen=True)
@@ -275,8 +285,4 @@ def dual_section(sigma: SingularSection) -> SingularSection:
 
 def boundedness_bound(sigma: SingularSection, h0: MetricSection) -> float:
     """Max over points of the top eigenvalue of H = h0^{-1} sigma."""
-    if sigma.mesh.content_hash != h0.mesh.content_hash:
-        raise DimensionError("singular section and reference mesh differ")
-    keep = ~sigma.degenerate
-    lam = linalg._relative_spectrum(h0.values[keep], sigma.values[keep])
-    return float(lam[:, -1].max(initial=0.0))
+    return float(kept_spectrum(sigma, h0)[:, -1].max(initial=0.0))

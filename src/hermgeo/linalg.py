@@ -68,9 +68,7 @@ def hermitian(a) -> np.ndarray:
 def posdef(a) -> np.ndarray:
     """Validate positive-definite Hermitian matrices (symmetrized copy)."""
     h = hermitian(a)
-    w = np.linalg.eigvalsh(h)[..., 0]
-    reject(w <= 0, NotPositiveDefiniteError,
-           lambda k: f"smallest eigenvalue {w[k]:.3e} <= 0")
+    _positive(np.linalg.eigvalsh(h))
     return h
 
 
@@ -95,13 +93,21 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
+def _positive(w: np.ndarray) -> None:
+    """Reject a stack whose ascending eigenvalues ``w`` reach zero."""
+    reject(w[..., 0] <= 0, NotPositiveDefiniteError,
+           lambda k: f"smallest eigenvalue {w[k][0]:.3e} <= 0")
+
+
 def _recompose(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return hermitian_part((u * fw[..., None, :]) @ np.conj(u).swapaxes(-1, -2))
 
 
 def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p^{1/2}, p^{-1/2}) from one eigendecomposition."""
+    """(p^{1/2}, p^{-1/2}) from one eigendecomposition; near condition
+    1e16 eigh can see a nonpositive eigenvalue that posdef's eigvalsh did not."""
     w, u = _eigh(p)
+    _positive(w)
     s = np.sqrt(w)
     return _recompose(u, s), _recompose(u, 1.0 / s)
 
@@ -117,8 +123,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def _logm(p: np.ndarray) -> np.ndarray:
     w, u = _eigh(p)
-    reject(w[..., 0] <= 0, NotPositiveDefiniteError,
-           lambda k: f"smallest eigenvalue {w[k][0]:.3e} <= 0")
+    _positive(w)
     cond = w[..., -1] / w[..., 0]
     reject(cond > COND_GUARD, IllConditionedError,
            lambda k: f"condition number {cond[k]:.3e} exceeds guard {COND_GUARD:.0e}")

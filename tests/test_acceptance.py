@@ -229,15 +229,12 @@ def test_criterion_11_disk_integrability():
 
 def test_criterion_12_completion_experiment():
     mesh = disk.DiskMesh(100, 32)
-    quad = mesh.quadrature(rank=1, alpha=0.0)
-    h0 = MetricSection(quad, np.ones((quad.n_points, 1, 1), dtype=complex))
-    phi = np.log(np.abs(mesh.points()) ** 2)
-    f_limit = ScalarField(quad, phi)
-    f_seq = [ScalarField(quad, np.maximum(phi, -float(k))) for k in range(1, 9)]
-    rep = completion.cauchy_experiment(h0, f_seq, f_limit)
+    rep = disk.log_truncation_experiment(mesh, 0.0, 8)
     worst = max(abs(d - f) / max(1e-30, f)
                 for d, f in zip(rep.to_limit, rep.to_limit_formula))
 
+    h0 = disk.identity_reference(mesh, 1, 0.0)
+    quad = h0.mesh
     rng = sampling.make_rng(112)
     g = sampling.random_scalar_field(rng, quad)
     f_lim2 = sampling.random_scalar_field(rng, quad)

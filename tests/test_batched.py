@@ -24,6 +24,7 @@ from hermgeo import disk, fiber, linalg
 from hermgeo.completion import SingularSection, integrability_report
 from hermgeo.errors import (
     HermGeoError,
+    MeasureInconsistencyError,
     NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -175,12 +176,14 @@ def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
     _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
 
 
-def test_boundedness_skips_degenerate_points():
+def test_boundedness_rejects_weighted_degenerate_points():
+    # as integrability_report does: a degenerate point with positive
+    # weight is not on the nullset, so it is not skipped
     mesh, p, q, _ = _case(2, 5, 7, "ill")
     sigma = SingularSection(mesh, (None,) + tuple(q[1:]))
     assert sigma.degenerate_ids == [0]
-    top = max(linalg.relative_spectrum(p[i], q[i])[-1] for i in range(1, 5))
-    _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
+    with pytest.raises(MeasureInconsistencyError, match="degenerate point id 0"):
+        disk.boundedness_bound(sigma, MetricSection(mesh, p))
 
 
 @cases
@@ -280,6 +283,13 @@ def test_section_ops_cost_model(counts, n):
         counts.clear()
         write_geodesic_csv(h1, h2, steps, io.StringIO())
         assert counts == {"eig": steps + 1}
+
+
+def test_raufi_integrability_cost_model(counts):
+    # the disk example's spectrum is in closed form: no eigensolve and no
+    # validation, whatever the mesh size
+    disk.raufi_integrability(disk.DiskMesh(100, 32), 0.7)
+    assert counts == {}
 
 
 LOG_COND_GUARD = np.log(linalg.COND_GUARD)

@@ -241,3 +241,11 @@ def test_curvature_input_errors_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["curvature", str(tmp_path / "bad.json"), *args[1:]])
     write_matrix(tmp_path / "h.json", [[np.inf, 0], [0, 1]])
     assert_input_error(capsys, ["curvature", *args])
+
+
+def test_disk_example_alpha_errors_exit_2(capsys):
+    # the rank-2 example needs alpha > -1/2, the rank-1 demo alpha > -1
+    assert_input_error(capsys, ["example", "raufi", "--nr", "8", "--ntheta", "8",
+                                "--alpha", "-0.5"])
+    assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
+                                "--alpha", "-1"])

@@ -1,8 +1,12 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from hermgeo import disk
+from hermgeo.completion import integrability_report
 from hermgeo.disk import DiskMesh, GridFunction
+from hermgeo.errors import MeshMismatchError
 
 
 def test_mesh_weight_sum():
@@ -42,6 +46,46 @@ def test_raufi_eigenvalues_match_numeric():
         assert lam[1] == pytest.approx(hi[k], rel=1e-9)
 
 
+def test_raufi_small_root_is_stable():
+    m = DiskMesh(400, 64)
+    z = m.points()
+    t = np.abs(z) ** 2
+    lo, hi = disk.raufi_eigenvalues(t)
+    # exact small root at each radius, to 40 digits
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = np.array([float((1 + 2 * Decimal(x) - (1 + 4 * Decimal(x)).sqrt()) / 2)
+                          for x in t[::m.n_theta]])
+    assert np.abs(lo[::m.n_theta] / exact - 1).max() <= 1e-12
+    # eigvalsh sees the matrix with 1 + t rounded: its determinant t^2
+    # moves by about eps * t, its small eigenvalue by a few eps / t relative
+    lam = np.linalg.eigvalsh(disk.raufi_matrix(z))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(lo / lam[:, 0] - 1) <= 32 * eps * (1 + t) / t)
+    assert np.abs(hi / lam[:, 1] - 1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(50, 16), (100, 32), (400, 64)])
+@pytest.mark.parametrize("alpha", [0.0, 0.7, -0.4])
+def test_raufi_integrability_matches_eigensolver_route(n_r, n_theta, alpha):
+    # cross-check of the closed-form spectrum: the generic report on the
+    # section, and a numpy eigensolve with the small root from Vieta
+    m = DiskMesh(n_r, n_theta)
+    rep = disk.raufi_integrability(m, alpha)
+    generic = integrability_report(disk.raufi_section(m, alpha),
+                                   disk.identity_reference(m, 2, alpha))
+    for key in ("l2_log_lambda_min", "l2_log_lambda_max", "l2_log_det"):
+        assert rep[key] == pytest.approx(getattr(generic, key), rel=1e-12, abs=0), key
+    assert np.sqrt(rep["distance_sq_integral"]) == pytest.approx(
+        generic.l2_distance, rel=1e-12, abs=0)
+    z = m.points()
+    t = np.abs(z) ** 2
+    hi = np.linalg.eigvalsh(disk.raufi_matrix(z))[:, 1]
+    logs = np.log(np.stack([t**2 / hi, hi], axis=-1))
+    want = (m.cell_weights() * ((logs**2).sum(-1) + alpha * logs.sum(-1) ** 2)).sum()
+    assert rep["distance_sq_integral"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_raufi_integrability_targets():
     rep = disk.raufi_integrability(DiskMesh(400, 64), 0.0)
     assert rep["log_det_sq_integral"] == pytest.approx(8.0 * np.pi, rel=0.02)
@@ -63,6 +107,17 @@ def test_line_bundle_norm():
     assert rep["phi_sq_integral"] == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
+def test_log_truncation_experiment():
+    m = DiskMesh(32, 24)
+    rep = disk.log_truncation_experiment(m, 0.5, 4)
+    phi = np.log(np.abs(m.points()) ** 2)
+    # rank 1, constant alpha: d(e^f h0, e^g h0) = sqrt(1 + alpha) ||f - g||_2
+    want = [np.sqrt(1.5 * (m.cell_weights() * (np.maximum(phi, -k) - phi) ** 2).sum())
+            for k in range(1, 5)]
+    assert rep.to_limit == pytest.approx(want, rel=1e-12)
+    assert rep.to_limit_formula == pytest.approx(want, rel=1e-12)
+
+
 def test_boundedness_bound():
     m = DiskMesh(50, 16)
     h0 = disk.identity_reference(m)
@@ -75,6 +130,12 @@ def test_boundedness_bound():
     assert disk.boundedness_bound(ident, h0) == pytest.approx(1.0)
     two = disk.SingularSection(h0.mesh, tuple(2.0 * v for v in h0.values))
     assert disk.boundedness_bound(two, h0) == pytest.approx(2.0)
+
+
+def test_boundedness_bound_rejects_mesh_mismatch():
+    sigma = disk.raufi_section(DiskMesh(10, 8))
+    with pytest.raises(MeshMismatchError):
+        disk.boundedness_bound(sigma, disk.identity_reference(DiskMesh(10, 9)))
 
 
 def test_boundedness_implies_extreme_norms_finite():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermgeo import linalg
+from hermgeo import fiber, linalg
 from hermgeo.errors import (
     DimensionError,
     IllConditionedError,
@@ -167,3 +167,61 @@ def test_overflowed_relative_spectrum_rejected():
     # p^{-1/2} q p^{-1/2} overflows although p and q are finite
     with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
         linalg.relative_spectrum(np.diag([1e-200, 1.0]), np.diag([1e200, 1.0]))
+
+
+def test_roots_reject_nonpositive_eigenvalue():
+    with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
+        linalg._roots(np.diag([-1e-17, 1.0]).astype(complex))
+
+
+def _near_singular_draws(n=20000, seed=0):
+    """Seeded search for matrices near condition 1e16: rank 2-4, smallest
+    eigenvalue 10^-17.5 to 10^-15.5, the others in [0.5, 2]; one stack
+    per rank."""
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(2, 5, n)
+    stacks = []
+    for r in (2, 3, 4):
+        k = int((ranks == r).sum())
+        g = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+        u = np.linalg.qr(g)[0]
+        w = rng.uniform(0.5, 2.0, (k, r))
+        w[:, 0] = 10.0 ** rng.uniform(-17.5, -15.5, k)
+        stacks.append(linalg.hermitian_part((u * w[:, None, :]) @ np.conj(u).swapaxes(-1, -2)))
+    return stacks
+
+
+# public ops whose only use of the draw's spectrum is its roots
+ROOT_OPS = {
+    "sqrtm_posdef": linalg.sqrtm_posdef,
+    "invsqrtm_posdef": linalg.invsqrtm_posdef,
+    "alpha_inner": lambda h: fiber.alpha_inner(h, h, h, 0.5),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_singular_input_raises_or_stays_finite():
+    # The draws are Hermitian as drawn, so posdef rejects exactly those on
+    # which eigvalsh finds a nonpositive eigenvalue; eigh, which the roots
+    # use, can still find one on a draw posdef accepted (a hit).  Each op
+    # validates with posdef first.  A stacked call returns finite values
+    # only if it does so on each matrix of the stack.
+    hits = 0
+    for stack in _near_singular_draws():
+        accepted = np.linalg.eigvalsh(stack)[:, 0] > 0
+        hit = accepted & (np.linalg.eigh(stack)[0][:, 0] <= 0)
+        hits += hit.sum()
+        for p in stack[~accepted]:
+            with pytest.raises(NotPositiveDefiniteError):
+                linalg.posdef(p)
+        for name, op in ROOT_OPS.items():
+            assert np.isfinite(op(stack[accepted & ~hit])).all(), name
+            for p in stack[hit]:
+                with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
+                    op(p)
+        # off the hits, the spectrum of p^{-1} spans up to 1e17 and its
+        # own positivity check may fire; on them the roots fail first
+        for p in stack[hit]:
+            with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
+                linalg.relative_spectrum(p, np.eye(len(p)))
+    assert hits > 1000
