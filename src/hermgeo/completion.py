@@ -12,12 +12,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import MeasureInconsistencyError, reject
+from .errors import MeasureInconsistencyError, ParameterError, reject
 from .sections import (
     MetricSection,
     QuadratureMesh,
     ScalarField,
     _same_mesh,
+    _segment_distances,
     conformal_distance,
     conformal_scale,
     section_distance,
@@ -182,6 +183,41 @@ def cauchy_experiment(h0: MetricSection, f_sequence, f_limit: ScalarField
     return CauchyReport(steps, sums, to_limit, formula)
 
 
+def _cat0_slacks(p: MetricSection, q: MetricSection, r: MetricSection,
+                 segment: np.ndarray, s=None, t=None):
+    """The midpoint slack of each triangle (p, q, r), and its comparison
+    slack at (s, t), one value each per triangle, when they are given.
+
+    The sections live on a mesh that concatenates the triangles' meshes
+    (``sections._concatenate``); ``segment`` gives each point's triangle.
+    Squares are taken by libm's pow, as Python floats square, so a
+    triangle's slacks do not depend on the batch it is in.
+    """
+    def dist(x, y):
+        return _segment_distances(x, y, segment)
+
+    def sq(x):
+        return np.float_power(x, 2)
+
+    a, b, c = dist(p, q), dist(p, r), dist(q, r)
+    midpoint = (0.5 * sq(a) + 0.5 * sq(b) - 0.25 * sq(c)
+                - sq(dist(p, section_geodesic(q, r, 0.5))))
+    if s is None:
+        return midpoint, None
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    reject(~((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)), ParameterError,
+           lambda k: f"s={s[k]}, t={t[k]}: s and t must lie in [0, 1]")
+    actual = dist(section_geodesic(p, q, s[segment]), section_geodesic(p, r, t[segment]))
+    # a collapsed comparison triangle puts both comparison points on a segment
+    collapsed = (a < 1e-12) | (b < 1e-12)
+    cos_theta = np.clip((sq(a) + sq(b) - sq(c)) / np.where(collapsed, 1.0, 2 * a * b),
+                        -1.0, 1.0)
+    law = np.sqrt(np.maximum(
+        sq(s * a) + sq(t * b) - 2 * s * t * a * b * cos_theta, 0.0))
+    comparison = np.where(collapsed, np.abs(s * a - t * b), law)
+    return midpoint, comparison - actual
+
+
 def cat0_check(p: MetricSection, q: MetricSection, r: MetricSection) -> float:
     """CN-inequality slack at the midpoint of [q, r].
 
@@ -190,12 +226,8 @@ def cat0_check(p: MetricSection, q: MetricSection, r: MetricSection) -> float:
     comparison property in its midpoint form.  Degenerate triangles
     (two vertices closer than 1e-12) still produce a slack.
     """
-    m = section_geodesic(q, r, 0.5)
-    dpq = section_distance(p, q)
-    dpr = section_distance(p, r)
-    dqr = section_distance(q, r)
-    dpm = section_distance(p, m)
-    return 0.5 * dpq**2 + 0.5 * dpr**2 - 0.25 * dqr**2 - dpm**2
+    whole = np.zeros(p.mesh.n_points, dtype=int)
+    return float(_cat0_slacks(p, q, r, whole)[0][0])
 
 
 def cat0_comparison_slack(p: MetricSection, q: MetricSection, r: MetricSection,
@@ -207,19 +239,5 @@ def cat0_comparison_slack(p: MetricSection, q: MetricSection, r: MetricSection,
     from the three side lengths by the law of cosines.  Nonnegative for
     a CAT(0) space.
     """
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError("s and t must lie in [0, 1]")
-    a = section_distance(p, q)
-    b = section_distance(p, r)
-    c = section_distance(q, r)
-    xs = section_geodesic(p, q, s)
-    xt = section_geodesic(p, r, t)
-    actual = section_distance(xs, xt)
-    if a < 1e-12 or b < 1e-12:
-        # collapsed comparison triangle: both comparison points sit on a segment
-        comparison = abs(s * a - t * b)
-    else:
-        cos_theta = np.clip((a**2 + b**2 - c**2) / (2 * a * b), -1.0, 1.0)
-        comparison = np.sqrt(max(
-            (s * a) ** 2 + (t * b) ** 2 - 2 * s * t * a * b * cos_theta, 0.0))
-    return float(comparison - actual)
+    whole = np.zeros(p.mesh.n_points, dtype=int)
+    return float(_cat0_slacks(p, q, r, whole, [s], [t])[1][0])

@@ -20,7 +20,7 @@ from .completion import (
     kept_spectrum,
     l2_report,
 )
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .fiber import check_alpha
 from .sections import MetricSection, QuadratureMesh, ScalarField
 
@@ -55,7 +55,8 @@ class DiskMesh:
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_theta < 1:
-            raise ValueError("cell counts must be positive")
+            raise ParameterError(f"cell counts n_r={self.n_r}, n_theta={self.n_theta} "
+                                 "must be positive")
         object.__setattr__(self, "radii", (np.arange(self.n_r) + 0.5) * self.dr)
         object.__setattr__(self, "thetas", (np.arange(self.n_theta) + 0.5) * self.dtheta)
 
@@ -217,6 +218,8 @@ def log_truncation_experiment(mesh: DiskMesh, alpha: float = 0.0,
                               levels: int = 8) -> CauchyReport:
     """Cauchy experiment over the rank-1 reference h0 = 1: the truncations
     max(log|z|^2, -k), k = 1..levels, toward the unbounded limit log|z|^2."""
+    if levels < 1:
+        raise ParameterError(f"levels={levels}: need at least 1")
     h0 = identity_reference(mesh, 1, alpha)
     phi = np.log(np.abs(mesh.points()) ** 2)
     f_seq = [ScalarField(h0.mesh, np.maximum(phi, -float(k)))
@@ -251,7 +254,7 @@ def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
     mesh = u.mesh
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
-        raise ValueError("test radii must be positive")
+        raise ParameterError("test radii must be positive")
     if centers is None:
         z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
         sel = z[::center_stride, ::center_stride].ravel()
@@ -268,7 +271,8 @@ def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
         gaps.append((center_vals - u.interpolate(circles).mean(axis=-1))[used])
     gaps = np.concatenate(gaps)
     if gaps.size == 0:
-        raise ValueError("no admissible (center, radius) pair; shrink radii")
+        raise ParameterError("no admissible (center, radius) pair: shrink the "
+                             "radii or refine the mesh")
     worst = float(gaps.max())
     return PshReport(max_violation=worst, passed=bool(worst <= tolerance),
                      n_centers=gaps.size, n_skipped=centers.size * radii.size - gaps.size,

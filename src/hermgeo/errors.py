@@ -37,7 +37,7 @@ class OverflowGuardError(HermGeoError, ValueError):
 
 
 class ParameterError(HermGeoError, ValueError):
-    """A mesh weight, point id or metric parameter alpha is not admissible."""
+    """A count, mesh weight, point id or metric parameter is not admissible."""
 
 
 class WireFormatError(HermGeoError, ValueError):

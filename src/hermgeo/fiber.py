@@ -161,22 +161,26 @@ class FiberGeodesic:
         object.__setattr__(self, "velocity", linalg.hermitian(self.velocity))
         linalg.same_rank(self.start, self.velocity)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return geodesic_eval(self, t)
 
 
-def _geodesic(h: np.ndarray, a: np.ndarray, t: float, roots=None) -> np.ndarray:
-    """The geodesic point at t; ``roots`` is (h^{1/2}, h^{-1/2}) when the
-    caller has already factored h."""
-    if t == 0.0:
+def _geodesic(h: np.ndarray, a: np.ndarray, t, roots=None) -> np.ndarray:
+    """The geodesic point at t, a scalar or one value per matrix; ``roots``
+    is (h^{1/2}, h^{-1/2}) when the caller has already factored h.
+    Where t is 0 the point is h itself."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    if not t.any():
         return h
     hs, hsi = linalg._roots(h) if roots is None else roots
     s = linalg.hermitian_part(hsi @ a @ hsi)
-    return linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
+    g = linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
+    return g if t.all() else np.where(t == 0.0, h, g)
 
 
-def geodesic_eval(g: FiberGeodesic, t: float) -> np.ndarray:
-    """Evaluate the geodesic with start H and initial velocity A at time t."""
+def geodesic_eval(g: FiberGeodesic, t) -> np.ndarray:
+    """Evaluate the geodesic with start H and initial velocity A at time t,
+    a scalar or one value per matrix of a stack."""
     return _geodesic(g.start, g.velocity, t)
 
 

@@ -33,6 +33,12 @@ def random_hermitian(rng: np.random.Generator, r: int,
     return a * (scale * rng.uniform(0.2, 1.0) / norm * np.sqrt(r))
 
 
+def random_hermitians(rng: np.random.Generator, r: int, n: int,
+                      scale: float = 1.0) -> np.ndarray:
+    """A stack of n ``random_hermitian`` draws, made one after another."""
+    return np.stack([random_hermitian(rng, r, scale) for _ in range(n)])
+
+
 def random_posdef(rng: np.random.Generator, r: int,
                   spread: float = 1.0) -> np.ndarray:
     """exp of a random Hermitian; spread controls the log-eigenvalue range."""
@@ -62,16 +68,13 @@ def random_mesh(rng: np.random.Generator, rank: int, n_points: int,
 
 def random_metric_section(rng: np.random.Generator, mesh: QuadratureMesh,
                           spread: float = 1.0) -> MetricSection:
-    logs = np.stack([random_hermitian(rng, mesh.rank, spread)
-                     for _ in range(mesh.n_points)])
+    logs = random_hermitians(rng, mesh.rank, mesh.n_points, spread)
     return MetricSection(mesh, linalg.expm_hermitian(logs))
 
 
 def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh,
                            scale: float = 1.0) -> TangentSection:
-    vals = np.stack([random_hermitian(rng, mesh.rank, scale)
-                     for _ in range(mesh.n_points)])
-    return TangentSection(mesh, vals)
+    return TangentSection(mesh, random_hermitians(rng, mesh.rank, mesh.n_points, scale))
 
 
 def random_gauge(rng: np.random.Generator, mesh: QuadratureMesh,

@@ -216,14 +216,35 @@ def section_distance(h1: MetricSection, h2: MetricSection) -> float:
     return float(np.sqrt((mesh.weights * d**2).sum()))
 
 
+def _concatenate(meshes) -> tuple[QuadratureMesh, np.ndarray]:
+    """One mesh holding the points of several meshes of a rank, one after
+    another, and each point's segment: the index of its mesh."""
+    sizes = [m.n_points for m in meshes]
+    mesh = QuadratureMesh(rank=meshes[0].rank, ids=np.arange(sum(sizes)),
+                          weights=np.concatenate([m.weights for m in meshes]),
+                          alphas=np.concatenate([m.alphas for m in meshes]))
+    return mesh, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _segment_distances(h1: MetricSection, h2: MetricSection,
+                       segment: np.ndarray) -> np.ndarray:
+    """``section_distance`` over each segment of a concatenated mesh.
+
+    Each segment's sum runs in point order, as ``section_distance``'s
+    does below 8 points, so short segments give its result exactly."""
+    mesh, d = _fiber_distances(h1, h2)
+    return np.sqrt(np.bincount(segment, weights=mesh.weights * d**2))
+
+
 def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
     """Weighted *sum* of fiber distances (the L1-style lower-bound metric)."""
     mesh, d = _fiber_distances(h1, h2)
     return float((mesh.weights * d).sum())
 
 
-def section_geodesic(h1: MetricSection, h2: MetricSection, t: float) -> MetricSection:
-    """Pointwise geodesic from h1 to h2 at parameter t (any real t)."""
+def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
+    """Pointwise geodesic from h1 to h2 at parameter t: any real value,
+    or one per point."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
         roots = linalg._roots(h1.values)
@@ -335,7 +356,7 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
                        stream) -> None:
     """CSV trace of the connecting geodesic: t, point_id, then re/im entries."""
     if steps < 2:
-        raise ValueError("need at least 2 steps")
+        raise ParameterError(f"steps={steps}: need at least 2 steps")
     mesh = _same_mesh(h1, h2)
     r = mesh.rank
     header = ["t", "point_id"]

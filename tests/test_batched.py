@@ -11,7 +11,6 @@ eigensolve and validation counts per call, and a fuzz drives them past
 every guard.
 """
 
-import collections
 import csv
 import io
 
@@ -247,24 +246,6 @@ def test_stacked_guard_names_its_point():
     # extrapolating to t = 2 doubles the exp argument past the guard
     with pytest.raises(OverflowGuardError, match="^point id 23: eigenvalue magnitude"):
         section_geodesic(h1, h2, 2.0)
-
-
-@pytest.fixture
-def counts(monkeypatch):
-    """Count eigensolves and the linalg validators while a test runs."""
-    seen = collections.Counter()
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            seen[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
-    for name in ("hermitian", "posdef"):
-        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
-    return seen
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -90,11 +90,13 @@ def test_check_command(tmp_path):
     assert rep["tolerances"]["min_singular_value"] == 1e-3
 
 
-def test_check_determinism(tmp_path):
+@pytest.mark.parametrize("suite,samples", [
+    ("invariants", 10), ("cat0", 10), ("appendix", 10), ("oracle", 1)])
+def test_check_determinism(tmp_path, suite, samples):
     o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
-    main(["check", "invariants", "--seed", "5", "--samples", "10",
+    main(["check", suite, "--seed", "5", "--samples", str(samples),
           "--out", str(o1)])
-    main(["check", "invariants", "--seed", "5", "--samples", "10",
+    main(["check", suite, "--seed", "5", "--samples", str(samples),
           "--out", str(o2)])
     assert o1.read_bytes() == o2.read_bytes()
 
@@ -249,3 +251,21 @@ def test_disk_example_alpha_errors_exit_2(capsys):
                                 "--alpha", "-0.5"])
     assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
                                 "--alpha", "-1"])
+
+
+@pytest.mark.parametrize("suite,samples", [
+    ("cat0", "0"), ("appendix", "-3"), ("invariants", "0"), ("oracle", "0")])
+def test_check_sample_count_errors_exit_2(capsys, suite, samples):
+    assert_input_error(capsys, ["check", suite, "--samples", samples])
+
+
+def test_count_errors_exit_2(tmp_path, capsys):
+    f1, f2 = conformal_pair(tmp_path)
+    assert_input_error(capsys, ["geodesic", str(f1), str(f2), "--steps", "1"])
+    assert_input_error(capsys, ["example", "raufi", "--nr", "0"])
+    assert_input_error(capsys, ["example", "line-bundle", "--ntheta", "0"])
+    # too coarse for the psh test: no test circle stays inside the mesh
+    assert_input_error(capsys, ["example", "raufi", "--nr", "8", "--ntheta", "8"])
+    assert_input_error(capsys, ["completion-demo", "--nr", "0"])
+    assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
+                                "--levels", "0"])
