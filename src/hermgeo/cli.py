@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import disk, fiber, linalg, sections, suites
-from .errors import HermGeoError
-from .sections import load_section, section_distance
+from .completion import integrability_report
+from .errors import HermGeoError, WireFormatError
+from .sections import MetricSection, load_section, section_distance
 
 
 def _emit(args, payload: dict) -> None:
@@ -29,21 +31,38 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _load_metric(path: str) -> MetricSection:
+    section = load_section(path)
+    if not isinstance(section, MetricSection):
+        raise WireFormatError(f"{path} holds a {type(section).__name__}, "
+                              "not a metric section (matrix key h)")
+    return section
+
+
 def cmd_distance(args) -> int:
-    h1 = load_section(args.h1)
-    h2 = load_section(args.h2)
+    h1 = _load_metric(args.h1)
+    h2 = _load_metric(args.h2)
     print(f"{section_distance(h1, h2):.12g}")
     return 0
 
 
 def cmd_geodesic(args) -> int:
-    h1 = load_section(args.h1)
-    h2 = load_section(args.h2)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            sections.write_geodesic_csv(h1, h2, args.steps, fh)
-    else:
+    h1 = _load_metric(args.h1)
+    h2 = _load_metric(args.h2)
+    if not args.out:
         sections.write_geodesic_csv(h1, h2, args.steps, sys.stdout)
+        return 0
+    # stream into a sibling file and move it over --out only once the
+    # trace is complete, so an error leaves the target as it was
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            sections.write_geodesic_csv(h1, h2, args.steps, fh)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return 0
 
 
@@ -80,10 +99,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_integrability(args) -> int:
-    from .completion import integrability_report, singular_from_metric
-    sigma = singular_from_metric(load_section(args.sigma))
-    h0 = load_section(args.h0)
-    rep = asdict(integrability_report(sigma, h0))
+    rep = asdict(integrability_report(_load_metric(args.sigma), _load_metric(args.h0)))
     del rep["refinement_trend"]  # a single report has no refinement family
     _emit(args, rep)
     return 0

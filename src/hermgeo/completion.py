@@ -1,71 +1,30 @@
 """Singular Hermitian metrics at quadrature scale.
 
-L2-integrability reports against a smooth reference, Cauchy-sequence
-experiments that exhibit convergence to non-smooth limits in the
-completion metric, and CAT(0) comparison-triangle checks.
+The completion identifies metrics up to null sets, and a null set has
+no quadrature weight: a singular metric is a ``MetricSection`` on a
+mesh that leaves out its singular set (``disk.DiskMesh`` leaves out the
+origin).  L2-integrability reports against a smooth reference,
+Cauchy-sequence experiments that exhibit convergence to non-smooth
+limits in the completion metric, and CAT(0) comparison-triangle checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
-from .errors import MeasureInconsistencyError, ParameterError, reject
+from .errors import ParameterError, reject
 from .sections import (
     MetricSection,
-    QuadratureMesh,
     ScalarField,
-    _same_mesh,
+    _relative_spectra,
     _segment_distances,
     conformal_distance,
     conformal_scale,
     section_distance,
     section_geodesic,
 )
-
-DEGENERATE = None  # marker value for nullset points
-
-
-@dataclass(frozen=True)
-class SingularSection:
-    """Metric section that may degenerate on a weight-zero nullset.
-
-    ``values`` stacks one positive-definite matrix per point, with the
-    identity as a placeholder where the mask ``degenerate`` is set: at
-    the ``None`` entries of a sequence passed in place of a stack.
-    Almost-everywhere equivalence
-    collapses, at quadrature scale, to equality on positive-weight
-    points; degenerate markers are only admissible where the weight is
-    excluded from the modeled measure.
-    """
-
-    mesh: QuadratureMesh
-    values: np.ndarray
-    degenerate: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        vals = self.values
-        mask = np.zeros(self.mesh.n_points, dtype=bool)
-        if not isinstance(vals, np.ndarray):
-            mask = np.array([v is DEGENERATE for v in vals], dtype=bool)
-            vals = [np.eye(self.mesh.rank) if m else v for v, m in zip(vals, mask)]
-        object.__setattr__(self, "values", MetricSection(self.mesh, vals).values)
-        object.__setattr__(self, "degenerate", mask)
-
-    @property
-    def degenerate_ids(self):
-        return self.mesh.ids[self.degenerate].tolist()
-
-    def check_nullset(self) -> None:
-        ids, weights = self.mesh.ids, self.mesh.weights
-        reject(self.degenerate & (weights > 0), MeasureInconsistencyError,
-               lambda k: f"degenerate point id {ids[k]} has positive weight {weights[k]}")
-
-
-def singular_from_metric(h: MetricSection) -> SingularSection:
-    return SingularSection(h.mesh, h.values)
 
 
 @dataclass(frozen=True)
@@ -78,15 +37,6 @@ class IntegrabilityReport:
     l2_distance: float
     is_l2: bool
     refinement_trend: float | None = None
-
-
-def kept_spectrum(sigma: SingularSection, h0: MetricSection) -> np.ndarray:
-    """Relative spectrum of h0^{-1} sigma at the points off the nullset,
-    after checking that both share a mesh and the nullset has no weight."""
-    _same_mesh(sigma, h0)
-    sigma.check_nullset()
-    keep = ~sigma.degenerate
-    return linalg._relative_spectrum(h0.values[keep], sigma.values[keep])
 
 
 def l2_report(logs: np.ndarray, weights: np.ndarray, alphas) -> IntegrabilityReport:
@@ -111,12 +61,11 @@ def l2_report(logs: np.ndarray, weights: np.ndarray, alphas) -> IntegrabilityRep
     )
 
 
-def integrability_report(sigma: SingularSection,
+def integrability_report(sigma: MetricSection,
                          h0: MetricSection) -> IntegrabilityReport:
     """``l2_report`` of the relative endomorphism H = h0^{-1} sigma."""
-    keep = ~sigma.degenerate
-    return l2_report(np.log(kept_spectrum(sigma, h0)),
-                     sigma.mesh.weights[keep], sigma.mesh.alphas[keep])
+    mesh, lam = _relative_spectra(h0, sigma)
+    return l2_report(np.log(lam), mesh.weights, mesh.alphas)
 
 
 def refinement_trend(norms, levels) -> float:
@@ -129,9 +78,9 @@ def refinement_trend(norms, levels) -> float:
     norms = np.asarray(norms, dtype=float)
     levels = np.asarray(levels, dtype=float)
     if norms.size != levels.size or norms.size < 2:
-        raise ValueError("need matching norms/levels with at least 2 entries")
+        raise ParameterError("need matching norms/levels with at least 2 entries")
     if np.any(norms <= 0) or np.any(levels <= 0):
-        raise ValueError("norms and levels must be positive")
+        raise ParameterError("norms and levels must be positive")
     slope = np.polyfit(np.log(levels), np.log(norms), 1)[0]
     return float(slope)
 

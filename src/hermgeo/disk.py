@@ -1,7 +1,8 @@
 """Case studies on the unit disk.
 
 The rank-2 singular metric [[1+|z|^2, z], [zbar, |z|^2]] (degenerate at
-the origin, determinant |z|^4), its integrability against the identity
+the origin, determinant |z|^4), a ``MetricSection`` on the polar mesh,
+which leaves out the origin; its integrability against the identity
 reference, the rank-1 conformal analogue with exponent log|z|^2, dual
 metrics, boundedness bounds, and a discrete sub-mean-value test for
 subharmonicity on the polar grid.
@@ -13,16 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import (
-    CauchyReport,
-    SingularSection,
-    cauchy_experiment,
-    kept_spectrum,
-    l2_report,
-)
-from .errors import DimensionError, ParameterError
+from .completion import CauchyReport, cauchy_experiment, l2_report
+from .errors import DimensionError, NonFiniteError, ParameterError
 from .fiber import check_alpha
-from .sections import MetricSection, QuadratureMesh, ScalarField
+from .sections import MetricSection, QuadratureMesh, ScalarField, _relative_spectra
 
 __all__ = [
     "DiskMesh",
@@ -103,7 +98,7 @@ class GridFunction:
                 f"values shape {values.shape} != "
                 f"({self.mesh.n_r}, {self.mesh.n_theta})")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function has non-finite values")
+            raise NonFiniteError("grid function has non-finite values")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -154,10 +149,10 @@ def raufi_eigenvalues(t: np.ndarray):
     return t**2 / lam_hi, lam_hi
 
 
-def raufi_section(mesh: DiskMesh, alpha: float = 0.0) -> SingularSection:
-    """The disk example as a singular section (no point sits at z = 0)."""
-    return SingularSection(mesh.quadrature(rank=2, alpha=alpha),
-                           raufi_matrix(mesh.points()))
+def raufi_section(mesh: DiskMesh, alpha: float = 0.0) -> MetricSection:
+    """The disk example as a section (no point sits at z = 0)."""
+    return MetricSection(mesh.quadrature(rank=2, alpha=alpha),
+                         raufi_matrix(mesh.points()))
 
 
 def identity_reference(mesh: DiskMesh, rank: int = 2,
@@ -279,14 +274,11 @@ def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
                      tolerance=tolerance)
 
 
-def dual_section(sigma: SingularSection) -> SingularSection:
+def dual_section(sigma: MetricSection) -> MetricSection:
     """Pointwise dual metric: transpose of the inverse matrix."""
-    if sigma.degenerate.any():
-        raise ValueError(f"point id {sigma.degenerate_ids[0]} is degenerate; "
-                         "dual undefined")
-    return SingularSection(sigma.mesh, np.linalg.inv(sigma.values).swapaxes(-1, -2))
+    return MetricSection(sigma.mesh, np.linalg.inv(sigma.values).swapaxes(-1, -2))
 
 
-def boundedness_bound(sigma: SingularSection, h0: MetricSection) -> float:
+def boundedness_bound(sigma: MetricSection, h0: MetricSection) -> float:
     """Max over points of the top eigenvalue of H = h0^{-1} sigma."""
-    return float(kept_spectrum(sigma, h0)[:, -1].max(initial=0.0))
+    return float(_relative_spectra(h0, sigma)[1][:, -1].max(initial=0.0))

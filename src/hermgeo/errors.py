@@ -56,10 +56,6 @@ class MeshMismatchError(HermGeoError, ValueError):
     """Sections built over different quadrature meshes were mixed."""
 
 
-class MeasureInconsistencyError(HermGeoError, ValueError):
-    """A degenerate point carries positive quadrature weight."""
-
-
 class OracleFailureError(HermGeoError, RuntimeError):
     """The discrete path optimizer could not stay inside the cone."""
 

@@ -230,7 +230,7 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float):
     geodesic equation; convention-free check of the spray sign.
     """
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ParameterError("step must be positive")
     gm = geodesic_eval(g, t)
     gp = geodesic_eval(g, t + step)
     gn = geodesic_eval(g, t - step)
@@ -263,7 +263,7 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray,
     result certifies local invertibility at v.
     """
     if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+        raise ParameterError("fd_step must be positive")
     h = linalg.posdef(h)
     v = linalg.hermitian(v)
     basis = hermitian_basis(linalg.same_rank(h, v))

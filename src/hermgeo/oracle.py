@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import OracleFailureError
+from .errors import OracleFailureError, ParameterError
 from .fiber import check_alpha
 
 # Gauss-Legendre nodes on [0, 1], weights 1/2 each.
@@ -179,7 +179,7 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha: float,
     r = linalg.same_rank(p, q)
     alpha = check_alpha(alpha, r)
     if segments < 8:
-        raise ValueError("need at least 8 segments")
+        raise ParameterError("need at least 8 segments")
 
     levels = [segments]
     while levels[-1] > 8 and levels[-1] % 2 == 0:

@@ -105,7 +105,7 @@ class QuadratureMesh:
     def constant_alpha(self) -> float:
         """Return the common alpha or raise if it varies across the mesh."""
         if not np.all(self.alphas == self.alphas[0]):
-            raise ValueError(
+            raise ParameterError(
                 "operation requires a constant alpha across the mesh "
                 "(the conformal-distance identity assumes it)")
         return float(self.alphas[0])
@@ -203,10 +203,16 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
     return float((mesh.weights * inner).sum())
 
 
-def _fiber_distances(h1: MetricSection, h2: MetricSection):
+def _relative_spectra(h1: MetricSection, h2: MetricSection):
+    """The shared mesh and the ascending spectrum of h1^{-1} h2 at each
+    point, (n, r); an error names its point id."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        lam = linalg._relative_spectrum(h1.values, h2.values)
+        return mesh, linalg._relative_spectrum(h1.values, h2.values)
+
+
+def _fiber_distances(h1: MetricSection, h2: MetricSection):
+    mesh, lam = _relative_spectra(h1, h2)
     return mesh, _distance(lam, mesh.alphas)
 
 

@@ -20,10 +20,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hermgeo import disk, fiber, linalg
-from hermgeo.completion import SingularSection, integrability_report
+from hermgeo.completion import integrability_report
 from hermgeo.errors import (
     HermGeoError,
-    MeasureInconsistencyError,
     NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -163,7 +162,7 @@ def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
     logs = np.log(np.stack([linalg.relative_spectrum(p[i], q[i]) for i in range(n)]))
     w = mesh.weights
     det_sq = logs.sum(axis=-1) ** 2
-    sigma = SingularSection(mesh, tuple(q))
+    sigma = MetricSection(mesh, tuple(q))
     rep = integrability_report(sigma, MetricSection(mesh, p))
     for got, f in ((rep.l2_log_lambda_min, logs[:, 0] ** 2),
                    (rep.l2_log_lambda_max, logs[:, -1] ** 2),
@@ -175,23 +174,13 @@ def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
     _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
 
 
-def test_boundedness_rejects_weighted_degenerate_points():
-    # as integrability_report does: a degenerate point with positive
-    # weight is not on the nullset, so it is not skipped
-    mesh, p, q, _ = _case(2, 5, 7, "ill")
-    sigma = SingularSection(mesh, (None,) + tuple(q[1:]))
-    assert sigma.degenerate_ids == [0]
-    with pytest.raises(MeasureInconsistencyError, match="degenerate point id 0"):
-        disk.boundedness_bound(sigma, MetricSection(mesh, p))
-
-
 @cases
 def test_dual_section_matches_point_loop(rank, n, regime):
     # the inverse of a matrix loses about cond * eps of its symmetry, so
     # the dual of the ill-conditioned p would fail the Hermitian check
     mesh, p, _, _ = _case(rank, n, 60 * rank + n, "mild" if regime == "ill" else regime)
     want = np.stack([np.linalg.inv(p[i]).T for i in range(n)])
-    got = disk.dual_section(SingularSection(mesh, p))
+    got = disk.dual_section(MetricSection(mesh, p))
     _assert_stack(got.values, want)
 
 
@@ -246,6 +235,27 @@ def test_stacked_guard_names_its_point():
     # extrapolating to t = 2 doubles the exp argument past the guard
     with pytest.raises(OverflowGuardError, match="^point id 23: eigenvalue magnitude"):
         section_geodesic(h1, h2, 2.0)
+
+
+def _eigh_sees_nonpositive(seed=0):
+    """A rank-3 matrix near condition 1e16 that posdef accepts but on which
+    eigh, which the roots use, finds a nonpositive eigenvalue: the first
+    hit of the construction that tests/test_linalg.py searches."""
+    rng = np.random.default_rng(seed)
+    while True:
+        w = np.array([10.0 ** rng.uniform(-17.5, -15.5), *rng.uniform(0.5, 2.0, 2)])
+        p = _from_spectrum(_unitary(rng, 1, 3)[0], w)
+        if np.linalg.eigvalsh(p)[0] > 0 >= np.linalg.eigh(p)[0][0]:
+            return p
+
+
+@pytest.mark.parametrize("op", [integrability_report, disk.boundedness_bound])
+def test_relative_spectrum_error_names_its_point(op):
+    mesh = QuadratureMesh(rank=3, ids=[10, 20, 30], weights=[1.0] * 3, alphas=[0.0] * 3)
+    eye = np.broadcast_to(np.eye(3, dtype=complex), (3, 3, 3))
+    h0 = MetricSection(mesh, np.stack([eye[0], _eigh_sees_nonpositive(), eye[0]]))
+    with pytest.raises(NotPositiveDefiniteError, match="^point id 20: smallest eigenvalue"):
+        op(MetricSection(mesh, eye), h0)
 
 
 @pytest.mark.parametrize("n", SIZES)

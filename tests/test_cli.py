@@ -5,7 +5,7 @@ import pytest
 
 from hermgeo import linalg, sampling, sections
 from hermgeo.cli import main
-from hermgeo.sections import MetricSection, QuadratureMesh, save_section
+from hermgeo.sections import GaugeTransform, MetricSection, QuadratureMesh, save_section
 
 
 def write_matrix(path, mat):
@@ -69,6 +69,35 @@ def test_geodesic_trace(tmp_path):
     assert float(last[2]) == pytest.approx(np.exp(2.0), rel=1e-8)
     mid = lines[3].split(",")
     assert float(mid[2]) == pytest.approx(np.e, rel=1e-8)
+
+
+def test_geodesic_error_leaves_out_file_as_it_was(tmp_path, capsys):
+    f1, f2 = conformal_pair(tmp_path)
+    heavier = QuadratureMesh(rank=2, ids=[0], weights=[2.0], alphas=[0.0])
+    other, far = tmp_path / "other.json", tmp_path / "far.json"
+    save_section(MetricSection(heavier, np.eye(2, dtype=complex)[None]), str(other))
+    # the log of h1^{-1} far fails its condition guard after the header is out
+    mesh = sections.load_section(str(f1)).mesh
+    save_section(MetricSection(mesh, np.diag([1.0, 1e-15]).astype(complex)[None]), str(far))
+    out = tmp_path / "trace.csv"
+    out.write_bytes(b"one line\n")
+    before = sorted(tmp_path.iterdir())
+    for argv in (["geodesic", str(f1), str(f2), "--steps", "1"],
+                 ["geodesic", str(f1), str(other)],
+                 ["geodesic", str(f1), str(far)]):
+        assert_input_error(capsys, [*argv, "--out", str(out)])
+        assert out.read_bytes() == b"one line\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["distance", "geodesic", "integrability"])
+def test_non_metric_section_exits_2(tmp_path, capsys, command):
+    # a gauge file read as a metric would be symmetrized without a word
+    f1, _ = conformal_pair(tmp_path)
+    mesh = sections.load_section(str(f1)).mesh
+    gauge = tmp_path / "gauge.json"
+    save_section(GaugeTransform(mesh, np.array([[[2.0, 1.0], [0.0, 1.0]]])), str(gauge))
+    assert_input_error(capsys, [command, str(gauge), str(f1)])
 
 
 def test_curvature_command(tmp_path, capsys):

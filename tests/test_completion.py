@@ -3,19 +3,15 @@ import pytest
 
 from hermgeo import sampling
 from hermgeo.completion import (
-    SingularSection,
     cat0_check,
     cat0_comparison_slack,
     cauchy_experiment,
     family_report,
     integrability_report,
     refinement_trend,
-    singular_from_metric,
 )
-from hermgeo.errors import MeasureInconsistencyError
 from hermgeo.sections import (
     MetricSection,
-    QuadratureMesh,
     ScalarField,
     conformal_scale,
     section_distance,
@@ -27,7 +23,7 @@ def test_integrability_identity():
     rng = sampling.make_rng(60)
     mesh = sampling.random_mesh(rng, 2, 5)
     h0 = sampling.random_metric_section(rng, mesh)
-    rep = integrability_report(singular_from_metric(h0), h0)
+    rep = integrability_report(h0, h0)
     assert rep.l2_log_lambda_min == pytest.approx(0.0, abs=1e-6)
     assert rep.l2_log_lambda_max == pytest.approx(0.0, abs=1e-6)
     assert rep.l2_log_det == pytest.approx(0.0, abs=1e-6)
@@ -39,7 +35,7 @@ def test_integrability_conformal_rank1():
     mesh = sampling.random_mesh(rng, 1, 8, alpha=0.3)
     h0 = sampling.random_metric_section(rng, mesh)
     phi = sampling.random_scalar_field(rng, mesh)
-    sigma = singular_from_metric(conformal_scale(h0, phi))
+    sigma = conformal_scale(h0, phi)
     rep = integrability_report(sigma, h0)
     expect = ScalarField(mesh, phi.values).norm_l2()
     assert rep.l2_log_det == pytest.approx(expect, rel=1e-10)
@@ -54,19 +50,10 @@ def test_integrability_jensen_consistency():
         r = int(rng.integers(2, 4))
         mesh = sampling.random_mesh(rng, r, 6)
         h0 = sampling.random_metric_section(rng, mesh)
-        sig = singular_from_metric(sampling.random_metric_section(rng, mesh))
+        sig = sampling.random_metric_section(rng, mesh)
         rep = integrability_report(sig, h0)
         bound = r * r * (rep.l2_log_lambda_min**2 + rep.l2_log_lambda_max**2)
         assert rep.l2_log_det**2 <= bound + 1e-10
-
-
-def test_degenerate_with_weight_raises():
-    mesh = QuadratureMesh(rank=2, ids=[0, 1], weights=[1.0, 2.0],
-                          alphas=[0.0, 0.0])
-    sig = SingularSection(mesh, (np.eye(2), None))
-    h0 = MetricSection(mesh, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
-    with pytest.raises(MeasureInconsistencyError):
-        integrability_report(sig, h0)
 
 
 def test_refinement_trend():
@@ -86,7 +73,7 @@ def test_family_report_flags_divergence():
         mesh = sampling.random_mesh(rng, 1, 6, alpha=0.0)
         h0 = sampling.random_metric_section(rng, mesh)
         phi = ScalarField(mesh, np.full(mesh.n_points, float(lvl)))
-        sigmas.append(singular_from_metric(conformal_scale(h0, phi)))
+        sigmas.append(conformal_scale(h0, phi))
         h0s.append(h0)
     rep = family_report(sigmas, h0s, levels)
     assert not rep.is_l2

@@ -126,9 +126,9 @@ def test_boundedness_bound():
     # top eigenvalue at |z| = 1 is (3 + sqrt 5)/2; mesh tops out just below
     assert bound <= (3.0 + np.sqrt(5.0)) / 2.0 + 1e-9
     assert bound > 2.5
-    ident = disk.SingularSection(h0.mesh, tuple(h0.values))
+    ident = disk.MetricSection(h0.mesh, tuple(h0.values))
     assert disk.boundedness_bound(ident, h0) == pytest.approx(1.0)
-    two = disk.SingularSection(h0.mesh, tuple(2.0 * v for v in h0.values))
+    two = disk.MetricSection(h0.mesh, tuple(2.0 * v for v in h0.values))
     assert disk.boundedness_bound(two, h0) == pytest.approx(2.0)
 
 
@@ -168,7 +168,7 @@ def test_dual_section():
         assert np.abs(lam_d - 1.0 / lam[::-1]).max() < 1e-10 * (1.0 / lam).max()
     # diagonal example
     mesh2 = h0.mesh
-    diag = disk.SingularSection(
+    diag = disk.MetricSection(
         mesh2, tuple(np.diag([2.0, 5.0]).astype(complex)
                      for _ in range(mesh2.n_points)))
     dd = disk.dual_section(diag)
