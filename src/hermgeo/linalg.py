@@ -35,6 +35,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + np.conj(a).swapaxes(-1, -2)) / 2
 
 
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, summed as np.linalg.norm
+    sums one matrix: the dots of its flat real and imaginary parts."""
+    x = a.reshape(*a.shape[:-2], 1, -1)
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     """Reject NaN/inf input or overflowed products (eigh returns garbage)."""
     reject(~np.isfinite(a).all(axis=(-2, -1)), NonFiniteError,

@@ -12,6 +12,13 @@ along the straight chord.  The midpoint rule's O(N^-2) systematic
 underestimate of segment lengths would violate the oracle's lower-bound
 contract at 64 segments; Gauss-2 keeps the quadrature bias orders of
 magnitude below the 1e-6 floor.
+
+The descent runs over an (S, N + 1, r, r) stack of paths, one per
+sample, with the refinement levels in lockstep: each sample keeps its
+own step, previous point, rejection count and stop flag, and only the
+energy evaluations and the cone check are stacked.  Every sample's
+arithmetic is bit for bit that of a descent of the sample alone, which
+``tests/test_oracle.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -19,66 +26,74 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import OracleFailureError, ParameterError
+from .errors import DimensionError, OracleFailureError, ParameterError, reject
 from .fiber import check_alpha
 
-# Gauss-Legendre nodes on [0, 1], weights 1/2 each.
-_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+# Gauss-Legendre nodes on [0, 1], weights 1/2 each; complex, so that
+# products with the complex paths cast nothing.
+_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=complex)
 
 
-def _segment_bases(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chord differences and Gauss-point base matrices for every segment."""
-    delta = path[1:] - path[:-1]                      # (N, r, r)
-    base = path[:-1, None] + _GAUSS_T[None, :, None, None] * delta[:, None]
+def _segment_bases(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chord differences (S, N, r, r) and Gauss-point base matrices
+    (S, N, 2, r, r) for every segment of a stack of paths."""
+    delta = paths[:, 1:] - paths[:, :-1]
+    base = paths[:, :-1, None] + _GAUSS_T[:, None, None] * delta[:, :, None]
     return delta, base
 
 
-def _speed_sq(delta: np.ndarray, base: np.ndarray, alpha: float) -> np.ndarray:
-    """Squared metric speed ||delta||^2 at each (segment, gauss) base."""
-    binv = np.linalg.inv(base)                        # (N, 2, r, r)
-    m = binv @ delta[:, None]                         # B^{-1} delta
+def _whitened(paths: np.ndarray, alpha: np.ndarray):
+    """B^{-1} and m = B^{-1} delta at every (segment, gauss) base, the
+    traces of m and m m, and alpha per segment: the segments of all
+    samples run along one axis, so each array is (S * N, 2, ...)."""
+    r = paths.shape[-1]
+    delta, base = _segment_bases(paths)
+    binv = np.linalg.inv(base.reshape(-1, 2, r, r))
+    m = binv @ delta.reshape(-1, 1, r, r)
     tr_mm = np.einsum("sgij,sgji->sg", m, m).real
     tr_m = np.einsum("sgii->sg", m).real
-    return tr_mm + alpha * tr_m**2
+    return binv, m, tr_mm, tr_m, np.repeat(alpha, delta.shape[1])[:, None]
 
 
-def discrete_length(path: np.ndarray, alpha: float) -> float:
-    """Gauss-2 length of the piecewise-straight path."""
-    delta, base = _segment_bases(path)
-    sq = np.maximum(_speed_sq(delta, base, alpha), 0.0)
-    return float((0.5 * np.sqrt(sq)).sum())
+def discrete_length(path: np.ndarray, alpha) -> float | np.ndarray:
+    """Gauss-2 length of a piecewise-straight path (N + 1, r, r), or of
+    each path of an (S, N + 1, r, r) stack with one alpha per path."""
+    paths = path if path.ndim == 4 else path[None]
+    _, _, tr_mm, tr_m, a = _whitened(paths, np.broadcast_to(alpha, paths.shape[:1]))
+    sq = np.maximum(tr_mm + a * tr_m**2, 0.0)
+    lengths = (0.5 * np.sqrt(sq)).reshape(len(paths), -1).sum(axis=1)
+    return lengths if path.ndim == 4 else float(lengths[0])
 
 
-def _energy_and_grad(path: np.ndarray, alpha: float):
-    """Discrete path energy N * sum_k avg_g ||delta_k||^2_B and its gradient
-    with respect to the interior nodes."""
-    n_seg = path.shape[0] - 1
-    delta, base = _segment_bases(path)
-    binv = np.linalg.inv(base)
-    m = binv @ delta[:, None]                         # (N, 2, r, r)
-    tr_mm = np.einsum("sgij,sgji->sg", m, m).real
-    tr_m = np.einsum("sgii->sg", m).real
-    energy = float(n_seg * (0.5 * (tr_mm + alpha * tr_m**2)).sum())
+def _energy_and_grad(paths: np.ndarray, alpha: np.ndarray):
+    """Discrete path energy N * sum_k avg_g ||delta_k||^2_B of each path
+    of a stack, and its gradient with respect to the interior nodes."""
+    n_paths, n_seg = paths.shape[0], paths.shape[1] - 1
+    binv, m, tr_mm, tr_m, a = _whitened(paths, alpha)
+    energy = n_seg * (0.5 * (tr_mm + a * tr_m**2)).reshape(n_paths, -1).sum(axis=1)
 
     mb = m @ binv                                     # B^{-1} delta B^{-1}
     mmb = m @ mb                                      # B^{-1} d B^{-1} d B^{-1}
-    g_delta = 2.0 * mb + 2.0 * alpha * tr_m[..., None, None] * binv
-    g_base = -2.0 * mmb - 2.0 * alpha * tr_m[..., None, None] * mb
+    atr = (2.0 * a * tr_m)[..., None, None]
+    g_delta = 2.0 * mb + atr * binv
+    g_base = -2.0 * mmb - atr * mb
     g_delta = (g_delta + np.swapaxes(g_delta, -1, -2).conj()) / 2
     g_base = (g_base + np.swapaxes(g_base, -1, -2).conj()) / 2
 
     # Node k feels segment k through (-d/dx of delta, (1-t_g) of base) and
     # segment k-1 through (+delta, t_g of base).
     w = 0.5 * n_seg
-    seg_from_delta = w * g_delta.sum(axis=1)          # (N, r, r)
-    seg_from_base_lo = w * ((1.0 - _GAUSS_T)[None, :, None, None] * g_base).sum(axis=1)
-    seg_from_base_hi = w * (_GAUSS_T[None, :, None, None] * g_base).sum(axis=1)
+    lo, hi = 1.0 - _GAUSS_T, _GAUSS_T
+    shape = paths[:, 1:].shape
+    seg_from_delta = (w * (g_delta[:, 0] + g_delta[:, 1])).reshape(shape)
+    seg_from_base_lo = (w * (lo[0] * g_base[:, 0] + lo[1] * g_base[:, 1])).reshape(shape)
+    seg_from_base_hi = (w * (hi[0] * g_base[:, 0] + hi[1] * g_base[:, 1])).reshape(shape)
 
-    grad = np.zeros_like(path)
-    grad[:-1] += -seg_from_delta + seg_from_base_lo
-    grad[1:] += seg_from_delta + seg_from_base_hi
-    grad[0] = 0.0
-    grad[-1] = 0.0
+    grad = np.zeros_like(paths)
+    grad[:, :-1] += -seg_from_delta + seg_from_base_lo
+    grad[:, 1:] += seg_from_delta + seg_from_base_hi
+    grad[:, 0] = 0.0
+    grad[:, -1] = 0.0
     return energy, grad
 
 
@@ -89,84 +104,124 @@ def _clamp_posdef(a: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return (out + np.swapaxes(out, -1, -2).conj()) / 2
 
 
-def _initial_path(p: np.ndarray, q: np.ndarray, segments: int) -> np.ndarray:
+def _initial_paths(p: np.ndarray, q: np.ndarray, segments: int) -> np.ndarray:
     """Straight-line interpolation in matrix entries, clamped to the cone.
 
     Deliberately geodesic-agnostic so the optimizer does not start at
     the answer.
     """
     t = np.linspace(0.0, 1.0, segments + 1)
-    path = p[None] + t[:, None, None] * (q - p)[None]
-    return _clamp_posdef(path)
+    paths = p[:, None] + t[:, None, None] * (q - p)[:, None]
+    return _clamp_posdef(paths)
 
 
-def _is_posdef(path: np.ndarray) -> bool:
+def _in_cone(nodes: np.ndarray) -> np.ndarray:
+    """Which samples of an (S, n, r, r) stack have every node positive
+    definite: one Cholesky of the stack, one per sample if it fails."""
     try:
-        np.linalg.cholesky(path)
-        return True
+        np.linalg.cholesky(nodes)
+        return np.ones(len(nodes), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
+        if len(nodes) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_in_cone(x[None]) for x in nodes])
 
 
-def _descend(path: np.ndarray, alpha: float, iterations: int) -> np.ndarray:
-    """Gradient descent on the path energy with Barzilai-Borwein steps.
+def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarray:
+    """Gradient descent on each path's energy with Barzilai-Borwein steps,
+    over a stack of paths in lockstep.
 
     Steps that leave the positive cone or raise the energy are rejected
-    and halved; persistent rejection near the cone boundary aborts.
+    and halved.  A sample stops after 201 rejections in a row, or at once
+    if its gradient is zero; if the last of those was a cone rejection
+    the descent aborts and names the sample.
     """
-    energy, grad = _energy_and_grad(path, alpha)
-    gnorm = np.linalg.norm(grad)
-    if gnorm == 0.0:
-        return path
-    eta = 0.05 * np.linalg.norm(path) / (gnorm + 1e-30)
-    prev_path = prev_grad = None
-    rejects = 0
+    paths = paths.copy()
+    energy, grad = _energy_and_grad(paths, alpha)
+    n = len(paths)
+    eta = np.empty(n)
+    live = np.empty(n, dtype=bool)
+    for s in range(n):
+        gnorm = np.linalg.norm(grad[s])
+        live[s] = gnorm != 0.0
+        eta[s] = 0.05 * np.linalg.norm(paths[s]) / (gnorm + 1e-30)
+    prev_paths = np.empty_like(paths)
+    prev_grad = np.empty_like(grad)
+    has_prev = np.zeros(n, dtype=bool)
+    rejects = np.zeros(n, dtype=int)
+
+    def halve(idx):
+        eta[idx] *= 0.5
+        has_prev[idx] = False
+        rejects[idx] += 1
+
     for _ in range(iterations):
-        if prev_path is not None:
-            dx = path - prev_path
-            dg = grad - prev_grad
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        # the BB products and norms of one sample's arrays, as it alone
+        # would sum them
+        for s in idx[has_prev[idx]]:
+            dx = paths[s] - prev_paths[s]
+            dg = grad[s] - prev_grad[s]
             denom = np.vdot(dg, dg).real
             if denom > 1e-300:
                 bb = abs(np.vdot(dx, dg).real) / denom
                 if np.isfinite(bb) and bb > 0:
-                    eta = bb
-        trial = path - eta * grad
-        if not _is_posdef(trial[1:-1]):
-            eta *= 0.5
-            prev_path = prev_grad = None
-            rejects += 1
-            if rejects > 200:
-                raise OracleFailureError(
-                    "descent could not stay inside the positive cone")
-            continue
-        e_trial, g_trial = _energy_and_grad(trial, alpha)
-        if e_trial < energy:
-            prev_path, prev_grad = path, grad
-            path, energy, grad = trial, e_trial, g_trial
-            rejects = 0
-        else:
-            eta *= 0.5
-            prev_path = prev_grad = None
-            rejects += 1
-            if rejects > 200:
-                break
-    return path
+                    eta[s] = bb
+        trial = paths[idx] - eta[idx, None, None, None] * grad[idx]
+        inside = _in_cone(trial[:, 1:-1])
+        if not inside.all():
+            out = idx[~inside]
+            halve(out)
+            lost = np.zeros(n, dtype=bool)
+            lost[out] = rejects[out] > 200
+            reject(lost, OracleFailureError,
+                   lambda k: "descent could not stay inside the positive cone")
+            idx, trial = idx[inside], trial[inside]
+            if not idx.size:
+                continue
+        e_trial, g_trial = _energy_and_grad(trial, alpha[idx])
+        better = e_trial < energy[idx]
+        acc = idx[better]
+        prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
+        paths[acc], energy[acc], grad[acc] = trial[better], e_trial[better], g_trial[better]
+        rejects[acc] = 0
+        has_prev[acc] = True
+        if not better.all():
+            worse = idx[~better]
+            halve(worse)
+            live[worse[rejects[worse] > 200]] = False
+    return paths
 
 
-def _refine(path: np.ndarray) -> np.ndarray:
+def _refine(paths: np.ndarray) -> np.ndarray:
     """Double the segment count by inserting arithmetic midpoints."""
-    mids = (path[:-1] + path[1:]) / 2
-    out = np.empty((2 * (path.shape[0] - 1) + 1,) + path.shape[1:],
-                   dtype=path.dtype)
-    out[0::2] = path
-    out[1::2] = mids
+    mids = (paths[:, :-1] + paths[:, 1:]) / 2
+    out = np.empty((len(paths), 2 * mids.shape[1] + 1) + paths.shape[2:],
+                   dtype=paths.dtype)
+    out[:, 0::2] = paths
+    out[:, 1::2] = mids
     return out
 
 
-def distance_oracle(p: np.ndarray, q: np.ndarray, alpha: float,
+def _per_sample(values, n: int, name: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim and values.shape != (n,):
+        raise DimensionError(f"{name} has shape {values.shape}; "
+                             f"need a scalar or one value for each of {n} samples")
+    return np.broadcast_to(values, (n,))
+
+
+def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
                     segments: int = 64, iterations: int = 500,
-                    seed: int = 0) -> float:
+                    seed=0) -> float | np.ndarray:
     """Length of a descent-optimized discrete path from p to q.
+
+    p and q are matrices, or (S, r, r) stacks of S samples that share
+    segments and iterations; alpha and seed are scalars or one per
+    sample.  A stack returns S lengths, each bit for bit the length of
+    its sample run alone.
 
     Coarse-to-fine: the path is first optimized at a low segment count
     (low-frequency shape converges cheaply there), then midpoint-refined
@@ -177,7 +232,13 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha: float,
     p = linalg.posdef(p)
     q = linalg.posdef(q)
     r = linalg.same_rank(p, q)
-    alpha = check_alpha(alpha, r)
+    if p.shape != q.shape or p.ndim > 3:
+        raise DimensionError(f"need two matrices or two (S, r, r) stacks, "
+                             f"got shapes {p.shape} and {q.shape}")
+    single = p.ndim == 2
+    p, q = p.reshape(-1, r, r), q.reshape(-1, r, r)
+    alpha = _per_sample(check_alpha(alpha, r), len(p), "alpha")
+    seeds = _per_sample(seed, len(p), "seed")
     if segments < 8:
         raise ParameterError("need at least 8 segments")
 
@@ -186,18 +247,20 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha: float,
         levels.append(levels[-1] // 2)
     levels.reverse()
 
-    path = _initial_path(p, q, levels[0])
-    rng = np.random.Generator(np.random.Philox(seed))
-    noise = rng.standard_normal(path.shape) + 1j * rng.standard_normal(path.shape)
-    noise = (noise + np.swapaxes(noise, -1, -2).conj()) / 2
-    scale = 1e-8 * max(np.linalg.norm(p), np.linalg.norm(q))
-    path[1:-1] += scale * noise[1:-1]
+    paths = _initial_paths(p, q, levels[0])
+    for path, p1, q1, s in zip(paths, p, q, seeds):
+        rng = np.random.Generator(np.random.Philox(int(s)))
+        noise = rng.standard_normal(path.shape) + 1j * rng.standard_normal(path.shape)
+        noise = (noise + np.swapaxes(noise, -1, -2).conj()) / 2
+        scale = 1e-8 * max(np.linalg.norm(p1), np.linalg.norm(q1))
+        path[1:-1] += scale * noise[1:-1]
 
     per_level = max(50, iterations // len(levels))
     for i, n_seg in enumerate(levels):
-        if path.shape[0] - 1 != n_seg:
-            path = _refine(path)
+        if paths.shape[1] - 1 != n_seg:
+            paths = _refine(paths)
         budget = iterations - (len(levels) - 1) * per_level \
             if i == len(levels) - 1 else per_level
-        path = _descend(path, alpha, max(budget, per_level))
-    return discrete_length(path, alpha)
+        paths = _descend(paths, alpha, max(budget, per_level))
+    lengths = discrete_length(paths, alpha)
+    return float(lengths[0]) if single else lengths

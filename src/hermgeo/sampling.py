@@ -25,18 +25,32 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_hermitian(rng: np.random.Generator, r: int,
                      scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    a = linalg.hermitian_part(a)
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        return a
-    return a * (scale * rng.uniform(0.2, 1.0) / norm * np.sqrt(r))
+    """One ``random_hermitians`` draw."""
+    return random_hermitians(rng, r, 1, scale)[0]
 
 
 def random_hermitians(rng: np.random.Generator, r: int, n: int,
-                      scale: float = 1.0) -> np.ndarray:
-    """A stack of n ``random_hermitian`` draws, made one after another."""
-    return np.stack([random_hermitian(rng, r, scale) for _ in range(n)])
+                      scale=1.0) -> np.ndarray:
+    """n random Hermitian matrices with Frobenius norm
+    scale * sqrt(r) * U(0.2, 1), scale a float or one per draw, drawn
+    one after another: the real and imaginary parts of an r x r
+    Gaussian, then the norm's uniform factor, which a draw whose
+    Hermitian part has zero norm skips (it is returned unscaled)."""
+    a = np.empty((n, r, r), dtype=complex)
+    u = np.zeros(n)
+    for k in range(n):
+        a[k] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        # the Hermitian part's (0, 0) entry is Re a[0, 0]: unless that is
+        # tiny, its square alone keeps the part's norm above zero
+        if abs(a[k, 0, 0].real) > 1e-100 or np.linalg.norm(linalg.hermitian_part(a[k])):
+            u[k] = rng.uniform(0.2, 1.0)
+    a = linalg.hermitian_part(a)
+    norm = linalg._norm(a)
+    nonzero = norm != 0
+    factor = (np.asarray(scale, dtype=float) * u / np.where(nonzero, norm, 1.0)
+              * np.sqrt(r))
+    a *= np.where(nonzero, factor, 1.0)[:, None, None]
+    return a
 
 
 def random_posdef(rng: np.random.Generator, r: int,
@@ -80,11 +94,11 @@ def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh,
 def random_gauge(rng: np.random.Generator, mesh: QuadratureMesh,
                  scale: float = 1.0) -> GaugeTransform:
     r = mesh.rank
-    vals = []
-    for _ in range(mesh.n_points):
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        vals.append(np.eye(r) + scale * 0.5 * g / max(np.linalg.norm(g), 1e-12))
-    return GaugeTransform(mesh, np.stack(vals))
+    g = np.empty((mesh.n_points, r, r), dtype=complex)
+    for k in range(mesh.n_points):
+        g[k] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    g = np.eye(r) + scale * 0.5 * g / np.maximum(linalg._norm(g), 1e-12)[:, None, None]
+    return GaugeTransform(mesh, g)
 
 
 def random_scalar_field(rng: np.random.Generator, mesh: QuadratureMesh,

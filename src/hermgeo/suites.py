@@ -46,14 +46,6 @@ def _rank_groups(draws):
         yield r, {k: np.array([d[k] for d in group]) for k in group[0]}
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, summed as np.linalg.norm
-    sums one matrix: the dots of its flat real and imaginary parts."""
-    x = a.reshape(*a.shape[:-2], 1, -1)
-    re, im = x.real, x.imag
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
-
-
 def _fiber_invariants(rng, samples: int) -> dict:
     """Worst case of each fiber property over ``samples`` random points
     of ranks 2-4: a ``*_min_slack`` is a minimum, the rest are maxima."""
@@ -62,16 +54,14 @@ def _fiber_invariants(rng, samples: int) -> dict:
         r = int(rng.integers(2, 5))
         d = {"r": r, "alpha": float(rng.uniform(-1.0 / r + 1e-3, 1.0))}
         # logs of h, p and q: exponentiated after the draws
-        for name in ("h", "v", "p", "q"):
-            d[name] = sampling.random_hermitian(rng, r)
+        d["h"], d["v"], d["p"], d["q"] = sampling.random_hermitians(rng, r, 4)
         d["c"] = float(rng.uniform(0.1, 10.0))
         d["phi"] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         d["st"] = rng.uniform(0.0, 1.0, 2)
         d["v10"] = sampling.random_hermitian(rng, r, scale=4.0)
         # u3, v3, w3 for the curvature identities, then the pair that
         # Gram-Schmidt makes orthonormal for the sectional curvature
-        for name in ("u3", "v3", "w3", "uo", "vo"):
-            d[name] = sampling.random_hermitian(rng, r)
+        d["u3"], d["v3"], d["w3"], d["uo"], d["vo"] = sampling.random_hermitians(rng, r, 5)
         draws.append(d)
 
     found = []
@@ -114,16 +104,16 @@ def _fiber_invariants(rng, samples: int) -> dict:
         # exp/log roundtrip
         v10 = g["v10"]
         end = fiber.geodesic_eval(fiber.FiberGeodesic(h, v10), 1.0)
-        worst["roundtrip_max_rel_err"] = (_norm(fiber.log_map(h, end) - v10)
-                                          / np.maximum(_norm(v10), 1e-12))
+        worst["roundtrip_max_rel_err"] = (linalg._norm(fiber.log_map(h, end) - v10)
+                                          / np.maximum(linalg._norm(v10), 1e-12))
 
         # curvature identities
         u3, v3, w3 = g["u3"], g["v3"], g["w3"]
         r_uv = fiber.curvature_tensor(h, u3, v3, w3)
         r_vu = fiber.curvature_tensor(h, v3, u3, w3)
-        worst["curvature_antisym_max_resid"] = _norm(r_uv + r_vu)
-        worst["bianchi_max_resid"] = _norm(r_uv + fiber.curvature_tensor(h, v3, w3, u3)
-                                           + fiber.curvature_tensor(h, w3, u3, v3))
+        worst["curvature_antisym_max_resid"] = linalg._norm(r_uv + r_vu)
+        worst["bianchi_max_resid"] = linalg._norm(r_uv + fiber.curvature_tensor(h, v3, w3, u3)
+                                                  + fiber.curvature_tensor(h, w3, u3, v3))
 
         # nonpositive sectional curvature
         uo, vo = fiber._gram_schmidt_pair(h, g["uo"], g["vo"], alpha)
@@ -263,18 +253,16 @@ def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
     """Closed-form fiber distance against the discrete path oracle."""
     _require_samples(samples)
     rng = sampling.make_rng(seed)
-    max_rel_gap = 0.0
-    max_below = 0.0
-    alphas = [0.0, 1.0, -0.4]
-    for k in range(samples):
-        alpha = alphas[k % len(alphas)]
-        p = sampling.random_posdef(rng, 2, spread=1.2)
-        q = sampling.random_posdef(rng, 2, spread=1.2)
-        d = fiber.fiber_distance(p, q, alpha)
-        o = distance_oracle(p, q, alpha, segments=segments,
-                            iterations=iterations, seed=seed + k)
-        max_rel_gap = max(max_rel_gap, abs(o - d) / max(d, 1e-12))
-        max_below = max(max_below, d - o)
+    # the logs of each sample's p and q, in seed order
+    p, q = linalg.expm_hermitian(
+        sampling.random_hermitians(rng, 2, 2 * samples, 1.2).reshape(samples, 2, 2, 2)
+    ).swapaxes(0, 1)
+    alpha = np.array([0.0, 1.0, -0.4])[np.arange(samples) % 3]
+    d = fiber.fiber_distance(p, q, alpha)
+    o = distance_oracle(p, q, alpha, segments=segments, iterations=iterations,
+                        seed=[seed + k for k in range(samples)])
+    max_rel_gap = max(0.0, (np.abs(o - d) / np.maximum(d, 1e-12)).max())
+    max_below = max(0.0, (d - o).max())
     rep = {
         "suite": "oracle", "seed": seed, "samples": samples,
         "segments": segments, "iterations": iterations,
@@ -292,9 +280,8 @@ def run_appendix(seed: int = 3, samples: int = 100) -> dict:
     for _ in range(samples):
         r = int(rng.integers(2, 4))
         # the log of h, exponentiated after the draws, then v
-        h = sampling.random_hermitian(rng, r, 0.8)
-        draws.append({"r": r, "h": h,
-                      "v": sampling.random_hermitian(rng, r, scale=3.0 / np.sqrt(r))})
+        h, v = sampling.random_hermitians(rng, r, 2, [0.8, 3.0 / np.sqrt(r)])
+        draws.append({"r": r, "h": h, "v": v})
     min_sv = min(fiber.exp_differential_min_singular(
         linalg.expm_hermitian(g["h"]), g["v"]).min() for _, g in _rank_groups(draws))
     at_zero = fiber.exp_differential_min_singular(np.eye(2), np.zeros((2, 2)))
