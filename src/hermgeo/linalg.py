@@ -10,6 +10,8 @@ skip validation, for callers whose input is already checked.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .errors import (
@@ -193,13 +195,29 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
+def json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number or (nested) array of numbers as a float array.
+
+    Strings, bools, nulls, objects, integers beyond 64 bits and ragged
+    arrays raise WireFormatError: the entries are read as written, never
+    coerced."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:
+        raise WireFormatError(f"{what} is not an array of numbers: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise WireFormatError(
+            f"{what} {reprlib.repr(value)} is not a number or an array of numbers")
+    return a.astype(float, copy=False)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the {"re", "im"} wire format back to a complex matrix."""
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = obj["re"], obj["im"]
+    except (LookupError, TypeError) as exc:
         raise WireFormatError(f"matrix is not a {{re, im}} pair of arrays: {exc!r}") from exc
+    re, im = json_numbers(re, "re"), json_numbers(im, "im")
     if re.shape != im.shape:
         raise DimensionError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
     return re + 1j * im

@@ -16,9 +16,9 @@ kernels on those stacks.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -40,6 +40,7 @@ from .fiber import _distance, _geodesic, _inner, _log, _whiten, check_alpha
 from .fiber import fiber_distance  # noqa: F401
 
 GAUGE_COND_LIMIT = 1e12
+INT64_BOUND = 2**63
 
 
 @contextmanager
@@ -71,7 +72,7 @@ class QuadratureMesh:
     def __post_init__(self):
         if not 1 <= self.rank <= linalg.RANK_LIMIT:
             raise DimensionError(f"rank {self.rank} outside 1..{linalg.RANK_LIMIT}")
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = _int64_ids(self.ids)
         weights = np.asarray(self.weights, dtype=float)
         alphas = np.asarray(self.alphas, dtype=float)
         if not (ids.shape == weights.shape == alphas.shape) or ids.ndim != 1:
@@ -109,6 +110,16 @@ class QuadratureMesh:
                 "operation requires a constant alpha across the mesh "
                 "(the conformal-distance identity assumes it)")
         return float(self.alphas[0])
+
+
+def _int64_ids(ids) -> np.ndarray:
+    """Point ids as int64; an id outside its range raises ParameterError
+    (a plain cast would wrap uint64 ids and overflow on larger ones)."""
+    raw = np.asarray(ids)
+    if raw.dtype.kind in "ufO":
+        reject(~((raw >= -INT64_BOUND) & (raw < INT64_BOUND)), ParameterError,
+               lambda k: f"point id {raw[k]} is outside the int64 range")
+    return raw.astype(np.int64)
 
 
 def _same_mesh(a, b):
@@ -317,26 +328,55 @@ def section_to_json(section) -> dict:
                                    mesh.alphas.tolist(), mats["re"], mats["im"])]}
 
 
+def _stack_from_json(values: list, what: str) -> np.ndarray:
+    """One field of every point, parsed with one np.asarray.  If that
+    fails, the first point whose field is not numbers, or whose shape
+    differs from the first point's, raises the error at its index."""
+    try:
+        return linalg.json_numbers(values, what)
+    except WireFormatError:
+        shapes = []
+        for k, value in enumerate(values):
+            try:
+                shapes.append(np.shape(linalg.json_numbers(value, what)))
+            except WireFormatError as exc:
+                raise WireFormatError(exc.detail, index=k) from None
+            if shapes[k] != shapes[0]:
+                raise DimensionError(f"{what} shape {shapes[k]} != {shapes[0]}",
+                                     index=k)
+        raise
+
+
 def section_from_json(obj: dict):
     """Inverse of section_to_json (the matrix key selects the type);
-    input off the wire format raises WireFormatError."""
+    input off the wire format raises WireFormatError.  Rank and ids must
+    be JSON integers, and weights, alphas and matrix entries numbers."""
     try:
-        rank = int(obj["rank"])
-        pts = obj["points"]
+        rank, pts = obj["rank"], obj["points"]
         key = next(k for k in ("h", "v", "phi") if k in pts[0])
         ids = [p["id"] for p in pts]
-        mesh = QuadratureMesh(rank=rank, ids=ids,
-                              weights=[p["weight"] for p in pts],
-                              alphas=[p["alpha"] for p in pts])
-        values = np.stack([linalg.matrix_from_json(p[key]) for p in pts])
-    except HermGeoError:
-        raise
-    except (LookupError, StopIteration, TypeError, ValueError) as exc:
+        mats = [p[key] for p in pts]
+        fields = {"weight": [p["weight"] for p in pts], "alpha": [p["alpha"] for p in pts],
+                  "re": [m["re"] for m in mats], "im": [m["im"] for m in mats]}
+    except (LookupError, StopIteration, TypeError) as exc:
         raise WireFormatError(
             "not a section: need a rank and points, each with id, weight, "
             f"alpha and one matrix key of h, v, phi, all alike ({exc!r})") from exc
+    if type(rank) is not int:
+        raise WireFormatError(f"rank {reprlib.repr(rank)} is not a JSON integer")
+    for k, pid in enumerate(ids):
+        if type(pid) is not int or not -INT64_BOUND <= pid < INT64_BOUND:
+            raise WireFormatError(f"point {k}: id {reprlib.repr(pid)} is not a "
+                                  "JSON integer in the int64 range")
+    with _at_points(ids):
+        stacks = {what: _stack_from_json(v, what) for what, v in fields.items()}
+    re, im = stacks["re"], stacks["im"]
+    if re.shape != im.shape:
+        raise DimensionError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
+    mesh = QuadratureMesh(rank=rank, ids=ids, weights=stacks["weight"],
+                          alphas=stacks["alpha"])
     cls = {v: k for k, v in _SECTION_KEYS.items()}[key]
-    return cls(mesh, values[np.argsort(ids)])
+    return cls(mesh, (re + 1j * im)[np.argsort(ids)])
 
 
 def read_json(path: str):
@@ -344,7 +384,7 @@ def read_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting recurses
             raise WireFormatError(f"{path} is not JSON: {exc}") from exc
 
 
@@ -360,23 +400,28 @@ def save_section(section, path: str) -> None:
 
 def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
                        stream) -> None:
-    """CSV trace of the connecting geodesic: t, point_id, then re/im entries."""
+    """CSV trace of the connecting geodesic: t, point_id, then re/im
+    entries; unquoted, %.17g entries, \\r\\n rows, one write per step."""
     if steps < 2:
         raise ParameterError(f"steps={steps}: need at least 2 steps")
     mesh = _same_mesh(h1, h2)
-    r = mesh.rank
+    n, r = mesh.n_points, mesh.rank
     header = ["t", "point_id"]
     for i in range(r):
         for j in range(r):
             header += [f"re_{i}{j}", f"im_{i}{j}"]
-    writer = csv.writer(stream)
-    writer.writerow(header)
+    stream.write(",".join(header) + "\r\n")
+    # one %-template formats a whole step block: its cells are t, the
+    # point id and the entries of each point
+    block = ("%s,%d," + ",".join(["%.17g"] * (2 * r * r)) + "\r\n") * n
+    cells = np.empty((n, 2 + 2 * r * r), dtype=object)
+    cells[:, 1] = mesh.ids.tolist()
     with _at_points(mesh.ids):
         roots = linalg._roots(h1.values)
         a = _log(roots, h2.values)
         for k in range(steps):
             t = k / (steps - 1)
             m = _geodesic(h1.values, a, t, roots)
-            entries = np.stack([m.real, m.imag], axis=-1).reshape(mesh.n_points, -1)
-            writer.writerows([f"{t:.12g}", pid, *(f"{x:.17g}" for x in row)]
-                             for pid, row in zip(mesh.ids.tolist(), entries.tolist()))
+            cells[:, 0] = f"{t:.12g}"
+            cells[:, 2:] = np.stack([m.real, m.imag], axis=-1).reshape(n, -1)
+            stream.write(block % tuple(cells.ravel().tolist()))

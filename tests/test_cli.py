@@ -207,6 +207,18 @@ def _set(key, value):
     return edit
 
 
+def _set_rank(value):
+    def edit(obj):
+        obj["rank"] = value
+    return edit
+
+
+def _set_entry(part, value):
+    def edit(obj):
+        obj["points"][1]["h"][part][0][0] = value
+    return edit
+
+
 def _rename_matrix(obj):
     obj["points"][1]["v"] = obj["points"][1].pop("h")
 
@@ -233,6 +245,20 @@ MALFORMED_SECTIONS = {
     "duplicate id": _set("id", 0),
     "inadmissible alpha": _set("alpha", -5.0),
     "infinite entry": _infinite_entry,
+    # the wire read takes JSON integers and numbers as written, never coerced
+    "id past 64 bits": _set("id", 10**30),
+    "id past int64": _set("id", 2**63),
+    "id near uint64 max": _set("id", 2**64 - 1),
+    "fractional id": _set("id", 1.9),
+    "string id": _set("id", "1"),
+    "bool id": _set("id", True),
+    "fractional rank": _set_rank(2.5),
+    "float rank": _set_rank(2.0),
+    "bool rank": _set_rank(True),
+    "string entry": _set_entry("re", "2.5"),
+    "null entry": _set_entry("im", None),
+    "string weight": _set("weight", "2"),
+    "string alpha": _set("alpha", "0"),
 }
 
 
