@@ -16,9 +16,20 @@ magnitude below the 1e-6 floor.
 The descent runs over an (S, N + 1, r, r) stack of paths, one per
 sample, with the refinement levels in lockstep: each sample keeps its
 own step, previous point, rejection count and stop flag, and only the
-energy evaluations and the cone check are stacked.  Every sample's
-arithmetic is bit for bit that of a descent of the sample alone, which
-``tests/test_oracle.py`` keeps as the reference.
+energy evaluations and the cone check are stacked.
+
+The energy kernel works entries first: each call moves the stack to
+one contiguous (r, r, S, N + 1) array, in which entry (i, j) of every
+node is one slab.  A matrix product is then a broadcast sum over the
+inner index, an inverse is Gauss-Jordan elimination without pivoting
+on the positive-definite Gauss-point bases, r steps over the whole
+stack, and a trace is a sum of r slabs: a few numpy calls over all
+S * N * 2 bases at once, at every rank.  Its rounding differs from
+that of ``np.linalg.inv`` and ``@`` per matrix; ``tests/test_oracle.py``
+keeps that route as an independent cross-check and bounds the gap by
+the bases' condition number.  The kernel is elementwise over the
+stack, so every sample's arithmetic is bit for bit that of a descent
+of the sample alone, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -29,30 +40,52 @@ from . import linalg
 from .errors import DimensionError, OracleFailureError, ParameterError, reject
 from .fiber import check_alpha
 
-# Gauss-Legendre nodes on [0, 1], weights 1/2 each; complex, so that
-# products with the complex paths cast nothing.
-_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=complex)
+# Gauss-Legendre nodes on [0, 1], weights 1/2 each.
+_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
+# How a segment's delta gradient and base gradient, at the two Gauss
+# points, reach its two end nodes (columns: node k, node k + 1).  The
+# base rows carry minus m times the delta gradient, hence their sign.
+_TO_NODES = np.array([[-1.0, 1.0], [-1.0, 1.0],
+                      [_GAUSS_T[0] - 1.0, -_GAUSS_T[0]],
+                      [_GAUSS_T[1] - 1.0, -_GAUSS_T[1]]])
 
 
-def _segment_bases(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chord differences (S, N, r, r) and Gauss-point base matrices
-    (S, N, 2, r, r) for every segment of a stack of paths."""
-    delta = paths[:, 1:] - paths[:, :-1]
-    base = paths[:, :-1, None] + _GAUSS_T[:, None, None] * delta[:, :, None]
-    return delta, base
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two entries-first (r, r, ...) stacks of matrices."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverses of an entries-first (r, r, ...) stack of Hermitian
+    positive-definite matrices: Gauss-Jordan elimination without
+    pivoting on [a | I], one column at a time over the whole stack.  The
+    pivots of such a matrix are real and positive; step k touches only
+    columns k to r + k, the others are settled or still unit columns."""
+    r = a.shape[0]
+    aug = np.zeros((r, 2 * r) + a.shape[2:], dtype=complex)
+    aug[:, :r] = a
+    for k in range(r):
+        aug[k, r + k] = 1.0
+    for k in range(r):
+        cols = slice(k, r + k + 1)
+        row = aug[k, cols] * (1.0 / aug[k, k].real)
+        aug[:, cols] -= aug[:, k, None] * row
+        aug[k, cols] = row
+    return aug[:, r:]
 
 
 def _whitened(paths: np.ndarray, alpha: np.ndarray):
-    """B^{-1} and m = B^{-1} delta at every (segment, gauss) base, the
-    traces of m and m m, and alpha per segment: the segments of all
-    samples run along one axis, so each array is (S * N, 2, ...)."""
-    r = paths.shape[-1]
-    delta, base = _segment_bases(paths)
-    binv = np.linalg.inv(base.reshape(-1, 2, r, r))
-    m = binv @ delta.reshape(-1, 1, r, r)
-    tr_mm = np.einsum("sgij,sgji->sg", m, m).real
-    tr_m = np.einsum("sgii->sg", m).real
-    return binv, m, tr_mm, tr_m, np.repeat(alpha, delta.shape[1])[:, None]
+    """B^{-1} and m = B^{-1} delta at every base of a stack of paths,
+    entries first: (r, r, 2, S, N) over (Gauss point, sample, segment);
+    the traces of m m and of m, (2, S, N); and alpha as (S, 1)."""
+    x = np.ascontiguousarray(paths.transpose(2, 3, 0, 1))
+    delta = (x[..., 1:] - x[..., :-1])[:, :, None]
+    binv = _inv(x[:, :, None, :, :-1] + _GAUSS_T[:, None, None] * delta)
+    m = _mul(binv, delta)
+    tr_mm = (m * m.swapaxes(0, 1)).sum(axis=(0, 1)).real
+    tr_m = np.trace(m).real
+    return binv, m, tr_mm, tr_m, alpha[:, None]
 
 
 def discrete_length(path: np.ndarray, alpha) -> float | np.ndarray:
@@ -60,40 +93,30 @@ def discrete_length(path: np.ndarray, alpha) -> float | np.ndarray:
     each path of an (S, N + 1, r, r) stack with one alpha per path."""
     paths = path if path.ndim == 4 else path[None]
     _, _, tr_mm, tr_m, a = _whitened(paths, np.broadcast_to(alpha, paths.shape[:1]))
-    sq = np.maximum(tr_mm + a * tr_m**2, 0.0)
-    lengths = (0.5 * np.sqrt(sq)).reshape(len(paths), -1).sum(axis=1)
+    speed = 0.5 * np.sqrt(np.maximum(tr_mm + a * tr_m**2, 0.0))
+    lengths = (speed[0] + speed[1]).sum(axis=1)
     return lengths if path.ndim == 4 else float(lengths[0])
 
 
 def _energy_and_grad(paths: np.ndarray, alpha: np.ndarray):
     """Discrete path energy N * sum_k avg_g ||delta_k||^2_B of each path
     of a stack, and its gradient with respect to the interior nodes."""
-    n_paths, n_seg = paths.shape[0], paths.shape[1] - 1
+    n_seg = paths.shape[1] - 1
     binv, m, tr_mm, tr_m, a = _whitened(paths, alpha)
-    energy = n_seg * (0.5 * (tr_mm + a * tr_m**2)).reshape(n_paths, -1).sum(axis=1)
+    sq = 0.5 * (tr_mm + a * tr_m**2)
+    energy = n_seg * (sq[0] + sq[1]).sum(axis=1)
 
-    mb = m @ binv                                     # B^{-1} delta B^{-1}
-    mmb = m @ mb                                      # B^{-1} d B^{-1} d B^{-1}
-    atr = (2.0 * a * tr_m)[..., None, None]
-    g_delta = 2.0 * mb + atr * binv
-    g_base = -2.0 * mmb - atr * mb
-    g_delta = (g_delta + np.swapaxes(g_delta, -1, -2).conj()) / 2
-    g_base = (g_base + np.swapaxes(g_base, -1, -2).conj()) / 2
-
-    # Node k feels segment k through (-d/dx of delta, (1-t_g) of base) and
-    # segment k-1 through (+delta, t_g of base).
-    w = 0.5 * n_seg
-    lo, hi = 1.0 - _GAUSS_T, _GAUSS_T
-    shape = paths[:, 1:].shape
-    seg_from_delta = (w * (g_delta[:, 0] + g_delta[:, 1])).reshape(shape)
-    seg_from_base_lo = (w * (lo[0] * g_base[:, 0] + lo[1] * g_base[:, 1])).reshape(shape)
-    seg_from_base_hi = (w * (hi[0] * g_base[:, 0] + hi[1] * g_base[:, 1])).reshape(shape)
-
+    # d/d delta = 2 B^{-1} delta B^{-1} + 2 alpha tr(m) B^{-1} and
+    # d/d base = -m (d/d delta), at both Gauss points: (r, r, 4, S, N)
+    g = np.empty(m.shape[:2] + (4,) + m.shape[3:], dtype=complex)
+    g[:, :, :2] = 2.0 * _mul(m, binv) + (2.0 * a * tr_m) * binv
+    g[:, :, 2:] = _mul(m, g[:, :, :2])
+    # each segment's share at its two end nodes, weighted by N / 2 for
+    # the Gauss weights and by 1/2 for the Hermitian part taken below
+    ends = (g[:, :, :, None] * (0.25 * n_seg * _TO_NODES)[:, :, None, None]).sum(axis=2)
+    inner = (ends[:, :, 0, :, 1:] + ends[:, :, 1, :, :-1]).transpose(2, 3, 0, 1)
     grad = np.zeros_like(paths)
-    grad[:, :-1] += -seg_from_delta + seg_from_base_lo
-    grad[:, 1:] += seg_from_delta + seg_from_base_hi
-    grad[:, 0] = 0.0
-    grad[:, -1] = 0.0
+    grad[:, 1:-1] = inner + inner.swapaxes(-1, -2).conj()
     return energy, grad
 
 
@@ -127,6 +150,9 @@ def _in_cone(nodes: np.ndarray) -> np.ndarray:
         return np.concatenate([_in_cone(x[None]) for x in nodes])
 
 
+_OFF_CONE = "descent could not stay inside the positive cone"
+
+
 def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarray:
     """Gradient descent on each path's energy with Barzilai-Borwein steps,
     over a stack of paths in lockstep.
@@ -134,7 +160,9 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     Steps that leave the positive cone or raise the energy are rejected
     and halved.  A sample stops after 201 rejections in a row, or at once
     if its gradient is zero; if the last of those was a cone rejection
-    the descent aborts and names the sample.
+    the descent aborts and names the sample.  It also aborts when a
+    sample still running at the end accepted no step and its last
+    rejection was a cone rejection: its path never moved.
     """
     paths = paths.copy()
     energy, grad = _energy_and_grad(paths, alpha)
@@ -149,6 +177,8 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     prev_grad = np.empty_like(grad)
     has_prev = np.zeros(n, dtype=bool)
     rejects = np.zeros(n, dtype=int)
+    moved = np.zeros(n, dtype=bool)
+    cone_last = np.zeros(n, dtype=bool)
 
     def halve(idx):
         eta[idx] *= 0.5
@@ -174,10 +204,10 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
         if not inside.all():
             out = idx[~inside]
             halve(out)
+            cone_last[out] = True
             lost = np.zeros(n, dtype=bool)
             lost[out] = rejects[out] > 200
-            reject(lost, OracleFailureError,
-                   lambda k: "descent could not stay inside the positive cone")
+            reject(lost, OracleFailureError, lambda k: _OFF_CONE)
             idx, trial = idx[inside], trial[inside]
             if not idx.size:
                 continue
@@ -187,11 +217,13 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
         prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
         paths[acc], energy[acc], grad[acc] = trial[better], e_trial[better], g_trial[better]
         rejects[acc] = 0
-        has_prev[acc] = True
+        has_prev[acc] = moved[acc] = True
         if not better.all():
             worse = idx[~better]
             halve(worse)
+            cone_last[worse] = False
             live[worse[rejects[worse] > 200]] = False
+    reject(live & ~moved & cone_last, OracleFailureError, lambda k: _OFF_CONE)
     return paths
 
 

@@ -62,9 +62,8 @@ def random_posdef(rng: np.random.Generator, r: int,
 def random_orthonormal_pair(rng: np.random.Generator, h: np.ndarray,
                             alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Two tangent vectors orthonormal for the inner product at h."""
-    r = h.shape[0]
-    return _gram_schmidt_pair(h, random_hermitian(rng, r),
-                              random_hermitian(rng, r), alpha)
+    u, v = random_hermitians(rng, h.shape[0], 2)
+    return _gram_schmidt_pair(h, u, v, alpha)
 
 
 def random_mesh(rng: np.random.Generator, rank: int, n_points: int,

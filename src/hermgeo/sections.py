@@ -113,12 +113,26 @@ class QuadratureMesh:
 
 
 def _int64_ids(ids) -> np.ndarray:
-    """Point ids as int64; an id outside its range raises ParameterError
-    (a plain cast would wrap uint64 ids and overflow on larger ones)."""
+    """Point ids as int64.  An id outside the int64 range, or one that is
+    not an integer (a bool, float, complex, string or other object),
+    raises ParameterError naming the first such id: a plain cast would
+    wrap, truncate or parse it."""
     raw = np.asarray(ids)
-    if raw.dtype.kind in "ufO":
+
+    def in_range():
         reject(~((raw >= -INT64_BOUND) & (raw < INT64_BOUND)), ParameterError,
                lambda k: f"point id {raw[k]} is outside the int64 range")
+    # a float id past int64 is named as out of range; object ids are
+    # compared only once they are known to be integers
+    if raw.dtype.kind in "uf":
+        in_range()
+    if raw.dtype.kind not in "iu":
+        items = raw.ravel().tolist()
+        reject(np.array([isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                         for i in items], dtype=bool), ParameterError,
+               lambda k: f"point id {items[k[0]]!r} is not an integer")
+    if raw.dtype.kind == "O":
+        in_range()
     return raw.astype(np.int64)
 
 

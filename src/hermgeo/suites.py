@@ -58,10 +58,11 @@ def _fiber_invariants(rng, samples: int) -> dict:
         d["c"] = float(rng.uniform(0.1, 10.0))
         d["phi"] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         d["st"] = rng.uniform(0.0, 1.0, 2)
-        d["v10"] = sampling.random_hermitian(rng, r, scale=4.0)
-        # u3, v3, w3 for the curvature identities, then the pair that
-        # Gram-Schmidt makes orthonormal for the sectional curvature
-        d["u3"], d["v3"], d["w3"], d["uo"], d["vo"] = sampling.random_hermitians(rng, r, 5)
+        # v10 for the roundtrip, u3, v3, w3 for the curvature identities,
+        # then the pair that Gram-Schmidt makes orthonormal for the
+        # sectional curvature
+        d["v10"], d["u3"], d["v3"], d["w3"], d["uo"], d["vo"] = sampling.random_hermitians(
+            rng, r, 6, [4.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         draws.append(d)
 
     found = []

@@ -3,9 +3,15 @@ per-sample reference.
 
 ``distance_oracle`` descends a stack of samples in lockstep.  The
 functions ``reference_*`` below are the per-sample form of the same
-descent: one path at a time, a step accepted or rejected as that path
-alone decides.  The descent is chaotic at rounding level, so every
-sample of the lockstep run must reproduce them bit for bit (``==``).
+descent: one path at a time through the oracle's kernel, a step
+accepted or rejected as that path alone decides.  The descent is
+chaotic at rounding level, so every sample of the lockstep run must
+reproduce them bit for bit (``==``).
+
+``inv_energy_and_grad`` and ``inv_length`` are the independent route to
+the kernel's arithmetic: per-matrix ``np.linalg.inv`` and ``@``.  The
+kernel must agree with them to within 10 * eps * kappa, kappa the
+largest condition number of the path's Gauss-point bases.
 """
 
 import numpy as np
@@ -21,10 +27,14 @@ I2 = np.eye(2, dtype=complex)
 _GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
-def reference_energy_and_grad(path, alpha):
-    n_seg = path.shape[0] - 1
+def _bases(path):
     delta = path[1:] - path[:-1]
-    base = path[:-1, None] + _GAUSS_T[None, :, None, None] * delta[:, None]
+    return delta, path[:-1, None] + _GAUSS_T[None, :, None, None] * delta[:, None]
+
+
+def inv_energy_and_grad(path, alpha):
+    n_seg = path.shape[0] - 1
+    delta, base = _bases(path)
     binv = np.linalg.inv(base)
     m = binv @ delta[:, None]
     tr_mm = np.einsum("sgij,sgji->sg", m, m).real
@@ -50,14 +60,22 @@ def reference_energy_and_grad(path, alpha):
     return energy, grad
 
 
-def reference_length(path, alpha):
-    delta = path[1:] - path[:-1]
-    base = path[:-1, None] + _GAUSS_T[None, :, None, None] * delta[:, None]
+def inv_length(path, alpha):
+    delta, base = _bases(path)
     m = np.linalg.inv(base) @ delta[:, None]
     tr_mm = np.einsum("sgij,sgji->sg", m, m).real
     tr_m = np.einsum("sgii->sg", m).real
     sq = np.maximum(tr_mm + alpha * tr_m**2, 0.0)
     return float((0.5 * np.sqrt(sq)).sum())
+
+
+def reference_energy_and_grad(path, alpha):
+    energy, grad = oracle._energy_and_grad(path[None], np.array([alpha]))
+    return energy[0], grad[0]
+
+
+def reference_length(path, alpha):
+    return discrete_length(path, alpha)
 
 
 def _is_posdef(nodes):
@@ -80,6 +98,7 @@ def reference_descend(path, alpha, iterations, events=None):
     eta = 0.05 * np.linalg.norm(path) / (gnorm + 1e-30)
     prev_path = prev_grad = None
     rejects = 0
+    moved = cone_last = False
     for _ in range(iterations):
         if prev_path is not None:
             dx = path - prev_path
@@ -95,6 +114,7 @@ def reference_descend(path, alpha, iterations, events=None):
             eta *= 0.5
             prev_path = prev_grad = None
             rejects += 1
+            cone_last = True
             if rejects > 200:
                 raise OracleFailureError("descent could not stay inside the positive cone")
             continue
@@ -103,13 +123,17 @@ def reference_descend(path, alpha, iterations, events=None):
             prev_path, prev_grad = path, grad
             path, energy, grad = trial, e_trial, g_trial
             rejects = 0
+            moved = True
         else:
             eta *= 0.5
             prev_path = prev_grad = None
             rejects += 1
+            cone_last = False
             if rejects > 200:
                 events.append("break")
                 break
+    if not moved and cone_last:
+        raise OracleFailureError("descent could not stay inside the positive cone")
     return path
 
 
@@ -288,27 +312,28 @@ def test_per_sample_alphas_in_one_stack():
 # --- cost model and failures -------------------------------------------------
 
 @pytest.fixture
-def inv_calls(monkeypatch):
-    """Count np.linalg.inv calls: one per stacked path-energy evaluation."""
+def kernel_calls(monkeypatch):
+    """Count calls of the oracle's kernel: one per stacked evaluation of
+    the path energies or lengths."""
     seen = []
-    inv = np.linalg.inv
+    whitened = oracle._whitened
 
     def counted(*args, **kwargs):
         seen.append(1)
-        return inv(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "inv", counted)
+        return whitened(*args, **kwargs)
+    monkeypatch.setattr(oracle, "_whitened", counted)
     return seen
 
 
-def test_energy_evaluations_do_not_grow_with_samples(inv_calls):
+def test_energy_evaluations_do_not_grow_with_samples(kernel_calls):
     # 4 levels of (8, 16, 32, 64) segments: one evaluation at the start
     # of a level and one per iteration of its budget (125 each), then
     # one for the final lengths; per sample the count would be 1,515
     suites.run_oracle(1, 3)
-    assert len(inv_calls) == 4 * (1 + 125) + 1
-    inv_calls.clear()
+    assert len(kernel_calls) == 4 * (1 + 125) + 1
+    kernel_calls.clear()
     suites.run_oracle(1, 1)
-    assert len(inv_calls) == 4 * (1 + 125) + 1
+    assert len(kernel_calls) == 4 * (1 + 125) + 1
 
 
 def test_failing_sample_is_named():
@@ -339,3 +364,117 @@ def test_check_oracle_names_the_failing_sample(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: at index 1: descent could not stay inside the positive cone"]
+
+
+def test_sample_that_never_moves_is_named_at_the_default_budget():
+    # a node off the cone: every step of sample 1 is a cone rejection,
+    # and a level of the default budget (125) ends before rejection 201
+    paths = mixed_batch()[[0, 3, 3]].copy()
+    paths[1, 4] = np.diag([1.0, -1.0])
+    with pytest.raises(OracleFailureError) as err:
+        oracle._descend(paths, np.zeros(3), 125)
+    assert err.value.index == 1
+    with pytest.raises(OracleFailureError):
+        reference_descend(paths[1], 0.0, 125)
+    # the others alone descend without error
+    oracle._descend(paths[[0, 2]], np.zeros(2), 125)
+
+
+def test_sample_whose_last_rejection_raised_the_energy_does_not_fail(monkeypatch):
+    # the first step leaves the cone and every later one raises the
+    # energy: the path never moves, but its last rejection was no cone one
+    in_cone, energy_and_grad = oracle._in_cone, oracle._energy_and_grad
+    cone_calls, energy_calls = [], []
+
+    def first_step_outside(nodes):
+        cone_calls.append(1)
+        return in_cone(nodes) & (len(cone_calls) > 1)
+
+    def uphill_after_start(paths, alpha):
+        energy_calls.append(1)
+        energy, grad = energy_and_grad(paths, alpha)
+        return energy + (len(energy_calls) > 1), grad
+    monkeypatch.setattr(oracle, "_in_cone", first_step_outside)
+    monkeypatch.setattr(oracle, "_energy_and_grad", uphill_after_start)
+    paths = mixed_batch()[3:]
+    out = oracle._descend(paths, np.array([1.0]), 125)
+    assert np.array_equal(out, paths) and len(energy_calls) == 125
+
+
+def test_check_oracle_names_a_sample_that_never_moves(monkeypatch, capsys):
+    in_cone = oracle._in_cone
+
+    def second_sample_never_inside(nodes):
+        inside = in_cone(nodes)
+        inside[1] = False
+        return inside
+    monkeypatch.setattr(oracle, "_in_cone", second_sample_never_inside)
+    assert main(["check", "oracle", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: at index 1: descent could not stay inside the positive cone"]
+
+
+# --- the kernel against the per-matrix inv route ------------------------------
+
+def seeded_path(seed, r, log_cond, near_boundary=False, n_seg=16):
+    """A perturbed straight path between two matrices with eigenvalues
+    from 10**-log_cond to 1, in eigenbases 10**(-log_cond / 2) apart, so
+    that the bases' condition numbers reach about 10**log_cond.  With
+    ``near_boundary``, the middle node's smallest eigenvalue is set to
+    1e-9 of its largest."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    u = np.linalg.qr(gauss[0])[0]
+    v = u @ np.linalg.qr(np.eye(r) + 10.0 ** (-log_cond / 2) * gauss[1])[0]
+    w = 10.0 ** np.linspace(0.0, -log_cond, r)
+    p = (u * w) @ u.conj().T
+    q = (v * (w * np.exp(rng.uniform(-1.0, 1.0, r)))) @ v.conj().T
+    path = oracle._initial_paths(p[None], q[None], n_seg)[0]
+    noise = rng.standard_normal(path.shape) + 1j * rng.standard_normal(path.shape)
+    noise = linalg.hermitian_part(noise[1:-1])
+    lam = np.linalg.eigvalsh(path[1:-1])[:, :1, None]
+    path[1:-1] += 0.1 * lam * noise / linalg._norm(noise)[:, None, None]
+    if near_boundary:
+        w, u = np.linalg.eigh(path[n_seg // 2])
+        w[0] = 1e-9 * w[-1]
+        path[n_seg // 2] = linalg.hermitian_part((u * w) @ u.conj().T)
+    return path
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("log_cond, near_boundary", [(0, False), (3, False), (6.5, False),
+                                                     (1, True)])
+def test_kernel_matches_inv_route(r, log_cond, near_boundary):
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        path = seeded_path(seed, r, log_cond, near_boundary)
+        kappa = np.linalg.cond(_bases(path)[1]).max()
+        if r > 1 and log_cond > 6:
+            assert kappa >= 1e6
+        for alpha in (0.0, 0.7, -0.5 / r):
+            e_ref, g_ref = inv_energy_and_grad(path, alpha)
+            energy, grad = reference_energy_and_grad(path, alpha)
+            length = discrete_length(path, alpha)
+            gaps = (abs(energy - e_ref) / e_ref,
+                    np.linalg.norm(grad - g_ref) / np.linalg.norm(g_ref),
+                    abs(length - inv_length(path, alpha)) / length)
+            assert max(gaps) <= 10 * eps * kappa, (seed, alpha, gaps, kappa)
+            # the step keeps the path Hermitian, bit for bit
+            assert np.array_equal(grad, np.swapaxes(grad, -1, -2).conj())
+
+
+def test_descent_calls_no_eigensolver_and_no_closed_form(monkeypatch):
+    paths = mixed_batch()          # the initial clamp may use eigh
+    alphas = np.array([0.0, 1.0, -0.4, 1.0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached an eigensolver or a closed form")
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(linalg, "_logm", forbidden)
+    monkeypatch.setattr(linalg, "_expm", forbidden)
+    monkeypatch.setattr(fiber, "_distance", forbidden)
+    out = oracle._descend(paths, alphas, 60)
+    assert np.isfinite(discrete_length(out, alphas)).all()

@@ -9,7 +9,7 @@ result must match them.
 import numpy as np
 import pytest
 
-from hermgeo import linalg, sampling
+from hermgeo import fiber, linalg, sampling
 from hermgeo.sections import QuadratureMesh
 
 
@@ -98,3 +98,14 @@ def test_random_gauge_matches_per_point_reference(r):
     rng, ref = sampling.make_rng(7 * r), sampling.make_rng(7 * r)
     assert np.array_equal(sampling.random_gauge(rng, mesh, 0.4).values,
                           reference_gauge(ref, r, 6, 0.4))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_random_orthonormal_pair_matches_two_draws(r):
+    h = np.diag(np.arange(1.0, r + 1.0)) + 0j
+    rng, ref = sampling.make_rng(30 + r), sampling.make_rng(30 + r)
+    pair = sampling.random_orthonormal_pair(rng, h, 0.3)
+    expected = fiber._gram_schmidt_pair(h, reference_hermitian(ref, r),
+                                        reference_hermitian(ref, r), 0.3)
+    assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
+    assert rng.uniform() == ref.uniform()

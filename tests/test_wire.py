@@ -237,6 +237,32 @@ def test_mesh_rejects_ids_outside_int64(ids):
         QuadratureMesh(rank=1, ids=ids, weights=[1.0, 1.0], alphas=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("ids, first_bad", [
+    ([0.7, 1.9], "0.7"),
+    ([0.0, 1.0], "0.0"),
+    (["5", "6"], "'5'"),
+    ([True, False], "True"),
+    ([1 + 0j, 2 + 0j], r"\(1\+0j\)"),
+    (np.array([3, "x"], dtype=object), "'x'"),
+    (np.array([3, None], dtype=object), "None"),
+    (np.array([3, 4.0], dtype=object), "4.0"),
+    (np.array([False, 4], dtype=object), "False"),
+])
+def test_mesh_rejects_ids_that_are_not_integers(ids, first_bad):
+    with pytest.raises(ParameterError, match=f"point id {first_bad} is not an integer"):
+        QuadratureMesh(rank=1, ids=ids, weights=[1.0, 1.0], alphas=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("ids", [
+    np.array([7, 3], dtype=np.uint8),
+    np.array([7, 3], dtype=np.int32),
+    np.array([7, np.int16(3)], dtype=object),
+])
+def test_mesh_takes_integer_ids_of_any_kind(ids):
+    mesh = QuadratureMesh(rank=1, ids=ids, weights=[1.0, 1.0], alphas=[0.0, 0.0])
+    assert mesh.ids.dtype == np.int64 and mesh.ids.tolist() == [3, 7]
+
+
 def test_geodesic_stdout_and_out_file_hold_the_same_bytes(tmp_path):
     h1, h2 = _metric_pair(11, 2, 6)
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
