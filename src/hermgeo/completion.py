@@ -85,13 +85,15 @@ def refinement_trend(norms, levels) -> float:
     return float(slope)
 
 
-def family_report(sigmas, h0s, levels,
-                  trend_threshold: float = 0.05) -> IntegrabilityReport:
+TREND_THRESHOLD = 0.05
+
+
+def family_report(sigmas, h0s, levels) -> IntegrabilityReport:
     """Integrability verdict over a refinement family.
 
     The finest-level norms are reported; ``is_l2`` additionally demands
     that the fitted growth exponents of both extreme log-eigenvalue
-    norms stay below ``trend_threshold``.
+    norms stay below ``TREND_THRESHOLD``.
     """
     reports = [integrability_report(s, h) for s, h in zip(sigmas, h0s)]
     trend = max(
@@ -100,7 +102,7 @@ def family_report(sigmas, h0s, levels,
         refinement_trend([r.l2_log_lambda_max for r in reports], levels)
         if all(r.l2_log_lambda_max > 0 for r in reports) else 0.0,
     )
-    return replace(reports[-1], is_l2=bool(trend < trend_threshold),
+    return replace(reports[-1], is_l2=bool(trend < TREND_THRESHOLD),
                    refinement_trend=trend)
 
 
@@ -122,7 +124,6 @@ def cauchy_experiment(h0: MetricSection, f_sequence, f_limit: ScalarField
     (summability is the completion hypothesis), and the distances to the
     limit both measured directly and via the conformal closed form.
     """
-    h0.mesh.constant_alpha()
     hs = [conformal_scale(h0, f) for f in f_sequence]
     h_lim = conformal_scale(h0, f_limit)
     steps = tuple(section_distance(a, b) for a, b in zip(hs, hs[1:]))

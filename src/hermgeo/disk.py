@@ -230,13 +230,15 @@ class PshReport:
     passed: bool
     n_centers: int
     n_skipped: int
-    tolerance: float
 
 
-def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
-              n_angles: int = 64, center_stride: int = 8,
-              min_center_radius: float = 0.1,
-              tolerance: float = 1e-3) -> PshReport:
+PSH_ANGLES = 64
+PSH_CENTER_STRIDE = 8
+PSH_MIN_CENTER_RADIUS = 0.1
+PSH_TOLERANCE = 1e-3
+
+
+def psh_check(u: GridFunction, radii) -> PshReport:
     """Sub-mean-value test: u(z0) <= mean of u over circles around z0.
 
     Circle means use angular quadrature with bilinear interpolation on
@@ -250,12 +252,10 @@ def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ParameterError("test radii must be positive")
-    if centers is None:
-        z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
-        sel = z[::center_stride, ::center_stride].ravel()
-        centers = sel[np.abs(sel) >= min_center_radius]
-    centers = np.asarray(centers, dtype=complex)
-    angles = np.exp(2j * np.pi * (np.arange(n_angles) + 0.5) / n_angles)
+    z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
+    sel = z[::PSH_CENTER_STRIDE, ::PSH_CENTER_STRIDE].ravel()
+    centers = sel[np.abs(sel) >= PSH_MIN_CENTER_RADIUS]
+    angles = np.exp(2j * np.pi * (np.arange(PSH_ANGLES) + 0.5) / PSH_ANGLES)
     inner_cut = max(mesh.radii[0], 40.0 / mesh.n_r)
     center_vals = u.interpolate(centers)
     gaps = []
@@ -269,9 +269,8 @@ def psh_check(u: GridFunction, radii, centers: np.ndarray | None = None,
         raise ParameterError("no admissible (center, radius) pair: shrink the "
                              "radii or refine the mesh")
     worst = float(gaps.max())
-    return PshReport(max_violation=worst, passed=bool(worst <= tolerance),
-                     n_centers=gaps.size, n_skipped=centers.size * radii.size - gaps.size,
-                     tolerance=tolerance)
+    return PshReport(max_violation=worst, passed=bool(worst <= PSH_TOLERANCE),
+                     n_centers=gaps.size, n_skipped=centers.size * radii.size - gaps.size)
 
 
 def dual_section(sigma: MetricSection) -> MetricSection:

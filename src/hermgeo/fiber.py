@@ -253,24 +253,24 @@ def hermitian_basis(r: int) -> np.ndarray:
     return basis
 
 
-def exp_differential_min_singular(h: np.ndarray, v: np.ndarray,
-                                  fd_step: float = 1e-5):
+EXP_FD_STEP = 1e-5
+
+
+def exp_differential_min_singular(h: np.ndarray, v: np.ndarray):
     """Smallest singular value of the differential of the exponential map.
 
     The map v -> geodesic_eval({h, v}, 1) is differentiated by central
-    differences over an orthonormal coordinate system of the real
-    r^2-dimensional space of Hermitian matrices; a strictly positive
-    result certifies local invertibility at v.
+    differences of step ``EXP_FD_STEP`` over an orthonormal coordinate
+    system of the real r^2-dimensional space of Hermitian matrices; a
+    strictly positive result certifies local invertibility at v.
     """
-    if fd_step <= 0:
-        raise ParameterError("fd_step must be positive")
     h = linalg.posdef(h)
     v = linalg.hermitian(v)
     basis = hermitian_basis(linalg.same_rank(h, v))
-    steps, h, v = fd_step * basis, h[..., None, :, :], v[..., None, :, :]
+    steps, h, v = EXP_FD_STEP * basis, h[..., None, :, :], v[..., None, :, :]
     roots = linalg._roots(h)
     plus = _geodesic(h, v + steps, 1.0, roots)
     minus = _geodesic(h, v - steps, 1.0, roots)
     # jac[i, j]: coordinate i of the derivative along basis direction j
-    jac = _trace(basis[:, None] @ ((plus - minus) / (2 * fd_step))[..., None, :, :, :])
+    jac = _trace(basis[:, None] @ ((plus - minus) / (2 * EXP_FD_STEP))[..., None, :, :, :])
     return np.linalg.svd(jac, compute_uv=False)[..., -1]

@@ -10,6 +10,7 @@ skip validation, for callers whose input is already checked.
 
 from __future__ import annotations
 
+import itertools
 import reprlib
 
 import numpy as np
@@ -205,7 +206,11 @@ def json_numbers(value, what: str) -> np.ndarray:
         a = np.asarray(value)
     except ValueError as exc:
         raise WireFormatError(f"{what} is not an array of numbers: {exc}") from exc
-    if a.dtype.kind not in "iuf":
+    # numpy reads a bool among numbers as 0 or 1: look at each entry's type
+    entries = [value]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or bool in map(type, entries):
         raise WireFormatError(
             f"{what} {reprlib.repr(value)} is not a number or an array of numbers")
     return a.astype(float, copy=False)

@@ -39,6 +39,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, OracleFailureError, ParameterError, reject
 from .fiber import check_alpha
+from .sampling import _complex_normal, make_rng
 
 # Gauss-Legendre nodes on [0, 1], weights 1/2 each.
 _GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -120,11 +121,12 @@ def _energy_and_grad(paths: np.ndarray, alpha: np.ndarray):
     return energy, grad
 
 
-def _clamp_posdef(a: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    w, u = np.linalg.eigh((a + np.swapaxes(a, -1, -2).conj()) / 2)
-    w = np.maximum(w, floor)
-    out = (u * w[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
-    return (out + np.swapaxes(out, -1, -2).conj()) / 2
+CLAMP_FLOOR = 1e-10
+
+
+def _clamp_posdef(a: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(linalg.hermitian_part(a))
+    return linalg._recompose(u, np.maximum(w, CLAMP_FLOOR))
 
 
 def _initial_paths(p: np.ndarray, q: np.ndarray, segments: int) -> np.ndarray:
@@ -167,12 +169,9 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     paths = paths.copy()
     energy, grad = _energy_and_grad(paths, alpha)
     n = len(paths)
-    eta = np.empty(n)
-    live = np.empty(n, dtype=bool)
-    for s in range(n):
-        gnorm = np.linalg.norm(grad[s])
-        live[s] = gnorm != 0.0
-        eta[s] = 0.05 * np.linalg.norm(paths[s]) / (gnorm + 1e-30)
+    gnorm = linalg._norm(grad.reshape(n, 1, -1))
+    live = gnorm != 0.0
+    eta = 0.05 * linalg._norm(paths.reshape(n, 1, -1)) / (gnorm + 1e-30)
     prev_paths = np.empty_like(paths)
     prev_grad = np.empty_like(grad)
     has_prev = np.zeros(n, dtype=bool)
@@ -281,9 +280,7 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
 
     paths = _initial_paths(p, q, levels[0])
     for path, p1, q1, s in zip(paths, p, q, seeds):
-        rng = np.random.Generator(np.random.Philox(int(s)))
-        noise = rng.standard_normal(path.shape) + 1j * rng.standard_normal(path.shape)
-        noise = (noise + np.swapaxes(noise, -1, -2).conj()) / 2
+        noise = linalg.hermitian_part(_complex_normal(make_rng(s), 1, path.shape)[0])
         scale = 1e-8 * max(np.linalg.norm(p1), np.linalg.norm(q1))
         path[1:-1] += scale * noise[1:-1]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .errors import ParameterError
 from .fiber import _gram_schmidt_pair
 from .sections import (
     GaugeTransform,
@@ -19,8 +20,19 @@ from .sections import (
 )
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed) -> np.random.Generator:
+    """The Philox generator of a nonnegative integer seed; a bool, a
+    non-integer or a negative seed raises ParameterError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed {seed!r} is not a nonnegative integer")
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def _complex_normal(rng: np.random.Generator, n: int, shape: tuple) -> np.ndarray:
+    """n complex Gaussian arrays of the given shape, drawn one after
+    another: the real part, then the imaginary part, of each."""
+    a = rng.standard_normal((n, 2) + shape)
+    return a[:, 0] + 1j * a[:, 1]
 
 
 def random_hermitian(rng: np.random.Generator, r: int,
@@ -79,27 +91,20 @@ def random_mesh(rng: np.random.Generator, rank: int, n_points: int,
                           weights=weights, alphas=alphas)
 
 
-def random_metric_section(rng: np.random.Generator, mesh: QuadratureMesh,
-                          spread: float = 1.0) -> MetricSection:
-    logs = random_hermitians(rng, mesh.rank, mesh.n_points, spread)
+def random_metric_section(rng: np.random.Generator, mesh: QuadratureMesh) -> MetricSection:
+    logs = random_hermitians(rng, mesh.rank, mesh.n_points)
     return MetricSection(mesh, linalg.expm_hermitian(logs))
 
 
-def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh,
-                           scale: float = 1.0) -> TangentSection:
-    return TangentSection(mesh, random_hermitians(rng, mesh.rank, mesh.n_points, scale))
+def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh) -> TangentSection:
+    return TangentSection(mesh, random_hermitians(rng, mesh.rank, mesh.n_points))
 
 
-def random_gauge(rng: np.random.Generator, mesh: QuadratureMesh,
-                 scale: float = 1.0) -> GaugeTransform:
-    r = mesh.rank
-    g = np.empty((mesh.n_points, r, r), dtype=complex)
-    for k in range(mesh.n_points):
-        g[k] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    g = np.eye(r) + scale * 0.5 * g / np.maximum(linalg._norm(g), 1e-12)[:, None, None]
+def random_gauge(rng: np.random.Generator, mesh: QuadratureMesh) -> GaugeTransform:
+    g = _complex_normal(rng, mesh.n_points, (mesh.rank, mesh.rank))
+    g = np.eye(mesh.rank) + 0.5 * g / np.maximum(linalg._norm(g), 1e-12)[:, None, None]
     return GaugeTransform(mesh, g)
 
 
-def random_scalar_field(rng: np.random.Generator, mesh: QuadratureMesh,
-                        scale: float = 1.0) -> ScalarField:
-    return ScalarField(mesh, scale * rng.standard_normal(mesh.n_points))
+def random_scalar_field(rng: np.random.Generator, mesh: QuadratureMesh) -> ScalarField:
+    return ScalarField(mesh, rng.standard_normal(mesh.n_points))

@@ -103,14 +103,6 @@ class QuadratureMesh:
     def volume(self) -> float:
         return float(self.weights.sum())
 
-    def constant_alpha(self) -> float:
-        """Return the common alpha or raise if it varies across the mesh."""
-        if not np.all(self.alphas == self.alphas[0]):
-            raise ParameterError(
-                "operation requires a constant alpha across the mesh "
-                "(the conformal-distance identity assumes it)")
-        return float(self.alphas[0])
-
 
 def _int64_ids(ids) -> np.ndarray:
     """Point ids as int64.  An id outside the int64 range, or one that is
@@ -214,10 +206,6 @@ class ScalarField:
             raise NonFiniteError("scalar field has non-finite values")
         object.__setattr__(self, "values", values)
 
-    def norm_l2(self) -> float:
-        """Quadrature L2 norm sqrt(sum_i w_i f_i^2)."""
-        return float(np.sqrt((self.mesh.weights * self.values**2).sum()))
-
 
 def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
     """Weighted sum of fiber inner products: the L2 metric at h."""
@@ -291,13 +279,13 @@ def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
 
 
 def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField) -> float:
-    """Closed form sqrt(r (1 + alpha r)) * ||f - g||_2 for constant alpha."""
+    """Closed form of d(e^f h, e^g h): sqrt(sum_i w_i r (1 + alpha_i r)
+    (f_i - g_i)^2), for any admissible alpha field."""
     mesh = _same_mesh(h, f)
     _same_mesh(h, g)
-    alpha = mesh.constant_alpha()
     r = mesh.rank
-    diff = ScalarField(mesh, f.values - g.values)
-    return float(np.sqrt(r * (1.0 + alpha * r)) * diff.norm_l2())
+    scale = mesh.weights * r * (1.0 + mesh.alphas * r)
+    return float(np.sqrt((scale * (f.values - g.values) ** 2).sum()))
 
 
 def gauge_apply(phi: GaugeTransform, section):

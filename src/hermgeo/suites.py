@@ -56,7 +56,7 @@ def _fiber_invariants(rng, samples: int) -> dict:
         # logs of h, p and q: exponentiated after the draws
         d["h"], d["v"], d["p"], d["q"] = sampling.random_hermitians(rng, r, 4)
         d["c"] = float(rng.uniform(0.1, 10.0))
-        d["phi"] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        d["phi"] = sampling._complex_normal(rng, 1, (r, r))[0]
         d["st"] = rng.uniform(0.0, 1.0, 2)
         # v10 for the roundtrip, u3, v3, w3 for the curvature identities,
         # then the pair that Gram-Schmidt makes orthonormal for the
@@ -127,8 +127,8 @@ def _fiber_invariants(rng, samples: int) -> dict:
 
 
 def _section_invariants(rng, samples: int) -> dict:
-    """Gauge invariance, theta bound and conformal identity, one random
-    mesh at a time: the conformal identity needs a constant-alpha mesh."""
+    """Gauge invariance, theta bound and conformal identity over random
+    meshes, one mesh at a time."""
     worst_gauge = 0.0
     worst_theta = np.inf
     worst_conformal = 0.0

@@ -1,11 +1,14 @@
 """The public surface: exported names resolve, and library input checks
 raise typed errors.
 
-No linter runs on this package, so a stale ``__all__`` entry or a name
-left behind by a deletion is caught here."""
+No linter runs on this package, so a stale ``__all__`` entry, a name
+left behind by a deletion or an import whose last user was deleted is
+caught here."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import pytest
 import hermgeo
 from hermgeo import completion, disk, fiber, oracle
 from hermgeo.errors import HermGeoError, NonFiniteError, ParameterError
-from hermgeo.sections import QuadratureMesh
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
 # a mesh that leaves out its singular set
@@ -33,21 +35,21 @@ def test_exports_resolve_and_removed_names_stay_gone():
 
 
 EYE = np.eye(2, dtype=complex)
-VARYING_ALPHA = QuadratureMesh(rank=1, ids=[0, 1], weights=[1.0, 1.0], alphas=[0.0, 0.5])
 
 # each entry: the error type, then a call with one inadmissible argument
 BAD_INPUTS = {
     "GridFunction non-finite":
         (NonFiniteError, disk.GridFunction, disk.DiskMesh(1, 2), [[0.0, np.nan]]),
-    "constant_alpha varies": (ParameterError, VARYING_ALPHA.constant_alpha),
     "refinement_trend one level": (ParameterError, completion.refinement_trend, [1.0], [1]),
     "refinement_trend zero norm":
         (ParameterError, completion.refinement_trend, [1.0, 0.0], [1, 2]),
     "geodesic_residual step":
         (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, 0.0),
-    "exp_differential fd_step":
-        (ParameterError, fiber.exp_differential_min_singular, EYE, EYE, -1e-5),
     "oracle segments": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 4),
+    "oracle seed negative": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, -1),
+    "oracle seed fractional":
+        (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, 1.5),
+    "oracle seed bool": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, True),
 }
 
 
@@ -57,3 +59,36 @@ def test_input_checks_raise_typed_errors(case):
     with pytest.raises(cls) as info:
         fn(*args)
     assert isinstance(info.value, HermGeoError)
+
+
+# imports kept for a reader outside the package: (module, name) -> why
+UNUSED_IMPORTS_ALLOWED = {
+    ("sections", "fiber_distance"):
+        "bench/test_bench.py::test_tracer_restores_every_binding reads it",
+}
+
+
+def _imported_names(tree):
+    """(name, line) of each name an import statement of the module binds;
+    ``from __future__`` imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(Path(hermgeo.__file__).parent.glob("*.py")):
+        name = path.stem
+        module = hermgeo if name == "__init__" else importlib.import_module(f"hermgeo.{name}")
+        tree = ast.parse(path.read_text())
+        # a name counts as used when code reads it or the module exports it
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        unused += [(name, imported, line) for imported, line in _imported_names(tree)
+                   if imported not in used
+                   and (name, imported) not in UNUSED_IMPORTS_ALLOWED]
+    assert not unused

@@ -314,6 +314,11 @@ def test_check_sample_count_errors_exit_2(capsys, suite, samples):
     assert_input_error(capsys, ["check", suite, "--samples", samples])
 
 
+@pytest.mark.parametrize("suite", ["cat0", "appendix", "invariants", "oracle"])
+def test_check_negative_seed_exits_2(capsys, suite):
+    assert_input_error(capsys, ["check", suite, "--seed", "-1", "--samples", "1"])
+
+
 def test_count_errors_exit_2(tmp_path, capsys):
     f1, f2 = conformal_pair(tmp_path)
     assert_input_error(capsys, ["geodesic", str(f1), str(f2), "--steps", "1"])

@@ -22,11 +22,11 @@ def reference_hermitian(rng, r, scale=1.0):
     return a * (scale * rng.uniform(0.2, 1.0) / norm * np.sqrt(r))
 
 
-def reference_gauge(rng, r, n, scale=1.0):
+def reference_gauge(rng, r, n):
     vals = []
     for _ in range(n):
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        vals.append(np.eye(r) + scale * 0.5 * g / max(np.linalg.norm(g), 1e-12))
+        vals.append(np.eye(r) + 0.5 * g / max(np.linalg.norm(g), 1e-12))
     return np.stack(vals)
 
 
@@ -96,8 +96,9 @@ def test_random_gauge_matches_per_point_reference(r):
     mesh = QuadratureMesh(rank=r, ids=np.arange(6), weights=np.ones(6),
                           alphas=np.zeros(6))
     rng, ref = sampling.make_rng(7 * r), sampling.make_rng(7 * r)
-    assert np.array_equal(sampling.random_gauge(rng, mesh, 0.4).values,
-                          reference_gauge(ref, r, 6, 0.4))
+    assert np.array_equal(sampling.random_gauge(rng, mesh).values,
+                          reference_gauge(ref, r, 6))
+    assert rng.uniform() == ref.uniform()
 
 
 @pytest.mark.parametrize("r", [2, 3])

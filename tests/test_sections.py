@@ -139,8 +139,9 @@ def test_conformal_distance():
     rng = sampling.make_rng(52)
     f1 = sampling.random_scalar_field(rng, mesh1)
     g1 = sampling.random_scalar_field(rng, mesh1)
-    diff = ScalarField(mesh1, f1.values - g1.values)
-    assert conformal_distance(h1, f1, g1) == pytest.approx(diff.norm_l2())
+    diff = f1.values - g1.values
+    assert conformal_distance(h1, f1, g1) == pytest.approx(
+        np.sqrt((mesh1.weights * diff**2).sum()))
 
 
 def test_conformal_matches_direct_distance():
@@ -156,13 +157,20 @@ def test_conformal_matches_direct_distance():
         assert direct == pytest.approx(conformal_distance(h, f, g), rel=1e-10)
 
 
-def test_conformal_requires_constant_alpha():
-    mesh = QuadratureMesh(rank=2, ids=[0, 1], weights=[1.0, 1.0],
-                          alphas=[0.0, 0.5])
-    h = const_section(mesh, np.eye(2))
-    f = ScalarField(mesh, np.zeros(2))
-    with pytest.raises(ValueError, match="constant alpha"):
-        conformal_distance(h, f, f)
+def test_conformal_distance_on_varying_alpha_mesh():
+    # d(e^f h, e^g h)^2 = sum_i w_i r (1 + alpha_i r) (f_i - g_i)^2 holds
+    # point by point, so alpha may vary across the mesh
+    rng = sampling.make_rng(153)
+    for r in (1, 2, 3):
+        for n in (2, 5, 40):
+            mesh = sampling.random_mesh(rng, r, n)
+            assert np.ptp(mesh.alphas) > 0
+            h = sampling.random_metric_section(rng, mesh)
+            f = sampling.random_scalar_field(rng, mesh)
+            g = sampling.random_scalar_field(rng, mesh)
+            direct = section_distance(conformal_scale(h, f), conformal_scale(h, g))
+            formula = conformal_distance(h, f, g)
+            assert abs(direct - formula) <= 1e-12 * formula
 
 
 def test_gauge_examples():

@@ -186,6 +186,8 @@ def _point_obj():
     ("weight", None, "point id 8: weight None is not a number"),
     ("alpha", [0.0, "x"], "point id 8: alpha"),
     ("alpha", 10**400, "point id 8: alpha"),
+    # the other weight is a float: numpy alone would read the bool as 1.0
+    ("weight", True, "point id 8: weight True is not a number"),
 ])
 def test_wire_read_rejects_non_numbers_by_point(field, value, message):
     obj = _point_obj()
@@ -195,7 +197,7 @@ def test_wire_read_rejects_non_numbers_by_point(field, value, message):
 
 
 @pytest.mark.parametrize("part,entry", [("re", "2.5"), ("im", {}), ("re", None),
-                                        ("im", [1.0])])
+                                        ("im", [1.0]), ("im", False), ("re", True)])
 def test_wire_read_rejects_non_number_entries_by_point(part, entry):
     obj = _point_obj()
     obj["points"][1]["h"][part][0][1] = entry
