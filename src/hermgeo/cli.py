@@ -18,17 +18,31 @@ import numpy as np
 
 from . import disk, fiber, linalg, sections, suites
 from .completion import integrability_report
-from .errors import HermGeoError, WireFormatError
+from .errors import HermGeoError, ParameterError, WireFormatError
 from .sections import MetricSection, load_section, section_distance
+
+
+def _write(out, write) -> None:
+    """Call ``write`` on stdout, or, given an ``--out`` path, on a sibling
+    file that moves over the path only once it is complete, so an error
+    leaves the target as it was."""
+    if not out:
+        write(sys.stdout)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, lambda fh: fh.write(text))
 
 
 def _load_metric(path: str) -> MetricSection:
@@ -49,20 +63,7 @@ def cmd_distance(args) -> int:
 def cmd_geodesic(args) -> int:
     h1 = _load_metric(args.h1)
     h2 = _load_metric(args.h2)
-    if not args.out:
-        sections.write_geodesic_csv(h1, h2, args.steps, sys.stdout)
-        return 0
-    # stream into a sibling file and move it over --out only once the
-    # trace is complete, so an error leaves the target as it was
-    tmp = f"{args.out}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="")
-    try:
-        with fh:
-            sections.write_geodesic_csv(h1, h2, args.steps, fh)
-        os.replace(tmp, args.out)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    _write(args.out, lambda fh: sections.write_geodesic_csv(h1, h2, args.steps, fh))
     return 0
 
 
@@ -82,10 +83,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if args.name == "line-bundle" and args.alpha is not None:
+        raise ParameterError("example line-bundle takes no --alpha")
     mesh = disk.DiskMesh(args.nr, args.ntheta)
     # the psh test runs on log det = 2 log|z|^2 (raufi) or phi = log|z|^2
     if args.name == "raufi":
-        report, key, scale = disk.raufi_integrability(mesh, args.alpha), "psh_log_det", 2.0
+        alpha = 0.0 if args.alpha is None else args.alpha
+        report, key, scale = disk.raufi_integrability(mesh, alpha), "psh_log_det", 2.0
     else:
         report, key, scale = disk.line_bundle_norms(mesh), "psh_phi", 1.0
     u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2) * scale)
@@ -152,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["raufi", "line-bundle"])
     p.add_argument("--nr", type=int, default=400)
     p.add_argument("--ntheta", type=int, default=64)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=None, help="raufi only (default 0.0)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_example)
 

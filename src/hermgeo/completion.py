@@ -20,6 +20,7 @@ from .sections import (
     ScalarField,
     _relative_spectra,
     _segment_distances,
+    _weighted_sum,
     conformal_distance,
     conformal_scale,
     section_distance,
@@ -50,7 +51,7 @@ def l2_report(logs: np.ndarray, weights: np.ndarray, alphas) -> IntegrabilityRep
     log_det_sq = logs.sum(axis=-1) ** 2
 
     def l2(f):
-        return float(np.sqrt((weights * f).sum()))
+        return float(np.sqrt(_weighted_sum(weights, f)))
 
     return IntegrabilityReport(
         l2_log_lambda_min=l2(logs[:, 0] ** 2),
@@ -138,8 +139,8 @@ def _cat0_slacks(p: MetricSection, q: MetricSection, r: MetricSection,
     """The midpoint slack of each triangle (p, q, r), and its comparison
     slack at (s, t), one value each per triangle, when they are given.
 
-    The sections live on a mesh that concatenates the triangles' meshes
-    (``sections._concatenate``); ``segment`` gives each point's triangle.
+    The sections live on one mesh that holds the triangles' points, one
+    triangle after another; ``segment`` gives each point's triangle.
     Squares are taken by libm's pow, as Python floats square, so a
     triangle's slacks do not depend on the batch it is in.
     """

@@ -67,9 +67,13 @@ def hermitian(a) -> np.ndarray:
     r = a.shape[-1]
     if r < 1 or r > RANK_LIMIT:
         raise DimensionError(f"rank {r} outside supported range 1..{RANK_LIMIT}")
-    h = hermitian_part(_finite(a))
+    scale = np.maximum(1.0, np.abs(_finite(a)).max(axis=(-2, -1)))
+    reject(np.isinf(scale), NonFiniteError,
+           lambda k: "matrix has an entry whose modulus overflows")
+    # from 2**1023 on, the sum of two entries can overflow: add their halves
+    h = (hermitian_part(a) if np.all(scale < 2.0**1023)
+         else a / 2 + np.conj(a).swapaxes(-1, -2) / 2)
     skew = np.abs(a - h).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     reject(skew > ASYMMETRY_TOL * scale, NotHermitianError,
            lambda k: f"asymmetry {skew[k]:.3e} exceeds "
                      f"{ASYMMETRY_TOL:.0e} * scale {scale[k]:.3e}")

@@ -78,15 +78,21 @@ def random_orthonormal_pair(rng: np.random.Generator, h: np.ndarray,
     return _gram_schmidt_pair(h, u, v, alpha)
 
 
+def _mesh_fields(rng: np.random.Generator, rank: int, n_points: int,
+                 alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and alphas of a ``random_mesh``, unvalidated: the
+    weights are drawn first, then the alphas unless alpha is given."""
+    weights = rng.uniform(0.1, 2.0, n_points)
+    if alpha is None:
+        return weights, rng.uniform(-1.0 / rank + 1e-3, 1.0, n_points)
+    return weights, np.full(n_points, float(alpha))
+
+
 def random_mesh(rng: np.random.Generator, rank: int, n_points: int,
                 alpha: float | None = None) -> QuadratureMesh:
     """Mesh with positive random weights; constant alpha when given,
     otherwise per-point alphas admissible for the rank."""
-    weights = rng.uniform(0.1, 2.0, n_points)
-    if alpha is None:
-        alphas = rng.uniform(-1.0 / rank + 1e-3, 1.0, n_points)
-    else:
-        alphas = np.full(n_points, float(alpha))
+    weights, alphas = _mesh_fields(rng, rank, n_points, alpha)
     return QuadratureMesh(rank=rank, ids=np.arange(n_points),
                           weights=weights, alphas=alphas)
 

@@ -16,8 +16,10 @@ kernels on those stacks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -207,13 +209,26 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
+def _weighted_sum(*factors, segment=None):
+    """The sum over the mesh points of the product of ``factors`` (per-point
+    arrays or scalars, multiplied left to right), or one sum per segment
+    of a point ``segment`` array.  A sum that overflows raises
+    NonFiniteError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = functools.reduce(operator.mul, factors)
+        total = terms.sum() if segment is None else np.bincount(segment, weights=terms)
+    if not np.isfinite(total).all():
+        raise NonFiniteError("a weighted sum over the mesh overflows")
+    return total
+
+
 def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
     """Weighted sum of fiber inner products: the L2 metric at h."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
     inner = _inner(*_whiten(linalg._roots(h.values)[1], v.values, w.values),
                    mesh.alphas)
-    return float((mesh.weights * inner).sum())
+    return float(_weighted_sum(mesh.weights, inner))
 
 
 def _relative_spectra(h1: MetricSection, h2: MetricSection):
@@ -232,17 +247,7 @@ def _fiber_distances(h1: MetricSection, h2: MetricSection):
 def section_distance(h1: MetricSection, h2: MetricSection) -> float:
     """sqrt of the weighted sum of squared fiber distances."""
     mesh, d = _fiber_distances(h1, h2)
-    return float(np.sqrt((mesh.weights * d**2).sum()))
-
-
-def _concatenate(meshes) -> tuple[QuadratureMesh, np.ndarray]:
-    """One mesh holding the points of several meshes of a rank, one after
-    another, and each point's segment: the index of its mesh."""
-    sizes = [m.n_points for m in meshes]
-    mesh = QuadratureMesh(rank=meshes[0].rank, ids=np.arange(sum(sizes)),
-                          weights=np.concatenate([m.weights for m in meshes]),
-                          alphas=np.concatenate([m.alphas for m in meshes]))
-    return mesh, np.repeat(np.arange(len(sizes)), sizes)
+    return float(np.sqrt(_weighted_sum(mesh.weights, d**2)))
 
 
 def _segment_distances(h1: MetricSection, h2: MetricSection,
@@ -252,13 +257,13 @@ def _segment_distances(h1: MetricSection, h2: MetricSection,
     Each segment's sum runs in point order, as ``section_distance``'s
     does below 8 points, so short segments give its result exactly."""
     mesh, d = _fiber_distances(h1, h2)
-    return np.sqrt(np.bincount(segment, weights=mesh.weights * d**2))
+    return np.sqrt(_weighted_sum(mesh.weights, d**2, segment=segment))
 
 
 def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
     """Weighted *sum* of fiber distances (the L1-style lower-bound metric)."""
     mesh, d = _fiber_distances(h1, h2)
-    return float((mesh.weights * d).sum())
+    return float(_weighted_sum(mesh.weights, d))
 
 
 def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
@@ -284,8 +289,8 @@ def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField) -> floa
     mesh = _same_mesh(h, f)
     _same_mesh(h, g)
     r = mesh.rank
-    scale = mesh.weights * r * (1.0 + mesh.alphas * r)
-    return float(np.sqrt((scale * (f.values - g.values) ** 2).sum()))
+    return float(np.sqrt(_weighted_sum(mesh.weights, r, 1.0 + mesh.alphas * r,
+                                       (f.values - g.values) ** 2)))
 
 
 def gauge_apply(phi: GaugeTransform, section):

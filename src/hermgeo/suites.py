@@ -5,10 +5,10 @@ slack and a ``passed`` verdict; the CLI ``check`` subcommand and the
 acceptance tests both run exactly these functions, so a CI failure is
 self-describing down to the tolerance that tripped it.
 
-A suite first draws every sample, in seed order, and only then
-evaluates: it groups the samples by rank and evaluates each property in
-one stacked call per rank.  ``tests/test_suites.py`` keeps the
-per-sample loops as the reference these runs must reproduce.
+A suite first draws every sample in seed order, as its rank and plain
+arrays; then, per rank, it builds each stack, mesh and section once and
+evaluates each property in one stacked call.  ``tests/test_suites.py``
+keeps the per-sample loops as the reference these runs must reproduce.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ def _require_samples(samples: int) -> None:
 
 
 def _rank_groups(draws):
-    """Per-sample draws, dicts with the sample's rank under "r", grouped by
-    rank in ascending order: (r, {name: the group's values stacked})."""
-    for r in sorted({d["r"] for d in draws}):
-        group = [d for d in draws if d["r"] == r]
-        yield r, {k: np.array([d[k] for d in group]) for k in group[0]}
+    """Per-sample draws, (r, {name: value}) pairs, grouped by rank in
+    ascending order: (r, {name: the group's values, in seed order})."""
+    for r in sorted({r for r, _ in draws}):
+        group = [fields for s, fields in draws if s == r]
+        yield r, {name: [fields[name] for fields in group] for name in group[0]}
 
 
 def _fiber_invariants(rng, samples: int) -> dict:
@@ -52,7 +52,7 @@ def _fiber_invariants(rng, samples: int) -> dict:
     draws = []
     for _ in range(samples):
         r = int(rng.integers(2, 5))
-        d = {"r": r, "alpha": float(rng.uniform(-1.0 / r + 1e-3, 1.0))}
+        d = {"alpha": float(rng.uniform(-1.0 / r + 1e-3, 1.0))}
         # logs of h, p and q: exponentiated after the draws
         d["h"], d["v"], d["p"], d["q"] = sampling.random_hermitians(rng, r, 4)
         d["c"] = float(rng.uniform(0.1, 10.0))
@@ -63,10 +63,11 @@ def _fiber_invariants(rng, samples: int) -> dict:
         # sectional curvature
         d["v10"], d["u3"], d["v3"], d["w3"], d["uo"], d["vo"] = sampling.random_hermitians(
             rng, r, 6, [4.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        draws.append(d)
+        draws.append((r, d))
 
     found = []
     for r, g in _rank_groups(draws):
+        g = {name: np.array(values) for name, values in g.items()}
         alpha = g["alpha"]
         h, p, q = (linalg.expm_hermitian(g[name]) for name in ("h", "p", "q"))
         v = g["v"]
@@ -127,8 +128,8 @@ def _fiber_invariants(rng, samples: int) -> dict:
 
 
 def _section_invariants(rng, samples: int) -> dict:
-    """Gauge invariance, theta bound and conformal identity over random
-    meshes, one mesh at a time."""
+    """Gauge invariance, theta bound and conformal identity, one sample at
+    a time, on one random mesh (with varying alpha) per sample."""
     worst_gauge = 0.0
     worst_theta = np.inf
     worst_conformal = 0.0
@@ -152,14 +153,11 @@ def _section_invariants(rng, samples: int) -> dict:
         worst_theta = min(worst_theta,
                           d0 - sections.theta_metric(h, h2) / np.sqrt(mesh.volume))
 
-        cmesh = sampling.random_mesh(rng, r, int(rng.integers(1, 8)),
-                                     alpha=float(rng.uniform(-1.0 / r + 1e-3, 1.0)))
-        ch = sampling.random_metric_section(rng, cmesh)
-        f = sampling.random_scalar_field(rng, cmesh)
-        g2 = sampling.random_scalar_field(rng, cmesh)
-        direct = sections.section_distance(sections.conformal_scale(ch, f),
-                                           sections.conformal_scale(ch, g2))
-        formula = sections.conformal_distance(ch, f, g2)
+        f = sampling.random_scalar_field(rng, mesh)
+        g2 = sampling.random_scalar_field(rng, mesh)
+        direct = sections.section_distance(sections.conformal_scale(h, f),
+                                           sections.conformal_scale(h, g2))
+        formula = sections.conformal_distance(h, f, g2)
         worst_conformal = max(worst_conformal,
                               abs(direct - formula) / max(formula, 1e-12))
     return {
@@ -204,16 +202,18 @@ def _diagonal(logs: np.ndarray) -> np.ndarray:
 def _triangle_slacks(draws, values):
     """Yield ``_cat0_slacks`` of the drawn triangles, one call per rank.
 
-    A draw holds a triangle's mesh, the three vertices' stacks, from
-    which ``values`` makes the matrices, and optionally its ``st``; the
-    triangles of a rank share a mesh that concatenates theirs."""
-    for rank in sorted({d["mesh"].rank for d in draws}):
-        group = [d for d in draws if d["mesh"].rank == rank]
-        mesh, segment = sections._concatenate([d["mesh"] for d in group])
-        p, q, r = (sections.MetricSection(
-            mesh, values(np.concatenate([d["vertices"][i] for d in group])))
-            for i in range(3))
-        st = np.array([d["st"] for d in group]).T if "st" in group[0] else ()
+    A draw is a triangle's rank and fields: its mesh's weights and
+    alphas, its three vertices' stacks, from which ``values`` makes the
+    matrices, and optionally its ``st``.  The triangles of a rank share
+    one mesh that holds their points one triangle after another."""
+    for rank, g in _rank_groups(draws):
+        segment = np.repeat(np.arange(len(g["weights"])), [len(w) for w in g["weights"]])
+        mesh = sections.QuadratureMesh(rank=rank, ids=np.arange(segment.size),
+                                       weights=np.concatenate(g["weights"]),
+                                       alphas=np.concatenate(g["alphas"]))
+        p, q, r = (sections.MetricSection(mesh, values(v))
+                   for v in np.concatenate(g["vertices"], axis=1))
+        st = np.array(g["st"]).T if "st" in g else ()
         yield _cat0_slacks(p, q, r, segment, *st)
 
 
@@ -226,18 +226,20 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
     for _ in range(samples):
         r = 2 if rng.uniform() < 0.5 else 3
         alpha = float(rng.choice([0.0, 1.0]))
-        mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 5)), alpha=alpha)
+        weights, alphas = sampling._mesh_fields(rng, r, int(rng.integers(1, 5)), alpha)
         # the logs of p, q and r, one vertex after another
-        logs = sampling.random_hermitians(rng, r, 3 * mesh.n_points)
-        draws.append({"mesh": mesh, "vertices": logs.reshape(3, -1, r, r),
-                      "st": rng.uniform(0.0, 1.0, 2)})
+        logs = sampling.random_hermitians(rng, r, 3 * len(weights))
+        draws.append((r, {"weights": weights, "alphas": alphas,
+                          "vertices": logs.reshape(3, -1, r, r),
+                          "st": rng.uniform(0.0, 1.0, 2)}))
     flat = []
     for _ in range(max(1, samples // 10)):
         r = int(rng.integers(2, 4))
-        mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 4)),
-                                    alpha=float(rng.uniform(-1.0 / r + 1e-3, 1.0)))
+        weights, alphas = sampling._mesh_fields(rng, r, int(rng.integers(1, 4)),
+                                                float(rng.uniform(-1.0 / r + 1e-3, 1.0)))
         # log-eigenvalues of three commuting diagonal vertices
-        flat.append({"mesh": mesh, "vertices": rng.uniform(-1, 1, (3, mesh.n_points, r))})
+        flat.append((r, {"weights": weights, "alphas": alphas,
+                         "vertices": rng.uniform(-1, 1, (3, len(weights), r))}))
 
     slacks = [x for pair in _triangle_slacks(draws, linalg.expm_hermitian) for x in pair]
     flat_slacks = [midpoint for midpoint, _ in _triangle_slacks(flat, _diagonal)]
@@ -282,9 +284,10 @@ def run_appendix(seed: int = 3, samples: int = 100) -> dict:
         r = int(rng.integers(2, 4))
         # the log of h, exponentiated after the draws, then v
         h, v = sampling.random_hermitians(rng, r, 2, [0.8, 3.0 / np.sqrt(r)])
-        draws.append({"r": r, "h": h, "v": v})
+        draws.append((r, {"h": h, "v": v}))
     min_sv = min(fiber.exp_differential_min_singular(
-        linalg.expm_hermitian(g["h"]), g["v"]).min() for _, g in _rank_groups(draws))
+        linalg.expm_hermitian(g["h"]), np.array(g["v"])).min()
+        for _, g in _rank_groups(draws))
     at_zero = fiber.exp_differential_min_singular(np.eye(2), np.zeros((2, 2)))
     rep = {
         "suite": "appendix", "seed": seed, "samples": samples,

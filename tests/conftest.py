@@ -3,12 +3,13 @@ import collections
 import numpy as np
 import pytest
 
-from hermgeo import linalg
+from hermgeo import linalg, sections
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves and the linalg validators while a test runs."""
+    """Count eigensolves, the linalg validators and mesh constructions
+    while a test runs."""
     seen = collections.Counter()
 
     def counted(key, fn):
@@ -21,4 +22,6 @@ def counts(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
     for name in ("hermitian", "posdef"):
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    monkeypatch.setattr(sections.QuadratureMesh, "__post_init__",
+                        counted("mesh", sections.QuadratureMesh.__post_init__))
     return seen

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from hermgeo import linalg, sampling, sections
+from hermgeo import cli, linalg, sampling, sections
 from hermgeo.cli import main
 from hermgeo.sections import GaugeTransform, MetricSection, QuadratureMesh, save_section
 
@@ -263,10 +264,11 @@ MALFORMED_SECTIONS = {
 
 
 def assert_input_error(capsys, argv):
-    """The CLI exits 2 with one error line and no traceback."""
+    """The CLI exits 2 with one error line and no traceback; the line."""
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
@@ -298,6 +300,19 @@ def test_curvature_input_errors_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["curvature", str(tmp_path / "bad.json"), *args[1:]])
     write_matrix(tmp_path / "h.json", [[np.inf, 0], [0, 1]])
     assert_input_error(capsys, ["curvature", *args])
+    # Hermitian, so not refused for asymmetry: at this h the second
+    # vector's norm is about 1e-308
+    write_matrix(tmp_path / "h.json", np.diag([1e308, 1.0]))
+    assert "asymmetry" not in assert_input_error(capsys, ["curvature", *args])
+
+
+@pytest.mark.parametrize("command", ["distance", "integrability"])
+def test_overflowing_section_sums_exit_2(tmp_path, capsys, command):
+    mesh = QuadratureMesh(rank=1, ids=[0, 1], weights=[1e308, 1e308], alphas=[0.0, 0.0])
+    paths = [str(tmp_path / f"h{k}.json") for k in range(2)]
+    for path, h in zip(paths, (1.0, 10.0)):
+        save_section(MetricSection(mesh, np.full((2, 1, 1), h, dtype=complex)), path)
+    assert "overflows" in assert_input_error(capsys, [command, *paths])
 
 
 def test_disk_example_alpha_errors_exit_2(capsys):
@@ -306,6 +321,31 @@ def test_disk_example_alpha_errors_exit_2(capsys):
                                 "--alpha", "-0.5"])
     assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
                                 "--alpha", "-1"])
+    # the line-bundle report has no alpha, so the option would do nothing
+    for alpha in ("5", "0"):
+        assert "no --alpha" in assert_input_error(
+            capsys, ["example", "line-bundle", "--alpha", alpha])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cat0", "--samples", "2"],
+    ["example", "line-bundle", "--nr", "80", "--ntheta", "32"],
+    ["completion-demo", "--nr", "16", "--ntheta", "8", "--levels", "2"],
+])
+def test_out_moves_a_complete_file_over_the_target(tmp_path, monkeypatch, argv):
+    out = tmp_path / "report.json"
+    out.write_text("old")
+    moves = []
+
+    def replace(src, dst, real=os.replace):
+        with open(src) as fh:
+            moves.append((fh.read(), dst))
+        real(src, dst)
+    monkeypatch.setattr(cli.os, "replace", replace)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert moves == [(out.read_text(), str(out))]
+    assert json.loads(out.read_text())
+    assert sorted(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("suite,samples", [

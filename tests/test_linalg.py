@@ -23,6 +23,18 @@ def test_hermitian_validation():
         linalg.hermitian(np.eye(65))
 
 
+def test_hermitian_entries_near_the_float_limit():
+    # each diagonal entry is halved before the two halves are added
+    big = np.diag([1e308, 1.0]) + 0j
+    assert np.array_equal(linalg.hermitian(big), big)
+    with pytest.raises(NotHermitianError, match="asymmetry 1.000e"):
+        linalg.hermitian([[1e308, 1e308], [-1e308, 1.0]])
+    # an entry whose modulus overflows leaves no finite matrix to check
+    z = 1.5e308 + 1.5e308j
+    with pytest.raises(NonFiniteError, match="modulus overflows"):
+        linalg.hermitian([[1.0, z], [np.conj(z), 1.0]])
+
+
 def test_posdef_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         linalg.posdef(np.diag([1.0, -1.0]))

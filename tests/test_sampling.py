@@ -91,6 +91,17 @@ def test_zero_hermitian_part_stays_zero_and_skips_its_uniform():
     assert stub.uniforms == [0.5]
 
 
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.4])
+@pytest.mark.parametrize("r", [1, 3])
+def test_mesh_fields_follow_the_random_mesh_stream(r, alpha):
+    rng, ref = sampling.make_rng(50 + r), sampling.make_rng(50 + r)
+    weights, alphas = sampling._mesh_fields(rng, r, 6, alpha)
+    mesh = sampling.random_mesh(ref, r, 6, alpha)
+    assert weights.tolist() == mesh.weights.tolist()
+    assert alphas.tolist() == mesh.alphas.tolist()
+    assert rng.uniform() == ref.uniform()
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_random_gauge_matches_per_point_reference(r):
     mesh = QuadratureMesh(rank=r, ids=np.arange(6), weights=np.ones(6),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hermgeo import sampling, sections
-from hermgeo.errors import HermGeoError, MeshMismatchError, ParameterError
+from hermgeo.completion import integrability_report
+from hermgeo.errors import HermGeoError, MeshMismatchError, NonFiniteError, ParameterError
 from hermgeo.sections import (
     MetricSection,
     QuadratureMesh,
@@ -171,6 +172,21 @@ def test_conformal_distance_on_varying_alpha_mesh():
             direct = section_distance(conformal_scale(h, f), conformal_scale(h, g))
             formula = conformal_distance(h, f, g)
             assert abs(direct - formula) <= 1e-12 * formula
+
+
+def test_overflowing_weighted_sums_raise():
+    # each term, weight 1e308 times a value above 2, overflows
+    mesh = unit_mesh(alpha=0.5, weights=(1e308, 1e308))
+    h1 = MetricSection(mesh, np.stack([np.eye(2)] * 2))
+    h2 = MetricSection(mesh, 10.0 * h1.values)
+    v = TangentSection(mesh, h1.values)
+    f, g = ScalarField(mesh, [0.0, 1.0]), ScalarField(mesh, [2.0, -1.0])
+    for call in (lambda: l2_inner(h1, v, v), lambda: section_distance(h1, h2),
+                 lambda: sections._segment_distances(h1, h2, np.array([0, 1])),
+                 lambda: theta_metric(h1, h2), lambda: conformal_distance(h1, f, g),
+                 lambda: integrability_report(h2, h1)):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            call()
 
 
 def test_gauge_examples():

@@ -189,10 +189,11 @@ def test_sample_count_must_be_positive(suite, samples):
         suites.SUITES[suite](seed=1, samples=samples)
 
 
-def _eig_count(counts, fn, *args):
+def _cost(counts, fn, *args):
+    """Eigensolves and mesh constructions of one call."""
     counts.clear()
     fn(*args)
-    return counts["eig"]
+    return counts["eig"], counts["mesh"]
 
 
 def test_suite_cost_model(counts):
@@ -202,27 +203,36 @@ def test_suite_cost_model(counts):
     # cat0, per rank: random triangles 3 vertices x (exp + validation),
     # 5 distances x 2 and 3 geodesic points x 4 (roots, log, exp,
     # validation) make 28; flat ones 3 validations, 4 distances and the
-    # midpoint make 15
-    cat0 = [_eig_count(counts, suites.run_cat0, 7, n) for n in (40, 240)]
-    assert cat0 == [2 * (28 + 15)] * 2
+    # midpoint make 15.  Each rank's random and flat triangles share one
+    # mesh each: 4 meshes
+    cat0 = [_cost(counts, suites.run_cat0, 7, n) for n in (40, 240)]
+    assert cat0 == [(2 * (28 + 15), 4)] * 2
     # appendix, per rank: exp of h, its validation and roots, and the two
     # geodesic ends of the central differences; then 4 at v = 0
-    appendix = [_eig_count(counts, suites.run_appendix, 3, n) for n in (40, 240)]
-    assert appendix == [2 * 5 + 4] * 2
+    appendix = [_cost(counts, suites.run_appendix, 3, n) for n in (40, 240)]
+    assert appendix == [(2 * 5 + 4, 0)] * 2
     # ranks 2-4, each in one stacked evaluation
-    fiber_block = [_eig_count(counts, suites._fiber_invariants, sampling.make_rng(42), n)
+    fiber_block = [_cost(counts, suites._fiber_invariants, sampling.make_rng(42), n)
                    for n in (30, 60, 240)]
     assert fiber_block[0] == fiber_block[1] == fiber_block[2]
+    # the section block runs max(10, samples // 5) iterations of one mesh
+    section_block = [_cost(counts, suites._section_invariants, sampling.make_rng(42), n)[1]
+                     for n in (30, 60, 240)]
+    assert section_block == [10, 12, 48]
 
 
 def _triangles(rng, sizes, rank=2):
-    """Random triangles on meshes of the given sizes, and their concatenation."""
+    """Random triangles on meshes of the given sizes, the same triangles on
+    one mesh that holds their points one triangle after another, and each
+    point's triangle."""
     meshes = [sampling.random_mesh(rng, rank, n) for n in sizes]
     vertices = [[sampling.random_metric_section(rng, m) for _ in range(3)] for m in meshes]
-    mesh, segment = sections._concatenate(meshes)
+    mesh = QuadratureMesh(rank=rank, ids=np.arange(sum(sizes)),
+                          weights=np.concatenate([m.weights for m in meshes]),
+                          alphas=np.concatenate([m.alphas for m in meshes]))
     joined = [MetricSection(mesh, np.concatenate([v[i].values for v in vertices]))
               for i in range(3)]
-    return vertices, joined, segment
+    return vertices, joined, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def test_cat0_kernel_matches_one_triangle_wrappers():
@@ -270,13 +280,3 @@ def test_geodesic_takes_one_t_per_matrix():
     assert np.array_equal(got, np.stack(want))
     assert np.array_equal(got[2], g.start[2])
     assert fiber.geodesic_eval(g, np.zeros(5)) is g.start
-
-
-def test_concatenated_mesh_keeps_weights_and_alphas():
-    meshes = [QuadratureMesh(rank=2, ids=[3, 1], weights=[0.5, 1.5], alphas=[0.1, 0.2]),
-              QuadratureMesh(rank=2, ids=[0], weights=[2.0], alphas=[-0.3])]
-    mesh, segment = sections._concatenate(meshes)
-    assert mesh.ids.tolist() == [0, 1, 2]
-    assert mesh.weights.tolist() == [1.5, 0.5, 2.0]
-    assert mesh.alphas.tolist() == [0.2, 0.1, -0.3]
-    assert segment.tolist() == [0, 0, 1]
