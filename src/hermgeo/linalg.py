@@ -70,9 +70,10 @@ def hermitian(a) -> np.ndarray:
     scale = np.maximum(1.0, np.abs(_finite(a)).max(axis=(-2, -1)))
     reject(np.isinf(scale), NonFiniteError,
            lambda k: "matrix has an entry whose modulus overflows")
-    # from 2**1023 on, the sum of two entries can overflow: add their halves
-    h = (hermitian_part(a) if np.all(scale < 2.0**1023)
-         else a / 2 + np.conj(a).swapaxes(-1, -2) / 2)
+    # the sum of two entries can overflow, the sum of their halves cannot;
+    # halving is exact, so this equals (A + A^dagger)/2 bar subnormals
+    half = a / 2
+    h = half + np.conj(half).swapaxes(-1, -2)
     skew = np.abs(a - h).max(axis=(-2, -1))
     reject(skew > ASYMMETRY_TOL * scale, NotHermitianError,
            lambda k: f"asymmetry {skew[k]:.3e} exceeds "
