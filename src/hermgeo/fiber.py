@@ -13,13 +13,14 @@ so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix, and validates arguments once,
 then calls an unvalidated kernel (``_distance``, ``_log``, ``_geodesic``);
 section ops call those kernels directly on the stacks their constructors
-validated.
+validated.  A base point is checked Hermitian; the one eigendecomposition
+that gives its roots decides that it is positive definite.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +69,8 @@ def _inner(vw: np.ndarray, ww: np.ndarray, alpha) -> np.ndarray:
 
 def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
-    h = linalg.posdef(h)
-    v = linalg.hermitian(v)
-    w = linalg.hermitian(w)
-    r = linalg.same_rank(h, v, w)
-    alpha = check_alpha(alpha, r)
+    h, v, w = (linalg.hermitian(x) for x in (h, v, w))
+    alpha = check_alpha(alpha, linalg.same_rank(h, v, w))
     return _inner(*_whiten(linalg._roots(h)[1], v, w), alpha)
 
 
@@ -81,9 +79,7 @@ def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Independent of alpha: one spray serves the whole metric family.
     """
-    h = linalg.posdef(h)
-    v = linalg.hermitian(v)
-    w = linalg.hermitian(w)
+    h, v, w = (linalg.hermitian(x) for x in (h, v, w))
     linalg.same_rank(h, v, w)
     hsi = linalg._roots(h)[1]
     return linalg.hermitian_part(v @ hsi @ hsi @ w)
@@ -97,8 +93,7 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     mapping back through v -> h^{-1} v gives the Hermitian result
     -h^{1/2} [[U', V'], W'] h^{1/2} / 4 in whitened coordinates.
     """
-    h = linalg.posdef(h)
-    u, v, w = (linalg.hermitian(x) for x in (u, v, w))
+    h, u, v, w = (linalg.hermitian(x) for x in (h, u, v, w))
     linalg.same_rank(h, u, v, w)
     hs, hsi = linalg._roots(h)
     up, vp, wp = _whiten(hsi, u, v, w)
@@ -108,13 +103,15 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def _gram_schmidt_pair(h, u, v, alpha):
-    """Orthonormalize (u, v) for the inner product at h."""
-    nu = np.sqrt(alpha_inner(h, u, u, alpha))
+    """Orthonormalize (u, v), Hermitian, for the inner product at the
+    Hermitian h; the roots of h decide that it is positive definite."""
+    hsi = linalg._roots(h)[1]
+    nu = np.sqrt(_inner(*_whiten(hsi, u, u), alpha))
     reject(nu < 1e-14, DegeneratePlaneError,
            lambda k: "first vector has vanishing norm")
     u = u / nu[..., None, None]
-    v = v - alpha_inner(h, u, v, alpha)[..., None, None] * u
-    nv = np.sqrt(alpha_inner(h, v, v, alpha))
+    v = v - _inner(*_whiten(hsi, u, v), alpha)[..., None, None] * u
+    nv = np.sqrt(_inner(*_whiten(hsi, v, v), alpha))
     reject(nv < 1e-12, DegeneratePlaneError,
            lambda k: "vectors are linearly dependent")
     return u, v / nv[..., None, None]
@@ -129,11 +126,8 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     Pairs that fail the orthonormality check (tolerance 1e-8) are
     re-orthonormalized by Gram-Schmidt and a warning is issued.
     """
-    h = linalg.posdef(h)
-    u = linalg.hermitian(u)
-    v = linalg.hermitian(v)
-    r = linalg.same_rank(h, u, v)
-    alpha = check_alpha(alpha, r)
+    h, u, v = (linalg.hermitian(x) for x in (h, u, v))
+    alpha = check_alpha(alpha, linalg.same_rank(h, u, v))
     hsi = linalg._roots(h)[1]
     up, vp = _whiten(hsi, u, v)
     dev = np.max([abs(_inner(up, up, alpha) - 1.0),
@@ -151,28 +145,30 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
 
 @dataclass(frozen=True)
 class FiberGeodesic:
-    """Geodesic t -> H^{1/2} exp(t H^{-1/2} A H^{-1/2}) H^{1/2}."""
+    """Geodesic t -> H^{1/2} exp(t H^{-1/2} A H^{-1/2}) H^{1/2}; ``roots``
+    is (H^{1/2}, H^{-1/2}), factored once at construction."""
 
     start: np.ndarray
     velocity: np.ndarray
+    roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", linalg.posdef(self.start))
+        object.__setattr__(self, "start", linalg.hermitian(self.start))
         object.__setattr__(self, "velocity", linalg.hermitian(self.velocity))
         linalg.same_rank(self.start, self.velocity)
+        object.__setattr__(self, "roots", linalg._roots(self.start))
 
     def __call__(self, t) -> np.ndarray:
         return geodesic_eval(self, t)
 
 
-def _geodesic(h: np.ndarray, a: np.ndarray, t, roots=None) -> np.ndarray:
-    """The geodesic point at t, a scalar or one value per matrix; ``roots``
-    is (h^{1/2}, h^{-1/2}) when the caller has already factored h.
-    Where t is 0 the point is h itself."""
+def _geodesic(h: np.ndarray, a: np.ndarray, t, roots) -> np.ndarray:
+    """The geodesic point at t, a scalar or one value per matrix, with
+    roots = (h^{1/2}, h^{-1/2}).  Where t is 0 the point is h itself."""
     t = np.asarray(t, dtype=float)[..., None, None]
     if not t.any():
         return h
-    hs, hsi = linalg._roots(h) if roots is None else roots
+    hs, hsi = roots
     s = linalg.hermitian_part(hsi @ a @ hsi)
     g = linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
     return g if t.all() else np.where(t == 0.0, h, g)
@@ -181,7 +177,7 @@ def _geodesic(h: np.ndarray, a: np.ndarray, t, roots=None) -> np.ndarray:
 def geodesic_eval(g: FiberGeodesic, t) -> np.ndarray:
     """Evaluate the geodesic with start H and initial velocity A at time t,
     a scalar or one value per matrix of a stack."""
-    return _geodesic(g.start, g.velocity, t)
+    return _geodesic(g.start, g.velocity, t, g.roots)
 
 
 def fiber_distance(p: np.ndarray, q: np.ndarray, alpha):
@@ -204,10 +200,11 @@ def _distance(lam: np.ndarray, alpha) -> np.ndarray:
 def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The unique Hermitian A with geodesic_eval({p, A}, 1) = q.
 
-    Realized as p^{1/2} log(p^{-1/2} q p^{-1/2}) p^{1/2}.
+    Realized as p^{1/2} log(p^{-1/2} q p^{-1/2}) p^{1/2}; the roots decide
+    that p is positive definite, the logarithm that q is.
     """
-    p = linalg.posdef(p)
-    q = linalg.posdef(q)
+    p = linalg.hermitian(p)
+    q = linalg.hermitian(q)
     linalg.same_rank(p, q)
     return _log(linalg._roots(p), q)
 
@@ -264,7 +261,7 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray):
     system of the real r^2-dimensional space of Hermitian matrices; a
     strictly positive result certifies local invertibility at v.
     """
-    h = linalg.posdef(h)
+    h = linalg.hermitian(h)
     v = linalg.hermitian(v)
     basis = hermitian_basis(linalg.same_rank(h, v))
     steps, h, v = EXP_FD_STEP * basis, h[..., None, :, :], v[..., None, :, :]

@@ -82,7 +82,8 @@ def hermitian(a) -> np.ndarray:
 
 
 def posdef(a) -> np.ndarray:
-    """Validate positive-definite Hermitian matrices (symmetrized copy)."""
+    """Validate positive-definite Hermitian matrices (symmetrized copy)
+    that no eigendecomposition follows, which would decide positivity."""
     h = hermitian(a)
     _positive(np.linalg.eigvalsh(h))
     return h
@@ -120,8 +121,8 @@ def _recompose(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
 
 
 def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p^{1/2}, p^{-1/2}) from one eigendecomposition; near condition
-    1e16 eigh can see a nonpositive eigenvalue that posdef's eigvalsh did not."""
+    """(p^{1/2}, p^{-1/2}) from one eigendecomposition, which also decides
+    that p is positive definite."""
     w, u = _eigh(p)
     _positive(w)
     s = np.sqrt(w)
@@ -157,12 +158,12 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-definite Hermitian matrix."""
-    return _roots(posdef(p))[0]
+    return _roots(hermitian(p))[0]
 
 
 def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive-definite matrix."""
-    return _roots(posdef(p))[1]
+    return _roots(hermitian(p))[1]
 
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
@@ -172,17 +173,18 @@ def expm_hermitian(a: np.ndarray) -> np.ndarray:
 
 def logm_posdef(p: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive-definite Hermitian matrix."""
-    return _logm(posdef(p))
+    return _logm(hermitian(p))
 
 
 def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Eigenvalues of p^{-1} q, ascending and all positive.
 
     Computed through the symmetrized product p^{-1/2} q p^{-1/2}, which
-    has the same spectrum and stays Hermitian under roundoff.
+    has the same spectrum and stays Hermitian under roundoff.  The roots
+    decide that p is positive definite, the spectrum that q is.
     """
-    p = posdef(p)
-    q = posdef(q)
+    p = hermitian(p)
+    q = hermitian(q)
     same_rank(p, q)
     return _relative_spectrum(p, q)
 

@@ -136,77 +136,75 @@ def _same_mesh(a, b):
     return a.mesh
 
 
-def _check_values(mesh: QuadratureMesh, values, validator) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    expected = (mesh.n_points, mesh.rank, mesh.rank)
-    if values.shape != expected:
-        raise DimensionError(f"values shape {values.shape} != {expected}")
-    with _at_points(mesh.ids):
-        values = validator(values)
-    values.flags.writeable = False
-    return values
-
-
-@dataclass(frozen=True)
-class MetricSection:
-    """One positive-definite matrix per mesh point."""
-
-    mesh: QuadratureMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_values(self.mesh, self.values, linalg.posdef))
-
-
-@dataclass(frozen=True)
-class TangentSection:
-    """One Hermitian matrix per mesh point."""
-
-    mesh: QuadratureMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_values(self.mesh, self.values, linalg.hermitian))
-
-
 def _check_gauge(m: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(linalg._finite(m), compute_uv=False)
     cond = s[..., 0] / np.maximum(s[..., -1], 1e-300)
     reject((s[..., -1] <= 0) | (cond > GAUGE_COND_LIMIT), IllConditionedError,
            lambda k: f"gauge matrix condition {cond[k]:.3e} exceeds "
                      f"{GAUGE_COND_LIMIT:.0e}")
-    return m.copy()
+    return m
+
+
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    reject(~np.isfinite(x), NonFiniteError, lambda k: "scalar field has a non-finite value")
+    return x
 
 
 @dataclass(frozen=True)
-class GaugeTransform:
+class _MeshValues:
+    """Values at the points of a mesh, validated once, at construction.
+
+    A kind names its wire ``key`` (a scalar field has none), whether each
+    value is an r x r complex matrix or one real number, and
+    ``_validate``; one that calls into linalg looks the validator up
+    there at each call.  The constructor checks the shape, validates
+    under the point ids and stores a fresh read-only array."""
+
+    mesh: QuadratureMesh
+    values: np.ndarray
+    matrix = True
+
+    def __post_init__(self):
+        mesh = self.mesh
+        values = np.asarray(self.values, dtype=np.complex128 if self.matrix else float)
+        expected = (mesh.n_points, mesh.rank, mesh.rank)[:3 if self.matrix else 1]
+        if values.shape != expected:
+            raise DimensionError(f"values shape {values.shape} != {expected}")
+        with _at_points(mesh.ids):
+            checked = self._validate(values)
+        # a validator that returns its input would keep the caller's array
+        if np.may_share_memory(checked, values):
+            checked = checked.copy()
+        checked.flags.writeable = False
+        object.__setattr__(self, "values", checked)
+
+
+class MetricSection(_MeshValues):
+    """One positive-definite matrix per mesh point."""
+
+    key = "h"
+    _validate = staticmethod(lambda values: linalg.posdef(values))
+
+
+class TangentSection(_MeshValues):
+    """One Hermitian matrix per mesh point."""
+
+    key = "v"
+    _validate = staticmethod(lambda values: linalg.hermitian(values))
+
+
+class GaugeTransform(_MeshValues):
     """One invertible matrix per mesh point; acts by congruence."""
 
-    mesh: QuadratureMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_values(self.mesh, self.values, _check_gauge))
+    key = "phi"
+    _validate = staticmethod(_check_gauge)
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_MeshValues):
     """One real value per mesh point (conformal exponents and the like)."""
 
-    mesh: QuadratureMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.mesh.n_points,):
-            raise DimensionError(
-                f"values shape {values.shape} != ({self.mesh.n_points},)")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("scalar field has non-finite values")
-        object.__setattr__(self, "values", values)
+    matrix = False
+    _validate = staticmethod(_check_finite)
 
 
 def _weighted_sum(*factors, segment=None):
@@ -321,12 +319,12 @@ def flat_distance(h0: MetricSection, h1: MetricSection, h2: MetricSection) -> fl
 
 # --- serialization -------------------------------------------------------
 
-_SECTION_KEYS = {MetricSection: "h", TangentSection: "v", GaugeTransform: "phi"}
+_WIRE_KINDS = (MetricSection, TangentSection, GaugeTransform)
 
 
 def section_to_json(section) -> dict:
     """Section wire format: rank plus per-point weight/alpha/matrix."""
-    key = _SECTION_KEYS[type(section)]
+    key = section.key
     mesh = section.mesh
     mats = linalg.matrix_to_json(section.values)
     return {"rank": mesh.rank, "points": [
@@ -360,9 +358,9 @@ def section_from_json(obj: dict):
     be JSON integers, and weights, alphas and matrix entries numbers."""
     try:
         rank, pts = obj["rank"], obj["points"]
-        key = next(k for k in ("h", "v", "phi") if k in pts[0])
+        kind = next(c for c in _WIRE_KINDS if c.key in pts[0])
         ids = [p["id"] for p in pts]
-        mats = [p[key] for p in pts]
+        mats = [p[kind.key] for p in pts]
         fields = {"weight": [p["weight"] for p in pts], "alpha": [p["alpha"] for p in pts],
                   "re": [m["re"] for m in mats], "im": [m["im"] for m in mats]}
     except (LookupError, StopIteration, TypeError) as exc:
@@ -382,8 +380,7 @@ def section_from_json(obj: dict):
         raise DimensionError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
     mesh = QuadratureMesh(rank=rank, ids=ids, weights=stacks["weight"],
                           alphas=stacks["alpha"])
-    cls = {v: k for k, v in _SECTION_KEYS.items()}[key]
-    return cls(mesh, (re + 1j * im)[np.argsort(ids)])
+    return kind(mesh, (re + 1j * im)[np.argsort(ids)])
 
 
 def read_json(path: str):

@@ -207,10 +207,11 @@ def test_suite_cost_model(counts):
     # mesh each: 4 meshes
     cat0 = [_cost(counts, suites.run_cat0, 7, n) for n in (40, 240)]
     assert cat0 == [(2 * (28 + 15), 4)] * 2
-    # appendix, per rank: exp of h, its validation and roots, and the two
-    # geodesic ends of the central differences; then 4 at v = 0
+    # appendix, per rank: exp of h, its roots, which also decide its
+    # positivity, and the two geodesic ends of the central differences;
+    # then 3 at v = 0
     appendix = [_cost(counts, suites.run_appendix, 3, n) for n in (40, 240)]
-    assert appendix == [(2 * 5 + 4, 0)] * 2
+    assert appendix == [(2 * 4 + 3, 0)] * 2
     # ranks 2-4, each in one stacked evaluation
     fiber_block = [_cost(counts, suites._fiber_invariants, sampling.make_rng(42), n)
                    for n in (30, 60, 240)]

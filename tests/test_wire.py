@@ -160,7 +160,7 @@ def test_stacked_parse_matches_the_per_point_reference(cls, rank, n):
     obj = json.loads(json.dumps(sections.section_to_json(section)))
     # integers are JSON numbers too
     obj["points"][0]["weight"] = 2
-    obj["points"][0][sections._SECTION_KEYS[cls]]["im"][0][0] = 0
+    obj["points"][0][cls.key]["im"][0][0] = 0
     got, want = sections.section_from_json(obj), reference_section_from_json(obj)
     assert type(got) is type(want) is cls
     assert np.array_equal(got.values, want.values)
