@@ -164,6 +164,11 @@ class _MeshValues:
     values: np.ndarray
     matrix = True
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each kind holds the constructor itself: bench/tracer.py times it per kind
+        cls.__post_init__ = _MeshValues.__post_init__
+
     def __post_init__(self):
         mesh = self.mesh
         values = np.asarray(self.values, dtype=np.complex128 if self.matrix else float)
