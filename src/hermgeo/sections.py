@@ -152,20 +152,17 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MeshValues:
-    """Values at the points of a mesh, validated once, at construction.
-
-    A kind names its wire ``key`` (a scalar field has none), whether each
-    value is an r x r complex matrix or one real number, and
-    ``_validate``; one that calls into linalg looks the validator up
-    there at each call.  The constructor checks the shape, validates
-    under the point ids and stores a fresh read-only array."""
+    """Values at the points of a mesh, validated once, at construction:
+    the shape, then the kind's ``_validate`` under the point ids (a linalg
+    validator is looked up at each call); a fresh read-only array is kept.
+    A kind names its wire ``key`` (a scalar field has none) and whether
+    its values are r x r complex matrices or real numbers."""
 
     mesh: QuadratureMesh
     values: np.ndarray
     matrix = True
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         # each kind holds the constructor itself: bench/tracer.py times it per kind
         cls.__post_init__ = _MeshValues.__post_init__
 
