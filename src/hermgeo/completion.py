@@ -80,8 +80,8 @@ def refinement_trend(norms, levels) -> float:
     levels = np.asarray(levels, dtype=float)
     if norms.size != levels.size or norms.size < 2:
         raise ParameterError("need matching norms/levels with at least 2 entries")
-    if np.any(norms <= 0) or np.any(levels <= 0):
-        raise ParameterError("norms and levels must be positive")
+    if not np.all(np.isfinite(norms) & np.isfinite(levels) & (norms > 0) & (levels > 0)):
+        raise ParameterError("norms and levels must be positive and finite")
     slope = np.polyfit(np.log(levels), np.log(norms), 1)[0]
     return float(slope)
 

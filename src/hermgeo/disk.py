@@ -17,7 +17,8 @@ import numpy as np
 from .completion import CauchyReport, cauchy_experiment, l2_report
 from .errors import DimensionError, NonFiniteError, ParameterError
 from .fiber import check_alpha
-from .sections import MetricSection, QuadratureMesh, ScalarField, _relative_spectra
+from .sections import (MetricSection, QuadratureMesh, ScalarField, _relative_spectra,
+                       _weighted_sum)
 
 __all__ = [
     "DiskMesh",
@@ -92,13 +93,14 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy, frozen below
         if values.shape != (self.mesh.n_r, self.mesh.n_theta):
             raise DimensionError(
                 f"values shape {values.shape} != "
                 f"({self.mesh.n_r}, {self.mesh.n_theta})")
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("grid function has non-finite values")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -109,7 +111,9 @@ class GridFunction:
     def integral_sq(self) -> float:
         """Quadrature value of the area integral of the squared function."""
         w = self.mesh.cell_weights().reshape(self.mesh.n_r, self.mesh.n_theta)
-        return float((w * self.values**2).sum())
+        with np.errstate(over="ignore"):  # an overflow makes the sum raise
+            sq = self.values**2
+        return float(_weighted_sum(w, sq))
 
     def interpolate(self, z: np.ndarray) -> np.ndarray:
         """Bilinear interpolation in (r, theta) with angular wraparound."""

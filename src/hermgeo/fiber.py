@@ -43,10 +43,12 @@ __all__ = [
 ]
 
 
-def check_alpha(alpha, rank: int):
+def check_alpha(alpha, rank: int, batch: tuple = ()):
     """Validate the metric parameter (a float or per-matrix array):
-    finite and alpha > -1/rank, strictly."""
+    finite and alpha > -1/rank, strictly, with a shape that broadcasts
+    against the ``batch`` shape of the matrix stacks."""
     a = np.asarray(alpha, dtype=float)
+    linalg._broadcast(a.shape, batch)
     reject(~(np.isfinite(a) & (a > -1.0 / rank)), ParameterError,
            lambda k: f"alpha={a[k]} not admissible for rank {rank}: "
                      f"need alpha > {-1.0 / rank}")
@@ -67,10 +69,17 @@ def _inner(vw: np.ndarray, ww: np.ndarray, alpha) -> np.ndarray:
     return _trace(vw @ ww) + alpha * _trace(vw) * _trace(ww)
 
 
+def _checked_alpha(alpha, *mats: np.ndarray):
+    """check_alpha at the common rank of ``mats``, against the broadcast of
+    their batch shapes."""
+    return check_alpha(alpha, linalg.same_rank(*mats),
+                       linalg._broadcast(*(m.shape[:-2] for m in mats)))
+
+
 def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
     h, v, w = (linalg.hermitian(x) for x in (h, v, w))
-    alpha = check_alpha(alpha, linalg.same_rank(h, v, w))
+    alpha = _checked_alpha(alpha, h, v, w)
     return _inner(*_whiten(linalg._roots(h)[1], v, w), alpha)
 
 
@@ -127,7 +136,7 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     re-orthonormalized by Gram-Schmidt and a warning is issued.
     """
     h, u, v = (linalg.hermitian(x) for x in (h, u, v))
-    alpha = check_alpha(alpha, linalg.same_rank(h, u, v))
+    alpha = _checked_alpha(alpha, h, u, v)
     hsi = linalg._roots(h)[1]
     up, vp = _whiten(hsi, u, v)
     dev = np.max([abs(_inner(up, up, alpha) - 1.0),
@@ -186,7 +195,7 @@ def fiber_distance(p: np.ndarray, q: np.ndarray, alpha):
     where lam_i are the eigenvalues of p^{-1} q.
     """
     lam = linalg.relative_spectrum(p, q)
-    return _distance(lam, check_alpha(alpha, lam.shape[-1]))
+    return _distance(lam, check_alpha(alpha, lam.shape[-1], lam.shape[:-1]))
 
 
 def _distance(lam: np.ndarray, alpha) -> np.ndarray:

@@ -90,14 +90,25 @@ def posdef(a) -> np.ndarray:
 
 
 def same_rank(*mats: np.ndarray) -> int:
-    """Return the common rank of the given square matrices or raise."""
+    """Return the common rank of the given square matrices or stacks, whose
+    batch shapes must broadcast, or raise."""
     r = mats[0].shape[-1]
     for m in mats[1:]:
         if m.shape[-1] != r:
             raise DimensionError(
                 f"rank mismatch: {r} vs {m.shape[-1]}"
             )
+    _broadcast(*(m.shape[:-2] for m in mats))
     return r
+
+
+def _broadcast(*shapes: tuple) -> tuple:
+    """The broadcast of the given batch shapes; DimensionError if none."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionError(
+            f"batch shapes {', '.join(map(str, shapes))} do not broadcast") from None
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

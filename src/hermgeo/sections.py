@@ -9,9 +9,11 @@ and the flat reference structure all live here.
 
 Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
-Values are validated once, at construction, into read-only (n, r, r)
-stacks; the section ops then call the unvalidated linalg and fiber
-kernels on those stacks.
+Values on a mesh (metric and tangent sections, gauge transforms, scalar
+fields) share one base class: they are validated once, at construction,
+into fresh read-only (n, r, r) or (n,) arrays; the section ops then call
+the unvalidated linalg and fiber kernels on those stacks, whose
+eigendecompositions need no second positivity check.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class QuadratureMesh:
 
     @property
     def volume(self) -> float:
-        return float(self.weights.sum())
+        return float(_weighted_sum(self.weights))
 
 
 def _int64_ids(ids) -> np.ndarray:
@@ -279,8 +281,10 @@ def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
 def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
     """The section e^f h."""
     mesh = _same_mesh(h, f)
-    scale = np.exp(f.values)[:, None, None]
-    return MetricSection(mesh, scale * h.values)
+    # an overflow is an inf that MetricSection rejects, naming the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.exp(f.values)[:, None, None] * h.values
+    return MetricSection(mesh, scaled)
 
 
 def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField) -> float:
@@ -289,8 +293,9 @@ def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField) -> floa
     mesh = _same_mesh(h, f)
     _same_mesh(h, g)
     r = mesh.rank
-    return float(np.sqrt(_weighted_sum(mesh.weights, r, 1.0 + mesh.alphas * r,
-                                       (f.values - g.values) ** 2)))
+    with np.errstate(over="ignore"):  # an overflow makes the sum raise
+        sq = (f.values - g.values) ** 2
+    return float(np.sqrt(_weighted_sum(mesh.weights, r, 1.0 + mesh.alphas * r, sq)))
 
 
 def gauge_apply(phi: GaugeTransform, section):

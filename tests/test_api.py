@@ -15,7 +15,7 @@ import pytest
 
 import hermgeo
 from hermgeo import completion, disk, fiber, oracle
-from hermgeo.errors import HermGeoError, NonFiniteError, ParameterError
+from hermgeo.errors import DimensionError, HermGeoError, NonFiniteError, ParameterError
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
 # a mesh that leaves out its singular set
@@ -35,14 +35,26 @@ def test_exports_resolve_and_removed_names_stay_gone():
 
 
 EYE = np.eye(2, dtype=complex)
+EYE2, EYE3 = (np.broadcast_to(EYE, (n, 2, 2)) for n in (2, 3))
 
 # each entry: the error type, then a call with one inadmissible argument
 BAD_INPUTS = {
     "GridFunction non-finite":
         (NonFiniteError, disk.GridFunction, disk.DiskMesh(1, 2), [[0.0, np.nan]]),
+    "GridFunction integral overflow":
+        (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[1e200, 1.0]]).integral_sq),
     "refinement_trend one level": (ParameterError, completion.refinement_trend, [1.0], [1]),
     "refinement_trend zero norm":
         (ParameterError, completion.refinement_trend, [1.0, 0.0], [1, 2]),
+    "refinement_trend nan norm":
+        (ParameterError, completion.refinement_trend, [1.0, np.nan], [1, 2]),
+    "refinement_trend infinite level":
+        (ParameterError, completion.refinement_trend, [1.0, 2.0], [1, np.inf]),
+    "alpha_inner stacks": (DimensionError, fiber.alpha_inner, EYE3, EYE2, EYE2, 0.0),
+    "alpha_inner alpha length":
+        (DimensionError, fiber.alpha_inner, EYE3, EYE3, EYE3, [0.0, 0.5]),
+    "log_map stacks": (DimensionError, fiber.log_map, EYE3, EYE2),
+    "fiber_distance stacks": (DimensionError, fiber.fiber_distance, EYE3, EYE2, 0.0),
     "geodesic_residual step":
         (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, 0.0),
     "oracle segments": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 4),

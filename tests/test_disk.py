@@ -211,3 +211,12 @@ def test_psh_radius_too_large_all_skipped():
     u = GridFunction.from_callable(m, lambda z: np.abs(z) ** 2)
     with pytest.raises(ValueError):
         disk.psh_check(u, radii=[5.0])
+
+
+def test_grid_function_keeps_a_read_only_copy():
+    given = np.array([[1.0, 2.0]])
+    u = GridFunction(DiskMesh(1, 2), given)
+    given[0, 0] = np.inf
+    assert u.values.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0, 0] = np.inf

@@ -227,3 +227,49 @@ def test_dimension_errors():
         fiber.alpha_inner(I2, np.eye(3), np.eye(3), 0.0)
     with pytest.raises(DimensionError):
         fiber.fiber_distance(I2, np.eye(3), 0.0)
+
+
+# eigensolves per call: one that gives a base point's roots, which also
+# decides its positivity, plus what the formula needs (the relative
+# spectrum, the logarithm, the exponentials)
+EIGENSOLVES = {
+    "relative_spectrum": 2, "fiber_distance": 2, "log_map": 2,
+    "alpha_inner": 1, "spray": 1, "curvature_tensor": 1,
+    "sectional_curvature": 1, "sectional_curvature (Gram-Schmidt)": 2,
+    "sqrtm_posdef": 1, "invsqrtm_posdef": 1, "logm_posdef": 1,
+    "FiberGeodesic": 1, "geodesic_eval": 1, "_gram_schmidt_pair": 1,
+    "exp_differential_min_singular": 3,
+}
+
+
+@pytest.mark.filterwarnings("ignore:input pair deviated")
+def test_fiber_cost_model(counts):
+    rng = sampling.make_rng(31)
+    h, q = sampling.random_posdef(rng, 3), sampling.random_posdef(rng, 3)
+    u, v = sampling.random_orthonormal_pair(rng, h, 0.3)
+    g = fiber.FiberGeodesic(h, v)
+    calls = {
+        "relative_spectrum": lambda: linalg.relative_spectrum(h, q),
+        "fiber_distance": lambda: fiber.fiber_distance(h, q, 0.3),
+        "log_map": lambda: fiber.log_map(h, q),
+        "alpha_inner": lambda: fiber.alpha_inner(h, u, v, 0.3),
+        "spray": lambda: fiber.spray(h, u, v),
+        "curvature_tensor": lambda: fiber.curvature_tensor(h, u, v, q),
+        "sectional_curvature": lambda: fiber.sectional_curvature(h, u, v, 0.3),
+        "sectional_curvature (Gram-Schmidt)":
+            lambda: fiber.sectional_curvature(h, u + v, v, 0.3),
+        "sqrtm_posdef": lambda: linalg.sqrtm_posdef(h),
+        "invsqrtm_posdef": lambda: linalg.invsqrtm_posdef(h),
+        "logm_posdef": lambda: linalg.logm_posdef(h),
+        "FiberGeodesic": lambda: fiber.FiberGeodesic(h, v),
+        "geodesic_eval": lambda: fiber.geodesic_eval(g, 0.5),
+        "_gram_schmidt_pair": lambda: fiber._gram_schmidt_pair(h, u + v, v, 0.3),
+        "exp_differential_min_singular": lambda: fiber.exp_differential_min_singular(h, v),
+    }
+    seen = {}
+    for name, call in calls.items():
+        counts.clear()
+        call()
+        seen[name] = counts["eig"]
+        assert counts["posdef"] == 0, name
+    assert seen == EIGENSOLVES

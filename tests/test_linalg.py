@@ -208,32 +208,39 @@ ROOT_OPS = {
     "sqrtm_posdef": linalg.sqrtm_posdef,
     "invsqrtm_posdef": linalg.invsqrtm_posdef,
     "alpha_inner": lambda h: fiber.alpha_inner(h, h, h, 0.5),
+    "curvature_tensor": lambda h: fiber.curvature_tensor(h, h, h, h),
+    "FiberGeodesic": lambda h: fiber.FiberGeodesic(h, h).roots,
 }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_near_singular_input_raises_or_stays_finite():
-    # The draws are Hermitian as drawn, so posdef rejects exactly those on
-    # which eigvalsh finds a nonpositive eigenvalue; eigh, which the roots
-    # use, can still find one on a draw posdef accepted (a hit).  Each op
-    # validates with posdef first.  A stacked call returns finite values
-    # only if it does so on each matrix of the stack.
-    hits = 0
+    # Each op validates with hermitian, which leaves these draws as they
+    # are (they are Hermitian as drawn), and the eigh that gives the roots
+    # decides positivity.  So on every draw an op either raises a typed
+    # error or returns finite values: finite on each draw eigh accepts
+    # (a stacked call is finite only if it is on each of its matrices),
+    # NotPositiveDefiniteError on each draw it rejects.  eigvalsh, a
+    # second check, disagrees with eigh on many draws (splits).
+    splits = 0
     for stack in _near_singular_draws():
-        accepted = np.linalg.eigvalsh(stack)[:, 0] > 0
-        hit = accepted & (np.linalg.eigh(stack)[0][:, 0] <= 0)
-        hits += hit.sum()
-        for p in stack[~accepted]:
-            with pytest.raises(NotPositiveDefiniteError):
-                linalg.posdef(p)
+        accepted = np.linalg.eigh(stack)[0][:, 0] > 0
+        splits += (accepted != (np.linalg.eigvalsh(stack)[:, 0] > 0)).sum()
         for name, op in ROOT_OPS.items():
-            assert np.isfinite(op(stack[accepted & ~hit])).all(), name
-            for p in stack[hit]:
-                with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
-                    op(p)
-        # off the hits, the spectrum of p^{-1} spans up to 1e17 and its
-        # own positivity check may fire; on them the roots fail first
-        for p in stack[hit]:
-            with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
-                linalg.relative_spectrum(p, np.eye(len(p)))
-    assert hits > 1000
+            assert np.isfinite(op(stack[accepted])).all(), name
+        # off the rejected draws, the spectrum of p^{-1} spans up to 1e17
+        # and its own positivity check may fire; on them the roots fail first
+        ops = [*ROOT_OPS.values(), lambda p: linalg.relative_spectrum(p, np.eye(len(p)))]
+        for p in stack[~accepted]:
+            for op in ops:
+                assert "smallest eigenvalue" in _error(NotPositiveDefiniteError, op, p)
+    assert splits > 1000
+
+
+def _error(cls, op, *args) -> str:
+    """The message of the ``cls`` error that ``op(*args)`` raises."""
+    try:
+        op(*args)
+    except cls as exc:
+        return str(exc)
+    raise AssertionError(f"no {cls.__name__}")

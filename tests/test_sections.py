@@ -181,12 +181,25 @@ def test_overflowing_weighted_sums_raise():
     h2 = MetricSection(mesh, 10.0 * h1.values)
     v = TangentSection(mesh, h1.values)
     f, g = ScalarField(mesh, [0.0, 1.0]), ScalarField(mesh, [2.0, -1.0])
+    # (f - g)^2 itself overflows here
+    big, small = ScalarField(mesh, [0.0, 1e200]), ScalarField(mesh, [0.0, -1e200])
     for call in (lambda: l2_inner(h1, v, v), lambda: section_distance(h1, h2),
                  lambda: sections._segment_distances(h1, h2, np.array([0, 1])),
                  lambda: theta_metric(h1, h2), lambda: conformal_distance(h1, f, g),
-                 lambda: integrability_report(h2, h1)):
+                 lambda: conformal_distance(h1, big, small),
+                 lambda: integrability_report(h2, h1), lambda: mesh.volume):
         with pytest.raises(NonFiniteError, match="overflows"):
             call()
+
+
+def test_overflowing_conformal_factor_names_its_point():
+    # exp overflows without a RuntimeWarning, which tier-1 makes an error
+    mesh = unit_mesh(weights=(1.0, 1.0))
+    h = MetricSection(mesh, np.stack([np.eye(2)] * 2))
+    with pytest.raises(NonFiniteError, match="^point id 1: matrix has a non-finite"):
+        conformal_scale(h, ScalarField(mesh, [0.0, 800.0]))
+    with pytest.raises(NonFiniteError, match="^point id 1: scalar field has a non-finite"):
+        ScalarField(mesh, [0.0, np.nan])
 
 
 def test_gauge_examples():
@@ -323,6 +336,7 @@ STACK_MAKERS = {
     TangentSection: lambda rng, r: sampling.random_hermitian(rng, r),
     sections.GaugeTransform:
         lambda rng, r: np.eye(r) + 0.1 * sampling.random_hermitian(rng, r),
+    ScalarField: lambda rng, r: rng.uniform(-1.0, 1.0),
 }
 
 
@@ -334,7 +348,7 @@ def test_validated_stacks_are_read_only_copies(cls):
     rng = sampling.make_rng(5)
     ids, weights, alphas = np.array([1, 0]), np.array([1.0, 2.0]), np.array([0.0, 0.5])
     mesh = QuadratureMesh(rank=2, ids=ids, weights=weights, alphas=alphas)
-    vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)]).astype(complex)
+    vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)])
     section = cls(mesh, vals)
     for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas):
         with pytest.raises(ValueError, match="read-only"):
