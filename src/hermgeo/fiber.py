@@ -48,7 +48,7 @@ def check_alpha(alpha, rank: int, batch: tuple = ()):
     finite and alpha > -1/rank, strictly, with a shape that broadcasts
     against the ``batch`` shape of the matrix stacks."""
     a = np.asarray(alpha, dtype=float)
-    linalg._broadcast(a.shape, batch)
+    linalg._broadcast(a.shape, batch, what="alpha and batch shapes")
     reject(~(np.isfinite(a) & (a > -1.0 / rank)), ParameterError,
            lambda k: f"alpha={a[k]} not admissible for rank {rank}: "
                      f"need alpha > {-1.0 / rank}")

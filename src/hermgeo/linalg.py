@@ -102,13 +102,13 @@ def same_rank(*mats: np.ndarray) -> int:
     return r
 
 
-def _broadcast(*shapes: tuple) -> tuple:
+def _broadcast(*shapes: tuple, what: str = "batch shapes") -> tuple:
     """The broadcast of the given batch shapes; DimensionError if none."""
     try:
         return np.broadcast_shapes(*shapes)
     except ValueError:
         raise DimensionError(
-            f"batch shapes {', '.join(map(str, shapes))} do not broadcast") from None
+            f"{what} {', '.join(map(str, shapes))} do not broadcast") from None
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
