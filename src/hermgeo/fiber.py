@@ -114,7 +114,11 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
 def _gram_schmidt_pair(h, u, v, alpha):
     """Orthonormalize (u, v), Hermitian, for the inner product at the
     Hermitian h; the roots of h decide that it is positive definite."""
-    hsi = linalg._roots(h)[1]
+    return _orthonormalize(linalg._roots(h)[1], u, v, alpha)
+
+
+def _orthonormalize(hsi, u, v, alpha):
+    """``_gram_schmidt_pair`` at the point whose h^{-1/2} is hsi."""
     nu = np.sqrt(_inner(*_whiten(hsi, u, u), alpha))
     reject(nu < 1e-14, DegeneratePlaneError,
            lambda k: "first vector has vanishing norm")
@@ -143,7 +147,7 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
                   abs(_inner(vp, vp, alpha) - 1.0),
                   abs(_inner(up, vp, alpha))], axis=0)
     if np.any(dev > 1e-8):
-        u, v = _gram_schmidt_pair(h, u, v, alpha)
+        u, v = _orthonormalize(hsi, u, v, alpha)
         up, vp = _whiten(hsi, u, v)
         warnings.warn(
             f"input pair deviated from orthonormality by {np.max(dev):.3e}; "

@@ -13,10 +13,20 @@ underestimate of segment lengths would violate the oracle's lower-bound
 contract at 64 segments; Gauss-2 keeps the quadrature bias orders of
 magnitude below the 1e-6 floor.
 
+Each interior node h steps along the gradient of the path energy in the
+metric at h itself, g_h(A, B) = tr(h^{-1}A h^{-1}B) + alpha tr(h^{-1}A)
+tr(h^{-1}B), not along the Euclidean gradient: the metric tensor alone
+rescales the step to the node's own eigenvalues (no log, exp or
+geodesic).  A sample's descent at one refinement level stops once its
+energy has fallen by less than STOP_TOL of itself over its last
+STOP_WIN accepted steps, or when the level's share of the iteration cap
+runs out.
+
 The descent runs over an (S, N + 1, r, r) stack of paths, one per
 sample, with the refinement levels in lockstep: each sample keeps its
 own step, previous point, rejection count and stop flag, and only the
-energy evaluations and the cone check are stacked.
+energy evaluations, the step-size products and the cone check are
+stacked.
 
 The energy kernel works entries first: each call moves the stack to
 one contiguous (r, r, S, N + 1) array, in which entry (i, j) of every
@@ -27,7 +37,7 @@ stack, and a trace is a sum of r slabs: a few numpy calls over all
 S * N * 2 bases at once, at every rank.  Its rounding differs from
 that of ``np.linalg.inv`` and ``@`` per matrix; ``tests/test_oracle.py``
 keeps that route as an independent cross-check and bounds the gap by
-the bases' condition number.  The kernel is elementwise over the
+the condition numbers involved.  The kernel is elementwise over the
 stack, so every sample's arithmetic is bit for bit that of a descent
 of the sample alone, which the tests keep as the reference.
 """
@@ -77,23 +87,24 @@ def _inv(a: np.ndarray) -> np.ndarray:
 
 
 def _whitened(paths: np.ndarray, alpha: np.ndarray):
-    """B^{-1} and m = B^{-1} delta at every base of a stack of paths,
-    entries first: (r, r, 2, S, N) over (Gauss point, sample, segment);
-    the traces of m m and of m, (2, S, N); and alpha as (S, 1)."""
+    """The nodes of a stack of paths entries first, (r, r, S, N + 1);
+    B^{-1} and m = B^{-1} delta at every base, (r, r, 2, S, N) over
+    (Gauss point, sample, segment); the traces of m m and of m,
+    (2, S, N); and alpha as (S, 1)."""
     x = np.ascontiguousarray(paths.transpose(2, 3, 0, 1))
     delta = (x[..., 1:] - x[..., :-1])[:, :, None]
     binv = _inv(x[:, :, None, :, :-1] + _GAUSS_T[:, None, None] * delta)
     m = _mul(binv, delta)
     tr_mm = (m * m.swapaxes(0, 1)).sum(axis=(0, 1)).real
     tr_m = np.trace(m).real
-    return binv, m, tr_mm, tr_m, alpha[:, None]
+    return x, binv, m, tr_mm, tr_m, alpha[:, None]
 
 
 def discrete_length(path: np.ndarray, alpha) -> float | np.ndarray:
     """Gauss-2 length of a piecewise-straight path (N + 1, r, r), or of
     each path of an (S, N + 1, r, r) stack with one alpha per path."""
     paths = path if path.ndim == 4 else path[None]
-    _, _, tr_mm, tr_m, a = _whitened(paths, np.broadcast_to(alpha, paths.shape[:1]))
+    *_, tr_mm, tr_m, a = _whitened(paths, np.broadcast_to(alpha, paths.shape[:1]))
     speed = 0.5 * np.sqrt(np.maximum(tr_mm + a * tr_m**2, 0.0))
     lengths = (speed[0] + speed[1]).sum(axis=1)
     return lengths if path.ndim == 4 else float(lengths[0])
@@ -101,9 +112,25 @@ def discrete_length(path: np.ndarray, alpha) -> float | np.ndarray:
 
 def _energy_and_grad(paths: np.ndarray, alpha: np.ndarray):
     """Discrete path energy N * sum_k avg_g ||delta_k||^2_B of each path
-    of a stack, and its gradient with respect to the interior nodes."""
-    n_seg = paths.shape[1] - 1
-    binv, m, tr_mm, tr_m, a = _whitened(paths, alpha)
+    of a stack, and its gradient with respect to the interior nodes in
+    the metric of each node.
+
+    With G the Euclidean gradient at a node h (Hermitian, so that the
+    energy moves by Re tr(G A) along a Hermitian A), the metric gradient
+    is the X with g_h(X, A) = Re tr(G A) for every Hermitian A.  Try
+    X = h G h + c h: then h^{-1} X h^{-1} = G + c h^{-1} and
+    tr(h^{-1} X) = tr(h G) + c r, so
+
+        g_h(X, A) = tr(G A) + (c + alpha tr(h G) + alpha c r) tr(h^{-1} A),
+
+    which is tr(G A) for every A exactly when
+    c = -alpha tr(h G) / (1 + r alpha); alpha > -1/r keeps 1 + r alpha
+    positive.  G = Y + Y^H for the half gradient Y assembled below, so
+    h G h is h Y h plus its adjoint and tr(h G) = 2 Re tr(h Y): X is
+    Hermitian bit for bit.
+    """
+    x, binv, m, tr_mm, tr_m, a = _whitened(paths, alpha)
+    r, n_seg = len(x), x.shape[-1] - 1
     sq = 0.5 * (tr_mm + a * tr_m**2)
     energy = n_seg * (sq[0] + sq[1]).sum(axis=1)
 
@@ -115,9 +142,13 @@ def _energy_and_grad(paths: np.ndarray, alpha: np.ndarray):
     # each segment's share at its two end nodes, weighted by N / 2 for
     # the Gauss weights and by 1/2 for the Hermitian part taken below
     ends = (g[:, :, :, None] * (0.25 * n_seg * _TO_NODES)[:, :, None, None]).sum(axis=2)
-    inner = (ends[:, :, 0, :, 1:] + ends[:, :, 1, :, :-1]).transpose(2, 3, 0, 1)
+    half = ends[:, :, 0, :, 1:] + ends[:, :, 1, :, :-1]
+    h = x[..., 1:-1]
+    hy = _mul(h, half)
+    hyh = _mul(hy, h)
+    c = (2.0 * a / (1.0 + r * a)) * np.trace(hy).real
     grad = np.zeros_like(paths)
-    grad[:, 1:-1] = inner + inner.swapaxes(-1, -2).conj()
+    grad[:, 1:-1] = (hyh + hyh.swapaxes(0, 1).conj() - c * h).transpose(2, 3, 0, 1)
     return energy, grad
 
 
@@ -154,17 +185,32 @@ def _in_cone(nodes: np.ndarray) -> np.ndarray:
 
 _OFF_CONE = "descent could not stay inside the positive cone"
 
+# a sample's level ends once its energy E has fallen by less than
+# STOP_TOL * E over its last STOP_WIN accepted steps
+STOP_TOL = 1e-7
+STOP_WIN = 5
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_s, b_s> for each sample s of two contiguous complex stacks,
+    summed along each sample's flat real view, as it alone would be."""
+    n = len(a)
+    return (a.view(float).reshape(n, -1) * b.view(float).reshape(n, -1)).sum(axis=1)
+
 
 def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarray:
-    """Gradient descent on each path's energy with Barzilai-Borwein steps,
-    over a stack of paths in lockstep.
+    """Descent on each path's energy along its metric gradient with
+    Barzilai-Borwein steps, over a stack of paths in lockstep.
 
+    The step is eta = |<dx, dX>| / <dX, dX> over the last accepted step
+    dx and the change dX of the metric gradient, products Euclidean.
     Steps that leave the positive cone or raise the energy are rejected
-    and halved.  A sample stops after 201 rejections in a row, or at once
-    if its gradient is zero; if the last of those was a cone rejection
-    the descent aborts and names the sample.  It also aborts when a
-    sample still running at the end accepted no step and its last
-    rejection was a cone rejection: its path never moved.
+    and halved.  A sample stops by the STOP_TOL / STOP_WIN rule, after
+    201 rejections in a row, or at once if its gradient is zero; if the
+    last of those rejections was a cone rejection the descent aborts and
+    names the sample.  It also aborts when a sample still running after
+    ``iterations`` steps accepted no step and its last rejection was a
+    cone rejection: its path never moved.
     """
     paths = paths.copy()
     energy, grad = _energy_and_grad(paths, alpha)
@@ -178,6 +224,10 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     rejects = np.zeros(n, dtype=int)
     moved = np.zeros(n, dtype=bool)
     cone_last = np.zeros(n, dtype=bool)
+    # the energies before each sample's last STOP_WIN accepted steps,
+    # infinite until it has taken that many
+    past = np.full((n, STOP_WIN), np.inf)
+    steps = np.zeros(n, dtype=int)
 
     def halve(idx):
         eta[idx] *= 0.5
@@ -188,16 +238,15 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        # the BB products and norms of one sample's arrays, as it alone
-        # would sum them
-        for s in idx[has_prev[idx]]:
-            dx = paths[s] - prev_paths[s]
-            dg = grad[s] - prev_grad[s]
-            denom = np.vdot(dg, dg).real
-            if denom > 1e-300:
-                bb = abs(np.vdot(dx, dg).real) / denom
-                if np.isfinite(bb) and bb > 0:
-                    eta[s] = bb
+        bb_idx = idx[has_prev[idx]]
+        if bb_idx.size:
+            dx = paths[bb_idx] - prev_paths[bb_idx]
+            dg = grad[bb_idx] - prev_grad[bb_idx]
+            denom = _dots(dg, dg)
+            usable = denom > 1e-300
+            bb = np.abs(_dots(dx, dg)[usable]) / denom[usable]
+            good = np.isfinite(bb) & (bb > 0)
+            eta[bb_idx[usable][good]] = bb[good]
         trial = paths[idx] - eta[idx, None, None, None] * grad[idx]
         inside = _in_cone(trial[:, 1:-1])
         if not inside.all():
@@ -213,10 +262,14 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
         e_trial, g_trial = _energy_and_grad(trial, alpha[idx])
         better = e_trial < energy[idx]
         acc = idx[better]
+        past[acc, steps[acc] % STOP_WIN] = energy[acc]
+        steps[acc] += 1
         prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
         paths[acc], energy[acc], grad[acc] = trial[better], e_trial[better], g_trial[better]
         rejects[acc] = 0
         has_prev[acc] = moved[acc] = True
+        stalled = past[acc, steps[acc] % STOP_WIN] - energy[acc] < STOP_TOL * energy[acc]
+        live[acc[stalled]] = False
         if not better.all():
             worse = idx[~better]
             halve(worse)
@@ -256,9 +309,12 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
 
     Coarse-to-fine: the path is first optimized at a low segment count
     (low-frequency shape converges cheaply there), then midpoint-refined
-    up to the requested resolution, spending the iteration budget across
-    levels.  Deterministic for fixed (inputs, seed); the seed only
-    perturbs the initial interior nodes by ~1e-8 to break symmetry.
+    up to the requested resolution.  ``iterations`` caps the descent
+    steps of a sample over all levels: each level gets an equal share,
+    the finest the remainder too, and a sample leaves a level early once
+    its energy stalls (see ``_descend``).  Deterministic for fixed
+    (inputs, seed); the seed only perturbs the initial interior nodes by
+    ~1e-8 to break symmetry.
     """
     p = linalg.posdef(p)
     q = linalg.posdef(q)
@@ -269,7 +325,9 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     single = p.ndim == 2
     p, q = p.reshape(-1, r, r), q.reshape(-1, r, r)
     alpha = _per_sample(check_alpha(alpha, r), len(p), "alpha")
-    seeds = _per_sample(seed, len(p), "seed")
+    # object entries keep each seed the integer it was given
+    rngs = [make_rng(s) for s in _per_sample(np.asarray(seed, dtype=object),
+                                             len(p), "seed")]
     if segments < 8:
         raise ParameterError("need at least 8 segments")
 
@@ -277,19 +335,21 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     while levels[-1] > 8 and levels[-1] % 2 == 0:
         levels.append(levels[-1] // 2)
     levels.reverse()
+    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) \
+            or iterations < len(levels):
+        raise ParameterError(f"iterations={iterations!r}: need an integer of at least "
+                             f"{len(levels)}, one per refinement level")
 
     paths = _initial_paths(p, q, levels[0])
-    for path, p1, q1, s in zip(paths, p, q, seeds):
-        noise = linalg.hermitian_part(_complex_normal(make_rng(s), 1, path.shape)[0])
+    for path, p1, q1, rng in zip(paths, p, q, rngs):
+        noise = linalg.hermitian_part(_complex_normal(rng, 1, path.shape)[0])
         scale = 1e-8 * max(np.linalg.norm(p1), np.linalg.norm(q1))
         path[1:-1] += scale * noise[1:-1]
 
-    per_level = max(50, iterations // len(levels))
-    for i, n_seg in enumerate(levels):
+    share, rest = divmod(iterations, len(levels))
+    for n_seg in levels:
         if paths.shape[1] - 1 != n_seg:
             paths = _refine(paths)
-        budget = iterations - (len(levels) - 1) * per_level \
-            if i == len(levels) - 1 else per_level
-        paths = _descend(paths, alpha, max(budget, per_level))
+        paths = _descend(paths, alpha, share + (rest if n_seg == segments else 0))
     lengths = discrete_length(paths, alpha)
     return float(lengths[0]) if single else lengths

@@ -62,6 +62,9 @@ BAD_INPUTS = {
     "oracle seed fractional":
         (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, 1.5),
     "oracle seed bool": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, True),
+    "oracle seed in a list":
+        (ParameterError, oracle.distance_oracle, EYE2, 2 * EYE2, 0.0, 8, 10, [2**63, 1.5]),
+    "oracle iterations": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 16, 1),
 }
 
 

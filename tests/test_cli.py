@@ -359,6 +359,14 @@ def test_check_negative_seed_exits_2(capsys, suite):
     assert_input_error(capsys, ["check", suite, "--seed", "-1", "--samples", "1"])
 
 
+@pytest.mark.parametrize("suite", ["cat0", "oracle"])
+@pytest.mark.parametrize("seed", [2**63 - 1, 2**64 - 1])
+def test_check_accepts_seeds_past_int64(capsys, suite, seed):
+    # the oracle seeds its samples seed, seed + 1, ...: past 2**63 and 2**64
+    assert main(["check", suite, "--seed", str(seed), "--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
 def test_count_errors_exit_2(tmp_path, capsys):
     f1, f2 = conformal_pair(tmp_path)
     assert_input_error(capsys, ["geodesic", str(f1), str(f2), "--steps", "1"])

@@ -8,10 +8,12 @@ accepted or rejected as that path alone decides.  The descent is
 chaotic at rounding level, so every sample of the lockstep run must
 reproduce them bit for bit (``==``).
 
-``inv_energy_and_grad`` and ``inv_length`` are the independent route to
-the kernel's arithmetic: per-matrix ``np.linalg.inv`` and ``@``.  The
-kernel must agree with them to within 10 * eps * kappa, kappa the
-largest condition number of the path's Gauss-point bases.
+``inv_energy_and_grad``, ``inv_length`` and ``inv_metric_grad`` are the
+independent route to the kernel's arithmetic: per-matrix
+``np.linalg.inv`` and ``@``.  The kernel must agree with them to within
+10 * eps * kappa, kappa the largest condition number of the path's
+Gauss-point bases, relative to the size of each quantity (for the
+metric gradient hGh - ch, that of G times the largest ||h||^2).
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 
 from hermgeo import fiber, linalg, oracle, sampling, suites
 from hermgeo.cli import main
-from hermgeo.errors import OracleFailureError
+from hermgeo.errors import OracleFailureError, ParameterError
 from hermgeo.oracle import discrete_length, distance_oracle
 
 I2 = np.eye(2, dtype=complex)
@@ -60,6 +62,24 @@ def inv_energy_and_grad(path, alpha):
     return energy, grad
 
 
+def inv_metric_grad(path, grad, alpha):
+    """The metric gradient X = h G h - alpha / (1 + r alpha) tr(h G) h at
+    each node h of a path, of its Euclidean gradient G."""
+    r = path.shape[-1]
+    hg = path @ grad
+    c = alpha / (1.0 + r * alpha) * np.einsum("nii->n", hg).real
+    return hg @ path - c[:, None, None] * path
+
+
+def inv_metric(h, x, a, alpha):
+    """g_h(x, a) = tr(h^-1 x h^-1 a) + alpha tr(h^-1 x) tr(h^-1 a) at each
+    node of a stack."""
+    hinv = np.linalg.inv(h)
+    hx, ha = hinv @ x, hinv @ a
+    return (np.einsum("nij,nji->n", hx, ha)
+            + alpha * np.einsum("nii->n", hx) * np.einsum("nii->n", ha)).real
+
+
 def inv_length(path, alpha):
     delta, base = _bases(path)
     m = np.linalg.inv(base) @ delta[:, None]
@@ -88,7 +108,8 @@ def _is_posdef(nodes):
 
 def reference_descend(path, alpha, iterations, events=None):
     """One path's descent; ``events`` collects "zero" (zero gradient, no
-    step), "cone" (a step left the cone) and "break" (201 rejections)."""
+    step), "cone" (a step left the cone), "stop" (the energy stalled)
+    and "break" (201 rejections)."""
     events = [] if events is None else events
     energy, grad = reference_energy_and_grad(path, alpha)
     gnorm = np.linalg.norm(grad)
@@ -99,13 +120,15 @@ def reference_descend(path, alpha, iterations, events=None):
     prev_path = prev_grad = None
     rejects = 0
     moved = cone_last = False
+    past = []                      # the energy before each accepted step
     for _ in range(iterations):
         if prev_path is not None:
             dx = path - prev_path
             dg = grad - prev_grad
-            denom = np.vdot(dg, dg).real
+            # the lockstep descent's reduction, on a stack of one
+            denom = oracle._dots(dg[None], dg[None])[0]
             if denom > 1e-300:
-                bb = abs(np.vdot(dx, dg).real) / denom
+                bb = abs(oracle._dots(dx[None], dg[None])[0]) / denom
                 if np.isfinite(bb) and bb > 0:
                     eta = bb
         trial = path - eta * grad
@@ -120,10 +143,15 @@ def reference_descend(path, alpha, iterations, events=None):
             continue
         e_trial, g_trial = reference_energy_and_grad(trial, alpha)
         if e_trial < energy:
+            past.append(energy)
             prev_path, prev_grad = path, grad
             path, energy, grad = trial, e_trial, g_trial
             rejects = 0
             moved = True
+            if len(past) >= oracle.STOP_WIN \
+                    and past[-oracle.STOP_WIN] - energy < oracle.STOP_TOL * energy:
+                events.append("stop")
+                break
         else:
             eta *= 0.5
             prev_path = prev_grad = None
@@ -153,16 +181,16 @@ def reference_oracle(p, q, alpha, segments=64, iterations=500, seed=0):
     scale = 1e-8 * max(np.linalg.norm(p), np.linalg.norm(q))
     path[1:-1] += scale * noise[1:-1]
 
-    per_level = max(50, iterations // len(levels))
-    for i, n_seg in enumerate(levels):
+    # the cap split evenly across the levels, the remainder to the last
+    budgets = [iterations // len(levels)] * len(levels)
+    budgets[-1] += iterations % len(levels)
+    for n_seg, budget in zip(levels, budgets):
         if path.shape[0] - 1 != n_seg:
             refined = np.empty((n_seg + 1,) + path.shape[1:], dtype=path.dtype)
             refined[0::2] = path
             refined[1::2] = (path[:-1] + path[1:]) / 2
             path = refined
-        budget = iterations - (len(levels) - 1) * per_level \
-            if i == len(levels) - 1 else per_level
-        path = reference_descend(path, alpha, max(budget, per_level))
+        path = reference_descend(path, alpha, budget)
     return reference_length(path, alpha)
 
 
@@ -267,16 +295,16 @@ def test_stacked_oracle_matches_scalar_calls():
 
 def mixed_batch():
     """Four level-8 paths: constant (zero gradient), one whose steps leave
-    the cone, a scalar path that stops after 201 rejections, a plain one."""
+    the cone before its energy stalls, a geometric scalar path (a
+    geodesic's nodes) that stops after 201 rejections, a plain one."""
     rng = sampling.make_rng(3)
-    sampling.random_posdef(rng, 2, spread=3.0)
-    sampling.random_posdef(rng, 2, spread=3.0)
     steep = (sampling.random_posdef(rng, 2, spread=3.0),
              sampling.random_posdef(rng, 2, spread=3.0))
     plain = (sampling.random_posdef(rng, 2), sampling.random_posdef(rng, 2))
-    ends = [(np.diag([2.0, 3.0]) + 0j,) * 2, steep, (I2, 1.1 * I2), plain]
-    return np.concatenate([oracle._initial_paths(p[None], q[None], 8)
-                           for p, q in ends])
+    ends = [(np.diag([2.0, 3.0]) + 0j,) * 2, steep, plain]
+    paths = [oracle._initial_paths(p[None], q[None], 8)[0] for p, q in ends]
+    paths.insert(2, np.geomspace(1.0, 1.1, 9)[:, None, None] * I2)
+    return np.array(paths)
 
 
 def test_mixed_batch_matches_reference_per_sample():
@@ -327,13 +355,49 @@ def kernel_calls(monkeypatch):
 
 def test_energy_evaluations_do_not_grow_with_samples(kernel_calls):
     # 4 levels of (8, 16, 32, 64) segments: one evaluation at the start
-    # of a level and one per iteration of its budget (125 each), then
-    # one for the final lengths; per sample the count would be 1,515
+    # of a level and one per iteration until its last sample stalls
+    # (44, 46, 35, 26 iterations for 3 samples; 40, 35, 35, 25 for 1),
+    # then one for the final lengths
+    old = 4 * (1 + 125) + 1            # every level ran its whole share
     suites.run_oracle(1, 3)
-    assert len(kernel_calls) == 4 * (1 + 125) + 1
+    assert len(kernel_calls) == 156 <= old // 2
     kernel_calls.clear()
     suites.run_oracle(1, 1)
-    assert len(kernel_calls) == 4 * (1 + 125) + 1
+    assert len(kernel_calls) == 140 <= old // 2
+
+
+def test_iterations_cap_the_total():
+    rng = sampling.make_rng(42)
+    p, q = sampling.random_posdef(rng, 2), sampling.random_posdef(rng, 2)
+    steps = []
+    descend = oracle._descend
+
+    def counted(paths, alpha, iterations):
+        steps.append(iterations)
+        return descend(paths, alpha, iterations)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_descend", counted)
+        for segments, iterations, shares in ((16, 50, [25, 25]), (64, 2003, [500] * 3 + [503]),
+                                             (64, 4, [1] * 4), (8, 1, [1])):
+            steps.clear()
+            distance_oracle(p, q, 0.0, segments=segments, iterations=iterations)
+            assert steps == shares
+    for iterations in (0, -5, 3, 2.5, True):
+        with pytest.raises(ParameterError, match="one per refinement level"):
+            distance_oracle(p, q, 0.0, segments=64, iterations=iterations)
+
+
+def test_seeds_keep_their_integer_type():
+    rng = sampling.make_rng(42)
+    p = np.array([sampling.random_posdef(rng, 2) for _ in range(2)])
+    q = np.array([sampling.random_posdef(rng, 2) for _ in range(2)])
+    for seeds in ([1, 2**63], [2**63, 2**64 + 5], np.array([1, 2**63 - 1], dtype=object)):
+        out = distance_oracle(p, q, 0.0, segments=8, iterations=20, seed=seeds)
+        for k in range(2):
+            assert out[k] == distance_oracle(p[k], q[k], 0.0, segments=8, iterations=20,
+                                             seed=int(seeds[k]))
+    with pytest.raises(ParameterError, match="seed 1.5"):
+        distance_oracle(p, q, 0.0, segments=8, iterations=20, seed=[1, 1.5])
 
 
 def test_failing_sample_is_named():
@@ -356,6 +420,8 @@ def test_check_oracle_names_the_failing_sample(monkeypatch, capsys):
         inside[1] = False
         return inside
     monkeypatch.setattr(oracle, "_in_cone", second_sample_never_inside)
+    # no sample may stall and leave the stack, so position 1 stays sample 1
+    monkeypatch.setattr(oracle, "STOP_TOL", 0.0)
     # 201 rejections in a row need a level budget above the default 125
     monkeypatch.setitem(suites.SUITES, "oracle", lambda seed, samples: suites.run_oracle(
         seed, samples, segments=8, iterations=300))
@@ -409,11 +475,20 @@ def test_check_oracle_names_a_sample_that_never_moves(monkeypatch, capsys):
         inside[1] = False
         return inside
     monkeypatch.setattr(oracle, "_in_cone", second_sample_never_inside)
+    # no sample may stall and leave the stack, so position 1 stays sample 1
+    monkeypatch.setattr(oracle, "STOP_TOL", 0.0)
     assert main(["check", "oracle", "--samples", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: at index 1: descent could not stay inside the positive cone"]
+
+
+def test_oracle_gap_over_seeds():
+    reports = [suites.run_oracle(seed, 10) for seed in range(1, 31)]
+    assert all(rep["passed"] for rep in reports)
+    assert max(rep["max_rel_gap"] for rep in reports) <= 2e-4
+    assert max(rep["max_below"] for rep in reports) <= 1e-6
 
 
 # --- the kernel against the per-matrix inv route ------------------------------
@@ -451,18 +526,50 @@ def test_kernel_matches_inv_route(r, log_cond, near_boundary):
     for seed in range(3):
         path = seeded_path(seed, r, log_cond, near_boundary)
         kappa = np.linalg.cond(_bases(path)[1]).max()
+        h_sq = np.linalg.norm(path, 2, axis=(-2, -1)).max() ** 2
         if r > 1 and log_cond > 6:
             assert kappa >= 1e6
         for alpha in (0.0, 0.7, -0.5 / r):
             e_ref, g_ref = inv_energy_and_grad(path, alpha)
+            x_ref = inv_metric_grad(path, g_ref, alpha)
             energy, grad = reference_energy_and_grad(path, alpha)
             length = discrete_length(path, alpha)
+            # the metric gradient carries G's error through h G h - c h,
+            # whose size these alphas keep below 2 max ||h||^2 ||G||
             gaps = (abs(energy - e_ref) / e_ref,
-                    np.linalg.norm(grad - g_ref) / np.linalg.norm(g_ref),
+                    np.linalg.norm(grad[1:-1] - x_ref[1:-1])
+                    / (h_sq * np.linalg.norm(g_ref)),
                     abs(length - inv_length(path, alpha)) / length)
             assert max(gaps) <= 10 * eps * kappa, (seed, alpha, gaps, kappa)
+            assert not grad[[0, -1]].any()
             # the step keeps the path Hermitian, bit for bit
             assert np.array_equal(grad, np.swapaxes(grad, -1, -2).conj())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("log_cond", [0, 3, 6.5])
+def test_metric_gradient_represents_the_euclidean_one(r, log_cond):
+    # g_h(X, A) = Re tr(G A) for every Hermitian A at every interior node,
+    # up to G's own error (eps * the bases' kappa) and the rounding of
+    # h^-1 in g_h (eps * the nodes' kappa)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        path = seeded_path(seed, r, log_cond)
+        h = path[1:-1]
+        kappa = max(np.linalg.cond(_bases(path)[1]).max(), np.linalg.cond(h).max())
+        if r > 1:
+            assert kappa >= 0.5 * 10.0 ** log_cond
+        for alpha in (0.0, 0.7, -0.5 / r):
+            g = inv_energy_and_grad(path, alpha)[1][1:-1]
+            x = reference_energy_and_grad(path, alpha)[1][1:-1]
+            assert np.array_equal(x, np.swapaxes(x, -1, -2).conj())
+            for _ in range(3):
+                a = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+                a = linalg.hermitian_part(a)
+                gap = inv_metric(h, x, a, alpha) - np.einsum("nij,nji->n", g, a).real
+                bound = 10 * eps * kappa * np.linalg.norm(g) * np.linalg.norm(a, axis=(-2, -1))
+                assert (np.abs(gap) <= bound).all(), (seed, alpha, gap / bound)
 
 
 def test_descent_calls_no_eigensolver_and_no_closed_form(monkeypatch):
