@@ -222,12 +222,11 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     prev_grad = np.empty_like(grad)
     has_prev = np.zeros(n, dtype=bool)
     rejects = np.zeros(n, dtype=int)
-    moved = np.zeros(n, dtype=bool)
     cone_last = np.zeros(n, dtype=bool)
     # the energies before each sample's last STOP_WIN accepted steps,
     # infinite until it has taken that many
     past = np.full((n, STOP_WIN), np.inf)
-    steps = np.zeros(n, dtype=int)
+    steps = np.zeros(n, dtype=int)          # accepted steps
 
     def halve(idx):
         eta[idx] *= 0.5
@@ -267,7 +266,7 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
         prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
         paths[acc], energy[acc], grad[acc] = trial[better], e_trial[better], g_trial[better]
         rejects[acc] = 0
-        has_prev[acc] = moved[acc] = True
+        has_prev[acc] = True
         stalled = past[acc, steps[acc] % STOP_WIN] - energy[acc] < STOP_TOL * energy[acc]
         live[acc[stalled]] = False
         if not better.all():
@@ -275,7 +274,7 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
             halve(worse)
             cone_last[worse] = False
             live[worse[rejects[worse] > 200]] = False
-    reject(live & ~moved & cone_last, OracleFailureError, lambda k: _OFF_CONE)
+    reject(live & (steps == 0) & cone_last, OracleFailureError, lambda k: _OFF_CONE)
     return paths
 
 
