@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .completion import CauchyReport, cauchy_experiment, l2_report
-from .errors import DimensionError, NonFiniteError, ParameterError
+from .errors import DimensionError, NonFiniteError, ParameterError, check_count
 from .fiber import check_alpha
 from .sections import (MetricSection, QuadratureMesh, ScalarField, _relative_spectra,
                        _weighted_sum)
@@ -50,9 +50,8 @@ class DiskMesh:
     thetas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n_r < 1 or self.n_theta < 1:
-            raise ParameterError(f"cell counts n_r={self.n_r}, n_theta={self.n_theta} "
-                                 "must be positive")
+        for name in ("n_r", "n_theta"):
+            check_count(getattr(self, name), name, 1)
         object.__setattr__(self, "radii", (np.arange(self.n_r) + 0.5) * self.dr)
         object.__setattr__(self, "thetas", (np.arange(self.n_theta) + 0.5) * self.dtheta)
 
@@ -217,8 +216,7 @@ def log_truncation_experiment(mesh: DiskMesh, alpha: float = 0.0,
                               levels: int = 8) -> CauchyReport:
     """Cauchy experiment over the rank-1 reference h0 = 1: the truncations
     max(log|z|^2, -k), k = 1..levels, toward the unbounded limit log|z|^2."""
-    if levels < 1:
-        raise ParameterError(f"levels={levels}: need at least 1")
+    levels = check_count(levels, "levels", 1)
     h0 = identity_reference(mesh, 1, alpha)
     phi = np.log(np.abs(mesh.points()) ** 2)
     f_seq = [ScalarField(h0.mesh, np.maximum(phi, -float(k)))
@@ -254,8 +252,8 @@ def psh_check(u: GridFunction, radii) -> PshReport:
     """
     mesh = u.mesh
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise ParameterError("test radii must be positive")
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ParameterError("test radii must be positive and finite")
     z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
     sel = z[::PSH_CENTER_STRIDE, ::PSH_CENTER_STRIDE].ravel()
     centers = sel[np.abs(sel) >= PSH_MIN_CENTER_RADIUS]

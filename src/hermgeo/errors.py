@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
 
 import numpy as np
 
@@ -67,3 +67,11 @@ def reject(bad, cls: type[HermGeoError], detail) -> None:
         flat = int(np.argmax(bad))
         raise cls(detail(np.unravel_index(flat, np.shape(bad))),
                   index=flat if np.ndim(bad) else None)
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below
+    ``minimum`` raises ParameterError naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParameterError(f"{name}={value!r}: need an integer of at least {minimum}")
+    return int(value)

@@ -11,10 +11,11 @@ inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
 so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix, and validates arguments once,
-then calls an unvalidated kernel (``_distance``, ``_log``, ``_geodesic``);
+then calls an unvalidated kernel (``_distance``, ``_frame``, ``_geodesic``);
 section ops call those kernels directly on the stacks their constructors
 validated.  A base point is checked Hermitian; the one eigendecomposition
-that gives its roots decides that it is positive definite.
+that gives its roots decides that it is positive definite.  A geodesic is
+one spectral frame: its points and log map take no further eigensolve.
 """
 
 from __future__ import annotations
@@ -158,39 +159,48 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
 
 @dataclass(frozen=True)
 class FiberGeodesic:
-    """Geodesic t -> H^{1/2} exp(t H^{-1/2} A H^{-1/2}) H^{1/2}; ``roots``
-    is (H^{1/2}, H^{-1/2}), factored once at construction."""
+    """Geodesic t -> H^{1/2} exp(t H^{-1/2} A H^{-1/2}) H^{1/2}; ``frame``
+    is its spectral frame (see ``_frame``), factored once at construction."""
 
     start: np.ndarray
     velocity: np.ndarray
-    roots: tuple = field(init=False, repr=False, compare=False)
+    frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", linalg.hermitian(self.start))
         object.__setattr__(self, "velocity", linalg.hermitian(self.velocity))
         linalg.same_rank(self.start, self.velocity)
-        object.__setattr__(self, "roots", linalg._roots(self.start))
+        object.__setattr__(self, "frame", _frame(linalg._roots(self.start), self.velocity))
 
     def __call__(self, t) -> np.ndarray:
         return geodesic_eval(self, t)
 
 
-def _geodesic(h: np.ndarray, a: np.ndarray, t, roots) -> np.ndarray:
-    """The geodesic point at t, a scalar or one value per matrix, with
-    roots = (h^{1/2}, h^{-1/2}).  Where t is 0 the point is h itself."""
-    t = np.asarray(t, dtype=float)[..., None, None]
+def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
+    """The geodesic frame (h^{1/2}, U, lam) from roots = (h^{1/2}, h^{-1/2}) and
+    h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu for a velocity m, and
+    lam = log mu for an endpoint m, whose positivity and condition this decides."""
+    mu, u = linalg._eigh(_whiten(roots[1], m)[0])
+    return roots[0], u, linalg._log(mu) if endpoint else mu
+
+
+def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
+    """The geodesic point h^{1/2} U e^{t lam} U^dagger h^{1/2} at a finite t,
+    a scalar or one value per matrix; where t is 0 the point is h itself."""
+    t = np.asarray(t, dtype=float)
+    reject(~np.isfinite(t), ParameterError, lambda k: f"t={t[k]} is not finite")
     if not t.any():
         return h
-    hs, hsi = roots
-    s = linalg.hermitian_part(hsi @ a @ hsi)
-    g = linalg._finite(linalg.hermitian_part(hs @ linalg._expm(t * s) @ hs))
-    return g if t.all() else np.where(t == 0.0, h, g)
+    hs, u, lam = frame
+    g = hs @ linalg._recompose(u, linalg._exp(t[..., None] * lam)) @ hs
+    g = linalg._finite(linalg.hermitian_part(g))
+    return g if t.all() else np.where(t[..., None, None] == 0.0, h, g)
 
 
 def geodesic_eval(g: FiberGeodesic, t) -> np.ndarray:
     """Evaluate the geodesic with start H and initial velocity A at time t,
     a scalar or one value per matrix of a stack."""
-    return _geodesic(g.start, g.velocity, t, g.roots)
+    return _geodesic(g.start, g.frame, t)
 
 
 def fiber_distance(p: np.ndarray, q: np.ndarray, alpha):
@@ -213,20 +223,14 @@ def _distance(lam: np.ndarray, alpha) -> np.ndarray:
 def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The unique Hermitian A with geodesic_eval({p, A}, 1) = q.
 
-    Realized as p^{1/2} log(p^{-1/2} q p^{-1/2}) p^{1/2}; the roots decide
-    that p is positive definite, the logarithm that q is.
+    Realized as p^{1/2} U diag(lam) U^dagger p^{1/2} in the endpoint frame
+    of q; the roots decide that p is positive definite, the frame that q is.
     """
     p = linalg.hermitian(p)
     q = linalg.hermitian(q)
     linalg.same_rank(p, q)
-    return _log(linalg._roots(p), q)
-
-
-def _log(roots, q: np.ndarray) -> np.ndarray:
-    """log_map(p, q) with roots = (p^{1/2}, p^{-1/2})."""
-    ps, psi = roots
-    mid = linalg.hermitian_part(psi @ q @ psi)
-    return linalg.hermitian_part(ps @ linalg._logm(mid) @ ps)
+    ps, u, lam = _frame(linalg._roots(p), q, endpoint=True)
+    return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
 
 
 def geodesic_residual(g: FiberGeodesic, t: float, step: float):
@@ -239,8 +243,8 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float):
     Zero up to that truncation error exactly when g satisfies the
     geodesic equation; convention-free check of the spray sign.
     """
-    if step <= 0:
-        raise ParameterError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ParameterError(f"step={step!r} must be positive and finite")
     gm = geodesic_eval(g, t)
     gp = geodesic_eval(g, t + step)
     gn = geodesic_eval(g, t - step)
@@ -278,9 +282,8 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray):
     v = linalg.hermitian(v)
     basis = hermitian_basis(linalg.same_rank(h, v))
     steps, h, v = EXP_FD_STEP * basis, h[..., None, :, :], v[..., None, :, :]
-    roots = linalg._roots(h)
-    plus = _geodesic(h, v + steps, 1.0, roots)
-    minus = _geodesic(h, v - steps, 1.0, roots)
+    frame = _frame(linalg._roots(h), np.stack([v + steps, v - steps]))
+    plus, minus = _geodesic(h, frame, 1.0)
     # jac[i, j]: coordinate i of the derivative along basis direction j
     jac = _trace(basis[:, None] @ ((plus - minus) / (2 * EXP_FD_STEP))[..., None, :, :, :])
     return np.linalg.svd(jac, compute_uv=False)[..., -1]

@@ -140,22 +140,22 @@ def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _recompose(u, s), _recompose(u, 1.0 / s)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    w, u = _eigh(a)
+def _exp(w: np.ndarray) -> np.ndarray:
+    """e^w for a stack of spectra, each within the exp overflow guard."""
     big = np.abs(w).max(axis=-1)
     reject(big > EXP_OVERFLOW_GUARD, OverflowGuardError,
            lambda k: f"eigenvalue magnitude {big[k]:.3e} exceeds exp guard "
                      f"{EXP_OVERFLOW_GUARD}")
-    return _recompose(u, np.exp(w))
+    return np.exp(w)
 
 
-def _logm(p: np.ndarray) -> np.ndarray:
-    w, u = _eigh(p)
+def _log(w: np.ndarray) -> np.ndarray:
+    """log w for a stack of ascending spectra, positive and within COND_GUARD."""
     _positive(w)
     cond = w[..., -1] / w[..., 0]
     reject(cond > COND_GUARD, IllConditionedError,
            lambda k: f"condition number {cond[k]:.3e} exceeds guard {COND_GUARD:.0e}")
-    return _recompose(u, np.log(w))
+    return np.log(w)
 
 
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +179,14 @@ def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix; result is positive definite."""
-    return _expm(hermitian(a))
+    w, u = _eigh(hermitian(a))
+    return _recompose(u, _exp(w))
 
 
 def logm_posdef(p: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive-definite Hermitian matrix."""
-    return _logm(hermitian(p))
+    w, u = _eigh(hermitian(p))
+    return _recompose(u, _log(w))
 
 
 def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:

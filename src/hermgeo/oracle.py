@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, OracleFailureError, ParameterError, reject
+from .errors import DimensionError, OracleFailureError, check_count, reject
 from .fiber import check_alpha
 from .sampling import _complex_normal, make_rng
 
@@ -327,17 +327,13 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     # object entries keep each seed the integer it was given
     rngs = [make_rng(s) for s in _per_sample(np.asarray(seed, dtype=object),
                                              len(p), "seed")]
-    if segments < 8:
-        raise ParameterError("need at least 8 segments")
+    segments = check_count(segments, "segments", 8)
 
     levels = [segments]
     while levels[-1] > 8 and levels[-1] % 2 == 0:
         levels.append(levels[-1] // 2)
     levels.reverse()
-    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) \
-            or iterations < len(levels):
-        raise ParameterError(f"iterations={iterations!r}: need an integer of at least "
-                             f"{len(levels)}, one per refinement level")
+    iterations = check_count(iterations, "iterations", len(levels))
 
     paths = _initial_paths(p, q, levels[0])
     for path, p1, q1, rng in zip(paths, p, q, rngs):

@@ -37,9 +37,10 @@ from .errors import (
     NonFiniteError,
     ParameterError,
     WireFormatError,
+    check_count,
     reject,
 )
-from .fiber import _distance, _geodesic, _inner, _log, _whiten, check_alpha
+from .fiber import _distance, _frame, _geodesic, _inner, _whiten, check_alpha
 # unused here; bench/test_bench.py::test_tracer_restores_every_binding reads it
 from .fiber import fiber_distance  # noqa: F401
 
@@ -74,7 +75,7 @@ class QuadratureMesh:
     content_hash: str = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.rank <= linalg.RANK_LIMIT:
+        if check_count(self.rank, "rank", 1) > linalg.RANK_LIMIT:
             raise DimensionError(f"rank {self.rank} outside 1..{linalg.RANK_LIMIT}")
         ids = _int64_ids(self.ids)
         weights = np.asarray(self.weights, dtype=float)
@@ -269,13 +270,12 @@ def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
 
 
 def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
-    """Pointwise geodesic from h1 to h2 at parameter t: any real value,
+    """Pointwise geodesic from h1 to h2 at parameter t: any finite value,
     or one per point."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        roots = linalg._roots(h1.values)
-        a = _log(roots, h2.values)
-        return MetricSection(mesh, _geodesic(h1.values, a, t, roots))
+        frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
+        return MetricSection(mesh, _geodesic(h1.values, frame, t))
 
 
 def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
@@ -413,8 +413,7 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
                        stream) -> None:
     """CSV trace of the connecting geodesic: t, point_id, then re/im
     entries; unquoted, %.17g entries, \\r\\n rows, one write per step."""
-    if steps < 2:
-        raise ParameterError(f"steps={steps}: need at least 2 steps")
+    steps = check_count(steps, "steps", 2)
     mesh = _same_mesh(h1, h2)
     n, r = mesh.n_points, mesh.rank
     header = ["t", "point_id"]
@@ -428,11 +427,10 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     cells = np.empty((n, 2 + 2 * r * r), dtype=object)
     cells[:, 1] = mesh.ids.tolist()
     with _at_points(mesh.ids):
-        roots = linalg._roots(h1.values)
-        a = _log(roots, h2.values)
+        frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
         for k in range(steps):
             t = k / (steps - 1)
-            m = _geodesic(h1.values, a, t, roots)
+            m = _geodesic(h1.values, frame, t)
             cells[:, 0] = f"{t:.12g}"
             cells[:, 2:] = np.stack([m.real, m.imag], axis=-1).reshape(n, -1)
             stream.write(block % tuple(cells.ravel().tolist()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fiber, linalg, sampling, sections
 from .completion import _cat0_slacks
-from .errors import ParameterError
+from .errors import check_count
 from .oracle import distance_oracle
 
 
@@ -31,11 +31,6 @@ def _judge(rep: dict, table, **derived) -> dict:
     rep["passed"] = all(bool(cmp(values[metric], bound))
                         for metric, cmp, bound in table)
     return rep
-
-
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ParameterError(f"samples={samples}: need at least 1")
 
 
 def _rank_groups(draws):
@@ -171,7 +166,7 @@ def run_invariants(seed: int = 42, samples: int = 100) -> dict:
     """Fiber and section invariants: positivity bound, symmetry/scaling of
     the distance, congruence and gauge invariance, geodesic affinity,
     exp/log roundtrip, curvature identities, nonpositive curvature."""
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     rng = sampling.make_rng(seed)
     rep: dict = {"suite": "invariants", "seed": seed, "samples": samples}
     rep.update(_fiber_invariants(rng, samples))
@@ -220,7 +215,7 @@ def _triangle_slacks(draws, values):
 def run_cat0(seed: int = 7, samples: int = 200) -> dict:
     """CN-inequality slack over random triangles plus flat (commuting
     diagonal) triangles where the slack must vanish."""
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     rng = sampling.make_rng(seed)
     draws = []
     for _ in range(samples):
@@ -254,7 +249,7 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
 def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
                iterations: int = 500) -> dict:
     """Closed-form fiber distance against the discrete path oracle."""
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     rng = sampling.make_rng(seed)
     # the logs of each sample's p and q, in seed order
     p, q = linalg.expm_hermitian(
@@ -277,7 +272,7 @@ def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
 
 def run_appendix(seed: int = 3, samples: int = 100) -> dict:
     """Finite-difference invertibility of the exponential differential."""
-    _require_samples(samples)
+    samples = check_count(samples, "samples", 1)
     rng = sampling.make_rng(seed)
     draws = []
     for _ in range(samples):

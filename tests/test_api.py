@@ -7,6 +7,7 @@ caught here."""
 
 import ast
 import importlib
+import io
 import pkgutil
 from pathlib import Path
 
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 import hermgeo
-from hermgeo import completion, disk, fiber, oracle
+from hermgeo import completion, disk, fiber, oracle, sections, suites
 from hermgeo.errors import DimensionError, HermGeoError, NonFiniteError, ParameterError
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
-# a mesh that leaves out its singular set
+# a mesh that leaves out its singular set.  Then the matrix functions of
+# the log-then-exp geodesic route, which the spectral frame replaced
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
-           "MeasureInconsistencyError")
+           "MeasureInconsistencyError", "_expm", "_logm")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -32,10 +34,14 @@ def test_exports_resolve_and_removed_names_stay_gone():
     for module in modules:
         stale = [name for name in REMOVED if hasattr(module, name)]
         assert not stale, (module.__name__, stale)
+    # linalg._log is the spectrum-level guard; fiber's log map kernel is gone
+    assert not hasattr(fiber, "_log")
 
 
 EYE = np.eye(2, dtype=complex)
 EYE2, EYE3 = (np.broadcast_to(EYE, (n, 2, 2)) for n in (2, 3))
+MESH = sections.QuadratureMesh(rank=2, ids=[0, 1], weights=[1.0, 1.0], alphas=[0.0, 0.0])
+H = sections.MetricSection(MESH, EYE2)
 
 # each entry: the error type, then a call with one inadmissible argument
 BAD_INPUTS = {
@@ -57,6 +63,10 @@ BAD_INPUTS = {
     "fiber_distance stacks": (DimensionError, fiber.fiber_distance, EYE3, EYE2, 0.0),
     "geodesic_residual step":
         (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, 0.0),
+    "geodesic_residual nan step":
+        (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, np.nan),
+    "geodesic_residual inf step":
+        (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, np.inf),
     "oracle segments": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 4),
     "oracle seed negative": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 10, -1),
     "oracle seed fractional":
@@ -65,6 +75,55 @@ BAD_INPUTS = {
     "oracle seed in a list":
         (ParameterError, oracle.distance_oracle, EYE2, 2 * EYE2, 0.0, 8, 10, [2**63, 1.5]),
     "oracle iterations": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 16, 1),
+    "oracle segments float":
+        (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 12.0, 20),
+    "oracle iterations float":
+        (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 20.0),
+    "cat0 samples float": (ParameterError, suites.run_cat0, 1, 2.5),
+    "appendix samples float": (ParameterError, suites.run_appendix, 1, 2.0),
+    "invariants samples bool": (ParameterError, suites.run_invariants, 1, True),
+    "geodesic csv steps float":
+        (ParameterError, sections.write_geodesic_csv, H, H, 2.5, io.StringIO()),
+    "geodesic csv steps": (ParameterError, sections.write_geodesic_csv, H, H, 1, io.StringIO()),
+    "log_truncation levels float":
+        (ParameterError, disk.log_truncation_experiment, disk.DiskMesh(4, 8), 0.0, 2.5),
+    "log_truncation levels": (ParameterError, disk.log_truncation_experiment,
+                              disk.DiskMesh(4, 8), 0.0, 0),
+    "DiskMesh n_r float": (ParameterError, disk.DiskMesh, 100.0, 8),
+    "DiskMesh n_theta bool": (ParameterError, disk.DiskMesh, 8, True),
+    "DiskMesh n_theta zero": (ParameterError, disk.DiskMesh, 8, 0),
+    "QuadratureMesh rank float":
+        (ParameterError, sections.QuadratureMesh, 2.0, [0], [1.0], [0.0]),
+    "QuadratureMesh rank zero": (ParameterError, sections.QuadratureMesh, 0, [0], [1.0], [0.0]),
+    "QuadratureMesh rank past the limit":
+        (DimensionError, sections.QuadratureMesh, 65, [0], [1.0], [0.0]),
+    "section_geodesic nan t": (ParameterError, sections.section_geodesic, H, H, np.nan),
+    "section_geodesic inf t": (ParameterError, sections.section_geodesic, H, H, np.inf),
+    "section_geodesic nan t at a point":
+        (ParameterError, sections.section_geodesic, H, H, [0.5, np.nan]),
+    "geodesic_eval nan t":
+        (ParameterError, fiber.geodesic_eval, fiber.FiberGeodesic(EYE, EYE), np.nan),
+    "geodesic_eval inf t":
+        (ParameterError, fiber.geodesic_eval, fiber.FiberGeodesic(EYE, EYE), -np.inf),
+    "psh_check nan radius": (ParameterError, disk.psh_check,
+                             disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))),
+                             [np.nan]),
+}
+
+# the argument that a case's error names, as name=value
+NAMED_ARGUMENTS = {
+    "oracle segments": "segments", "oracle segments float": "segments",
+    "oracle iterations": "iterations", "oracle iterations float": "iterations",
+    "cat0 samples float": "samples", "appendix samples float": "samples",
+    "invariants samples bool": "samples", "geodesic csv steps float": "steps",
+    "geodesic csv steps": "steps", "log_truncation levels float": "levels",
+    "log_truncation levels": "levels", "DiskMesh n_r float": "n_r",
+    "DiskMesh n_theta bool": "n_theta", "DiskMesh n_theta zero": "n_theta",
+    "QuadratureMesh rank float": "rank", "QuadratureMesh rank zero": "rank",
+    "geodesic_residual nan step": "step", "geodesic_residual inf step": "step",
+    "section_geodesic nan t": "t", "section_geodesic inf t": "t",
+    "section_geodesic nan t at a point": "t", "geodesic_eval nan t": "t",
+    "geodesic_eval inf t": "t",
 }
 
 
@@ -74,6 +133,8 @@ def test_input_checks_raise_typed_errors(case):
     with pytest.raises(cls) as info:
         fn(*args)
     assert isinstance(info.value, HermGeoError)
+    if case in NAMED_ARGUMENTS:
+        assert f"{NAMED_ARGUMENTS[case]}=" in str(info.value), info.value
 
 
 # imports kept for a reader outside the package: (module, name) -> why

@@ -8,12 +8,15 @@ exp arguments near the overflow guard, and check that an error about
 one matrix of a stack names its mesh point id.  Section ops call the
 unvalidated kernels on their validated stacks: a cost model pins their
 eigensolve and validation counts per call, and a fuzz drives them past
-every guard.
+every guard.  The geodesic's endpoint frame is gated against the
+log-then-exp route it replaced, kept here in plain numpy, and against a
+40-digit mpmath reference.
 """
 
 import csv
 import io
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -139,10 +142,69 @@ def test_l2_inner_matches_point_loop(rank, n, regime):
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_section_geodesic_matches_point_loop(rank, n, regime, t):
     mesh, p, q, _ = _case(rank, n, 30 * rank + n, regime)
-    want = np.stack([fiber.geodesic_eval(
-        fiber.FiberGeodesic(p[i], fiber.log_map(p[i], q[i])), t) for i in range(n)])
+    want = np.stack([fiber._geodesic(
+        p[i], fiber._frame(linalg._roots(p[i]), q[i], endpoint=True), t) for i in range(n)])
     got = section_geodesic(MetricSection(mesh, p), MetricSection(mesh, q), t)
     _assert_stack(got.values, want)
+
+
+def _old_route(p, q, t):
+    """The geodesic route the endpoint frame replaced, in plain numpy: the
+    log map a = p^{1/2} log(p^{-1/2} q p^{-1/2}) p^{1/2}, whitened again
+    and exponentiated at t, p^{1/2} exp(t p^{-1/2} a p^{-1/2}) p^{1/2}."""
+    w, u = np.linalg.eigh(p)
+    ps, psi = _from_spectrum(u, np.sqrt(w)), _from_spectrum(u, 1.0 / np.sqrt(w))
+    w, u = np.linalg.eigh(_hermitian_part(psi @ q @ psi))
+    a = _hermitian_part(ps @ _from_spectrum(u, np.log(w)) @ ps)
+    w, u = np.linalg.eigh(t * _hermitian_part(psi @ a @ psi))
+    return _hermitian_part(ps @ _from_spectrum(u, np.exp(w)) @ ps)
+
+
+def _hermitian_part(a):
+    return (a + _dagger(a)) / 2
+
+
+ROUTE_TIMES = (0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_frame_route_matches_old_route(rank):
+    mesh, p, q, _ = _case(rank, 50, 110 + rank, "mild")
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    for t in ROUTE_TIMES:
+        _assert_stack(section_geodesic(h1, h2, t).values, _old_route(p, q, t))
+
+
+def _mp_geodesic(hs, m, t):
+    """hs m^t hs in 40 digits, from the float64 matrices hs and m."""
+    with mpmath.workdps(40):
+        mu, u = mpmath.eighe(mpmath.matrix(m.tolist()))
+        hs = mpmath.matrix(hs.tolist())
+        g = hs * u * mpmath.diag([x ** mpmath.mpf(t) for x in mu]) * u.transpose_conj() * hs
+        return np.array(g.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("regime", ["ill", "guard"])
+@pytest.mark.parametrize("rank", [2, 4])
+def test_frame_route_no_further_from_reference(rank, regime):
+    # Both routes first form p^{1/2}, p^{-1/2} and the whitened endpoint
+    # m = p^{-1/2} q p^{-1/2}, bit for bit alike, and part after m.  The
+    # rounding of those shared steps (up to cond(p) eps, about 1e-4 in the
+    # "ill" regime) is the same for both and would swamp their difference,
+    # so the reference takes them as exact and follows p^{1/2} m^t p^{1/2}
+    # from there in 40 digits.
+    mesh, p, q, _ = _case(rank, 4, 120 + rank, regime)
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    hs, hsi = linalg._roots(p)
+    m = linalg.hermitian_part(hsi @ q @ hsi)
+    errors = {"frame": [], "old": []}
+    for t in ROUTE_TIMES:
+        want = np.stack([_mp_geodesic(hs[i], m[i], t) for i in range(len(p))])
+        scale = np.abs(want).max(axis=(-2, -1))
+        for route, got in (("frame", section_geodesic(h1, h2, t).values),
+                           ("old", _old_route(p, q, t))):
+            errors[route].append(np.abs(got - want).max(axis=(-2, -1)) / scale)
+    assert np.max(errors["frame"]) <= np.max(errors["old"])
 
 
 @cases
@@ -269,11 +331,12 @@ def test_section_ops_cost_model(counts, n):
     assert counts == {"eig": 2}
     counts.clear()
     section_geodesic(h1, h2, 0.5)
-    assert counts == {"eig": 4, "hermitian": 1, "posdef": 1}
+    assert counts == {"eig": 3, "hermitian": 1, "posdef": 1}
+    # the roots and the endpoint frame, whatever the step count
     for steps in (2, 11):
         counts.clear()
         write_geodesic_csv(h1, h2, steps, io.StringIO())
-        assert counts == {"eig": steps + 1}
+        assert counts == {"eig": 2}
 
 
 def test_raufi_integrability_cost_model(counts):

@@ -231,14 +231,15 @@ def test_dimension_errors():
 
 # eigensolves per call: one that gives a base point's roots, which also
 # decides its positivity, plus what the formula needs (the relative
-# spectrum, the logarithm, the exponentials)
+# spectrum, a geodesic's frame, the logarithm); a geodesic point needs
+# none beyond its frame
 EIGENSOLVES = {
     "relative_spectrum": 2, "fiber_distance": 2, "log_map": 2,
     "alpha_inner": 1, "spray": 1, "curvature_tensor": 1,
     "sectional_curvature": 1, "sectional_curvature (Gram-Schmidt)": 1,
     "sqrtm_posdef": 1, "invsqrtm_posdef": 1, "logm_posdef": 1,
-    "FiberGeodesic": 1, "geodesic_eval": 1, "_gram_schmidt_pair": 1,
-    "exp_differential_min_singular": 3,
+    "FiberGeodesic": 2, "geodesic_eval": 0, "_gram_schmidt_pair": 1,
+    "exp_differential_min_singular": 2,
 }
 
 

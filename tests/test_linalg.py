@@ -209,7 +209,8 @@ ROOT_OPS = {
     "invsqrtm_posdef": linalg.invsqrtm_posdef,
     "alpha_inner": lambda h: fiber.alpha_inner(h, h, h, 0.5),
     "curvature_tensor": lambda h: fiber.curvature_tensor(h, h, h, h),
-    "FiberGeodesic": lambda h: fiber.FiberGeodesic(h, h).roots,
+    "FiberGeodesic":
+        lambda h: np.concatenate([x.ravel() for x in fiber.FiberGeodesic(h, h).frame]),
 }
 
 

@@ -185,7 +185,7 @@ def test_suite_matches_per_sample_reference(suite, seed, samples, verdict):
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sample_count_must_be_positive(suite, samples):
-    with pytest.raises(ParameterError, match="need at least 1"):
+    with pytest.raises(ParameterError, match=r"^samples=-?\d+: need an integer of at least 1$"):
         suites.SUITES[suite](seed=1, samples=samples)
 
 
@@ -201,17 +201,17 @@ def test_suite_cost_model(counts):
     # occurs (at these seeds both cat0 ranks occur among the 4 flat
     # triangles of 40 samples, and both appendix ranks among 40 samples).
     # cat0, per rank: random triangles 3 vertices x (exp + validation),
-    # 5 distances x 2 and 3 geodesic points x 4 (roots, log, exp,
-    # validation) make 28; flat ones 3 validations, 4 distances and the
-    # midpoint make 15.  Each rank's random and flat triangles share one
-    # mesh each: 4 meshes
+    # 5 distances x 2 and 3 geodesic points x 3 (roots, endpoint frame,
+    # validation) make 25; flat ones 3 validations, 4 distances x 2 and
+    # the midpoint's 3 make 14.  Each rank's random and flat triangles
+    # share one mesh each: 4 meshes
     cat0 = [_cost(counts, suites.run_cat0, 7, n) for n in (40, 240)]
-    assert cat0 == [(2 * (28 + 15), 4)] * 2
+    assert cat0 == [(2 * (25 + 14), 4)] * 2
     # appendix, per rank: exp of h, its roots, which also decide its
-    # positivity, and the two geodesic ends of the central differences;
-    # then 3 at v = 0
+    # positivity, and one frame of both ends of the central differences;
+    # then 2 at v = 0
     appendix = [_cost(counts, suites.run_appendix, 3, n) for n in (40, 240)]
-    assert appendix == [(2 * 4 + 3, 0)] * 2
+    assert appendix == [(2 * 3 + 2, 0)] * 2
     # ranks 2-4, each in one stacked evaluation
     fiber_block = [_cost(counts, suites._fiber_invariants, sampling.make_rng(42), n)
                    for n in (30, 60, 240)]

@@ -28,7 +28,7 @@ import hermgeo
 from hermgeo import linalg, sampling, sections
 from hermgeo.cli import main
 from hermgeo.errors import HermGeoError, ParameterError, WireFormatError
-from hermgeo.fiber import _log
+from hermgeo.fiber import _frame
 from hermgeo.sections import (
     GaugeTransform,
     MetricSection,
@@ -48,11 +48,10 @@ def reference_csv(h1, h2, steps, stream):
             header += [f"re_{i}{j}", f"im_{i}{j}"]
     writer = csv.writer(stream)
     writer.writerow(header)
-    roots = linalg._roots(h1.values)
-    a = _log(roots, h2.values)
+    frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
     for k in range(steps):
         t = k / (steps - 1)
-        m = sections._geodesic(h1.values, a, t, roots)
+        m = sections._geodesic(h1.values, frame, t)
         entries = np.stack([m.real, m.imag], axis=-1).reshape(mesh.n_points, -1)
         writer.writerows([f"{t:.12g}", pid, *(f"{x:.17g}" for x in row)]
                          for pid, row in zip(mesh.ids.tolist(), entries.tolist()))
