@@ -32,7 +32,6 @@ from .sections import (
     conformal_distance,
     conformal_scale,
     flat_distance,
-    flat_inner,
     gauge_apply,
     l2_inner,
     section_distance,

@@ -19,7 +19,6 @@ from .sections import (
     MetricSection,
     ScalarField,
     _relative_spectra,
-    _segment_distances,
     _weighted_sum,
     conformal_distance,
     conformal_scale,
@@ -78,8 +77,8 @@ def refinement_trend(norms, levels) -> float:
     """
     norms = np.asarray(norms, dtype=float)
     levels = np.asarray(levels, dtype=float)
-    if norms.size != levels.size or norms.size < 2:
-        raise ParameterError("need matching norms/levels with at least 2 entries")
+    if norms.size != levels.size or np.unique(levels).size < 2:
+        raise ParameterError("need matching norms/levels with at least 2 distinct levels")
     if not np.all(np.isfinite(norms) & np.isfinite(levels) & (norms > 0) & (levels > 0)):
         raise ParameterError("norms and levels must be positive and finite")
     slope = np.polyfit(np.log(levels), np.log(norms), 1)[0]
@@ -145,7 +144,7 @@ def _cat0_slacks(p: MetricSection, q: MetricSection, r: MetricSection,
     triangle's slacks do not depend on the batch it is in.
     """
     def dist(x, y):
-        return _segment_distances(x, y, segment)
+        return section_distance(x, y, segment=segment)
 
     def sq(x):
         return np.float_power(x, 2)

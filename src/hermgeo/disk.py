@@ -252,8 +252,8 @@ def psh_check(u: GridFunction, radii) -> PshReport:
     """
     mesh = u.mesh
     radii = np.asarray(radii, dtype=float)
-    if not np.all(np.isfinite(radii) & (radii > 0)):
-        raise ParameterError("test radii must be positive and finite")
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ParameterError("test radii must be a nonempty list of positive finite values")
     z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
     sel = z[::PSH_CENTER_STRIDE, ::PSH_CENTER_STRIDE].ravel()
     centers = sel[np.abs(sel) >= PSH_MIN_CENTER_RADIUS]

@@ -188,6 +188,7 @@ def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
     """The geodesic point h^{1/2} U e^{t lam} U^dagger h^{1/2} at a finite t,
     a scalar or one value per matrix; where t is 0 the point is h itself."""
     t = np.asarray(t, dtype=float)
+    linalg._broadcast(t.shape, h.shape[:-2], what="t and batch shapes")
     reject(~np.isfinite(t), ParameterError, lambda k: f"t={t[k]} is not finite")
     if not t.any():
         return h

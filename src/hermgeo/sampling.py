@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError
+from .errors import check_count
 from .fiber import _gram_schmidt_pair
 from .sections import (
     GaugeTransform,
@@ -21,11 +21,8 @@ from .sections import (
 
 
 def make_rng(seed) -> np.random.Generator:
-    """The Philox generator of a nonnegative integer seed; a bool, a
-    non-integer or a negative seed raises ParameterError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed {seed!r} is not a nonnegative integer")
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """The Philox generator of a seed that ``check_count`` admits (>= 0)."""
+    return np.random.Generator(np.random.Philox(check_count(seed, "seed", 0)))
 
 
 def _complex_normal(rng: np.random.Generator, n: int, shape: tuple) -> np.ndarray:
@@ -106,10 +103,14 @@ def random_tangent_section(rng: np.random.Generator, mesh: QuadratureMesh) -> Ta
     return TangentSection(mesh, random_hermitians(rng, mesh.rank, mesh.n_points))
 
 
+def _near_identity(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    """n r x r gauge matrices: the identity plus noise of norm 1/2."""
+    g = _complex_normal(rng, n, (r, r))
+    return np.eye(r) + 0.5 * g / np.maximum(linalg._norm(g), 1e-12)[:, None, None]
+
+
 def random_gauge(rng: np.random.Generator, mesh: QuadratureMesh) -> GaugeTransform:
-    g = _complex_normal(rng, mesh.n_points, (mesh.rank, mesh.rank))
-    g = np.eye(mesh.rank) + 0.5 * g / np.maximum(linalg._norm(g), 1e-12)[:, None, None]
-    return GaugeTransform(mesh, g)
+    return GaugeTransform(mesh, _near_identity(rng, mesh.n_points, mesh.rank))
 
 
 def random_scalar_field(rng: np.random.Generator, mesh: QuadratureMesh) -> ScalarField:

@@ -76,7 +76,7 @@ class QuadratureMesh:
 
     def __post_init__(self):
         if check_count(self.rank, "rank", 1) > linalg.RANK_LIMIT:
-            raise DimensionError(f"rank {self.rank} outside 1..{linalg.RANK_LIMIT}")
+            raise ParameterError(f"rank={self.rank}: need at most {linalg.RANK_LIMIT}")
         ids = _int64_ids(self.ids)
         weights = np.asarray(self.weights, dtype=float)
         alphas = np.asarray(self.alphas, dtype=float)
@@ -106,7 +106,7 @@ class QuadratureMesh:
 
     @property
     def volume(self) -> float:
-        return float(_weighted_sum(self.weights))
+        return _weighted_sum(self.weights)
 
 
 def _int64_ids(ids) -> np.ndarray:
@@ -214,24 +214,45 @@ class ScalarField(_MeshValues):
 
 def _weighted_sum(*factors, segment=None):
     """The sum over the mesh points of the product of ``factors`` (per-point
-    arrays or scalars, multiplied left to right), or one sum per segment
-    of a point ``segment`` array.  A sum that overflows raises
+    arrays or scalars, multiplied left to right), as a float; or, given
+    ``segment``, one integer in 0..n-1 for each of the n points, one sum
+    per segment, in point order.  A sum that overflows raises
     NonFiniteError."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = functools.reduce(operator.mul, factors)
-        total = terms.sum() if segment is None else np.bincount(segment, weights=terms)
+        total = terms.sum() if segment is None else _segment_sums(terms, segment)
     if not np.isfinite(total).all():
         raise NonFiniteError("a weighted sum over the mesh overflows")
-    return total
+    return float(total) if segment is None else total
 
 
-def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection) -> float:
-    """Weighted sum of fiber inner products: the L2 metric at h."""
+def _segment_sums(terms: np.ndarray, segment) -> np.ndarray:
+    """np.bincount of ``terms`` by ``segment``, checked first: an entry past
+    n - 1 would make np.bincount allocate that many sums, and a float or
+    negative one would end in a bare numpy error."""
+    seg = np.asarray(segment)
+    if seg.shape != terms.shape:
+        raise DimensionError(f"segment shape {seg.shape} != point shape {terms.shape}")
+    if seg.dtype.kind not in "iu":
+        raise ParameterError(f"segment dtype {seg.dtype} is not an integer type")
+    reject((seg < 0) | (seg >= seg.size), ParameterError,
+           lambda k: f"segment={seg[k]}: need an integer in 0..{seg.size - 1}")
+    return np.bincount(seg.astype(np.intp), weights=terms)
+
+
+def _root(total):
+    """The square root of a ``_weighted_sum``: a float, or one per segment."""
+    return np.sqrt(total) if np.ndim(total) else float(np.sqrt(total))
+
+
+def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection, *, segment=None):
+    """Weighted sum of fiber inner products, the L2 metric at h: a float,
+    or one per segment of a ``segment`` array (see ``_weighted_sum``)."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
     inner = _inner(*_whiten(linalg._roots(h.values)[1], v.values, w.values),
                    mesh.alphas)
-    return float(_weighted_sum(mesh.weights, inner))
+    return _weighted_sum(mesh.weights, inner, segment=segment)
 
 
 def _relative_spectra(h1: MetricSection, h2: MetricSection):
@@ -247,26 +268,18 @@ def _fiber_distances(h1: MetricSection, h2: MetricSection):
     return mesh, _distance(lam, mesh.alphas)
 
 
-def section_distance(h1: MetricSection, h2: MetricSection) -> float:
-    """sqrt of the weighted sum of squared fiber distances."""
+def section_distance(h1: MetricSection, h2: MetricSection, *, segment=None):
+    """sqrt of the weighted sum of squared fiber distances: a float, or one
+    per segment of a ``segment`` array (see ``_weighted_sum``)."""
     mesh, d = _fiber_distances(h1, h2)
-    return float(np.sqrt(_weighted_sum(mesh.weights, d**2)))
+    return _root(_weighted_sum(mesh.weights, d**2, segment=segment))
 
 
-def _segment_distances(h1: MetricSection, h2: MetricSection,
-                       segment: np.ndarray) -> np.ndarray:
-    """``section_distance`` over each segment of a concatenated mesh.
-
-    Each segment's sum runs in point order, as ``section_distance``'s
-    does below 8 points, so short segments give its result exactly."""
+def theta_metric(h1: MetricSection, h2: MetricSection, *, segment=None):
+    """Weighted *sum* of fiber distances (the L1-style lower-bound metric):
+    a float, or one per segment of a ``segment`` array."""
     mesh, d = _fiber_distances(h1, h2)
-    return np.sqrt(_weighted_sum(mesh.weights, d**2, segment=segment))
-
-
-def theta_metric(h1: MetricSection, h2: MetricSection) -> float:
-    """Weighted *sum* of fiber distances (the L1-style lower-bound metric)."""
-    mesh, d = _fiber_distances(h1, h2)
-    return float(_weighted_sum(mesh.weights, d))
+    return _weighted_sum(mesh.weights, d, segment=segment)
 
 
 def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
@@ -287,15 +300,16 @@ def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
     return MetricSection(mesh, scaled)
 
 
-def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField) -> float:
+def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField, *, segment=None):
     """Closed form of d(e^f h, e^g h): sqrt(sum_i w_i r (1 + alpha_i r)
-    (f_i - g_i)^2), for any admissible alpha field."""
+    (f_i - g_i)^2), for any admissible alpha field; a float, or one per
+    segment of a ``segment`` array."""
     mesh = _same_mesh(h, f)
     _same_mesh(h, g)
     r = mesh.rank
     with np.errstate(over="ignore"):  # an overflow makes the sum raise
         sq = (f.values - g.values) ** 2
-    return float(np.sqrt(_weighted_sum(mesh.weights, r, 1.0 + mesh.alphas * r, sq)))
+    return _root(_weighted_sum(mesh.weights, r, 1.0 + mesh.alphas * r, sq, segment=segment))
 
 
 def gauge_apply(phi: GaugeTransform, section):
@@ -311,17 +325,11 @@ def gauge_apply(phi: GaugeTransform, section):
     return type(section)(mesh, linalg.hermitian_part(m))
 
 
-def flat_inner(h0: MetricSection, v: TangentSection, w: TangentSection) -> float:
-    """The flat reference inner product: L2 metric with base frozen at h0."""
-    return l2_inner(h0, v, w)
-
-
 def flat_distance(h0: MetricSection, h1: MetricSection, h2: MetricSection) -> float:
     """Flat distance ||h1 - h2|| measured in the frozen-base inner product."""
     mesh = _same_mesh(h1, h2)
-    _same_mesh(h0, h1)
     diff = TangentSection(mesh, h1.values - h2.values)
-    return float(np.sqrt(flat_inner(h0, diff, diff)))
+    return _root(l2_inner(h0, diff, diff))
 
 
 # --- serialization -------------------------------------------------------

@@ -41,9 +41,24 @@ def _rank_groups(draws):
         yield r, {name: [fields[name] for fields in group] for name in group[0]}
 
 
+def _worst(found) -> dict:
+    """The worst case of each field over ``found``, one dict of per-sample
+    arrays per rank: a ``*_min_slack`` is a minimum, the rest are maxima."""
+    values = {name: np.concatenate([w[name] for w in found]) for name in found[0]}
+    return {name: float(v.min() if name.endswith("min_slack") else v.max())
+            for name, v in values.items()}
+
+
+def _joined_mesh(rank: int, g: dict):
+    """A rank group's drawn meshes joined into one, and each point's sample."""
+    segment = np.repeat(np.arange(len(g["weights"])), [len(w) for w in g["weights"]])
+    return sections.QuadratureMesh(rank=rank, ids=np.arange(segment.size),
+                                   weights=np.concatenate(g["weights"]),
+                                   alphas=np.concatenate(g["alphas"])), segment
+
+
 def _fiber_invariants(rng, samples: int) -> dict:
-    """Worst case of each fiber property over ``samples`` random points
-    of ranks 2-4: a ``*_min_slack`` is a minimum, the rest are maxima."""
+    """Worst case of each fiber property over ``samples`` points of ranks 2-4."""
     draws = []
     for _ in range(samples):
         r = int(rng.integers(2, 5))
@@ -116,50 +131,46 @@ def _fiber_invariants(rng, samples: int) -> dict:
         uo, vo = fiber._gram_schmidt_pair(h, g["uo"], g["vo"], alpha)
         worst["sectional_max"] = fiber.sectional_curvature(h, uo, vo, alpha)
         found.append(worst)
-
-    values = {name: np.concatenate([w[name] for w in found]) for name in found[0]}
-    return {name: float(v.min() if name.endswith("min_slack") else v.max())
-            for name, v in values.items()}
+    return _worst(found)
 
 
 def _section_invariants(rng, samples: int) -> dict:
-    """Gauge invariance, theta bound and conformal identity, one sample at
-    a time, on one random mesh (with varying alpha) per sample."""
-    worst_gauge = 0.0
-    worst_theta = np.inf
-    worst_conformal = 0.0
+    """Gauge invariance, theta bound and conformal identity on
+    max(10, samples // 5) random meshes, joined into one mesh per rank."""
+    draws = []
     for _ in range(max(10, samples // 5)):
-        r = int(rng.integers(1, 4))
-        mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 8)))
-        h = sampling.random_metric_section(rng, mesh)
-        h2 = sampling.random_metric_section(rng, mesh)
-        v = sampling.random_tangent_section(rng, mesh)
-        w = sampling.random_tangent_section(rng, mesh)
-        phi = sampling.random_gauge(rng, mesh)
-        base = sections.l2_inner(h, v, w)
-        moved = sections.l2_inner(sections.gauge_apply(phi, h),
-                                  sections.gauge_apply(phi, v),
-                                  sections.gauge_apply(phi, w))
-        worst_gauge = max(worst_gauge, abs(moved - base) / (1.0 + abs(base)))
-        d0 = sections.section_distance(h, h2)
-        d1 = sections.section_distance(sections.gauge_apply(phi, h),
-                                       sections.gauge_apply(phi, h2))
-        worst_gauge = max(worst_gauge, abs(d1 - d0) / max(d0, 1e-12))
-        worst_theta = min(worst_theta,
-                          d0 - sections.theta_metric(h, h2) / np.sqrt(mesh.volume))
-
-        f = sampling.random_scalar_field(rng, mesh)
-        g2 = sampling.random_scalar_field(rng, mesh)
+        r, n = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        weights, alphas = sampling._mesh_fields(rng, r, n, None)
+        # the logs of h and h2, then v and w
+        hvw = sampling.random_hermitians(rng, r, 4 * n).reshape(4, n, r, r)
+        draws.append((r, {"weights": weights, "alphas": alphas, "hvw": hvw,
+                          "phi": sampling._near_identity(rng, n, r),
+                          "fg": rng.standard_normal((2, n))}))
+    found = []
+    for r, g in _rank_groups(draws):
+        mesh, segment = _joined_mesh(r, g)
+        stacks = np.concatenate(g["hvw"], axis=1)
+        h, h2 = (sections.MetricSection(mesh, linalg.expm_hermitian(x)) for x in stacks[:2])
+        v, w = (sections.TangentSection(mesh, x) for x in stacks[2:])
+        f, g2 = (sections.ScalarField(mesh, x) for x in np.concatenate(g["fg"], axis=1))
+        phi = sections.GaugeTransform(mesh, np.concatenate(g["phi"]))
+        gh, gh2, gv, gw = (sections.gauge_apply(phi, x) for x in (h, h2, v, w))
+        base = sections.l2_inner(h, v, w, segment=segment)
+        moved = sections.l2_inner(gh, gv, gw, segment=segment)
+        d0 = sections.section_distance(h, h2, segment=segment)
+        d1 = sections.section_distance(gh, gh2, segment=segment)
+        theta = (sections.theta_metric(h, h2, segment=segment)
+                 / np.sqrt(sections._weighted_sum(mesh.weights, segment=segment)))
         direct = sections.section_distance(sections.conformal_scale(h, f),
-                                           sections.conformal_scale(h, g2))
-        formula = sections.conformal_distance(h, f, g2)
-        worst_conformal = max(worst_conformal,
-                              abs(direct - formula) / max(formula, 1e-12))
-    return {
-        "gauge_max_rel_err": float(worst_gauge),
-        "theta_bound_min_slack": float(worst_theta),
-        "conformal_max_rel_err": float(worst_conformal),
-    }
+                                           sections.conformal_scale(h, g2), segment=segment)
+        formula = sections.conformal_distance(h, f, g2, segment=segment)
+        found.append({
+            "gauge_max_rel_err": np.maximum(np.abs(moved - base) / (1.0 + np.abs(base)),
+                                            np.abs(d1 - d0) / np.maximum(d0, 1e-12)),
+            "theta_bound_min_slack": d0 - theta,
+            "conformal_max_rel_err": np.abs(direct - formula) / np.maximum(formula, 1e-12),
+        })
+    return _worst(found)
 
 
 def run_invariants(seed: int = 42, samples: int = 100) -> dict:
@@ -199,13 +210,9 @@ def _triangle_slacks(draws, values):
 
     A draw is a triangle's rank and fields: its mesh's weights and
     alphas, its three vertices' stacks, from which ``values`` makes the
-    matrices, and optionally its ``st``.  The triangles of a rank share
-    one mesh that holds their points one triangle after another."""
+    matrices, and optionally its ``st``.  A rank's triangles share one mesh."""
     for rank, g in _rank_groups(draws):
-        segment = np.repeat(np.arange(len(g["weights"])), [len(w) for w in g["weights"]])
-        mesh = sections.QuadratureMesh(rank=rank, ids=np.arange(segment.size),
-                                       weights=np.concatenate(g["weights"]),
-                                       alphas=np.concatenate(g["alphas"]))
+        mesh, segment = _joined_mesh(rank, g)
         p, q, r = (sections.MetricSection(mesh, values(v))
                    for v in np.concatenate(g["vertices"], axis=1))
         st = np.array(g["st"]).T if "st" in g else ()

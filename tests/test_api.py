@@ -6,6 +6,7 @@ left behind by a deletion or an import whose last user was deleted is
 caught here."""
 
 import ast
+import functools
 import importlib
 import io
 import pkgutil
@@ -20,9 +21,12 @@ from hermgeo.errors import DimensionError, HermGeoError, NonFiniteError, Paramet
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
 # a mesh that leaves out its singular set.  Then the matrix functions of
-# the log-then-exp geodesic route, which the spectral frame replaced
+# the log-then-exp geodesic route, which the spectral frame replaced.
+# Then an alias of l2_inner, and the per-segment distance that
+# section_distance(..., segment=) replaced
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
-           "MeasureInconsistencyError", "_expm", "_logm")
+           "MeasureInconsistencyError", "_expm", "_logm", "flat_inner",
+           "_segment_distances")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -56,6 +60,8 @@ BAD_INPUTS = {
         (ParameterError, completion.refinement_trend, [1.0, np.nan], [1, 2]),
     "refinement_trend infinite level":
         (ParameterError, completion.refinement_trend, [1.0, 2.0], [1, np.inf]),
+    "refinement_trend one distinct level":
+        (ParameterError, completion.refinement_trend, [1.0, 2.0], [1, 1]),
     "alpha_inner stacks": (DimensionError, fiber.alpha_inner, EYE3, EYE2, EYE2, 0.0),
     "alpha_inner alpha length":
         (DimensionError, fiber.alpha_inner, EYE3, EYE3, EYE3, [0.0, 0.5]),
@@ -96,11 +102,22 @@ BAD_INPUTS = {
         (ParameterError, sections.QuadratureMesh, 2.0, [0], [1.0], [0.0]),
     "QuadratureMesh rank zero": (ParameterError, sections.QuadratureMesh, 0, [0], [1.0], [0.0]),
     "QuadratureMesh rank past the limit":
-        (DimensionError, sections.QuadratureMesh, 65, [0], [1.0], [0.0]),
+        (ParameterError, sections.QuadratureMesh, 65, [0], [1.0], [0.0]),
     "section_geodesic nan t": (ParameterError, sections.section_geodesic, H, H, np.nan),
     "section_geodesic inf t": (ParameterError, sections.section_geodesic, H, H, np.inf),
     "section_geodesic nan t at a point":
         (ParameterError, sections.section_geodesic, H, H, [0.5, np.nan]),
+    "section_geodesic t per point shape":
+        (DimensionError, sections.section_geodesic, H, H, [0.5, 0.5, 0.5]),
+    "section_distance segment length":
+        (DimensionError, functools.partial(sections.section_distance, segment=[0]), H, H),
+    "section_distance segment negative":
+        (ParameterError, functools.partial(sections.section_distance, segment=[0, -1]), H, H),
+    "section_distance segment past the points":
+        (ParameterError, functools.partial(sections.section_distance, segment=[0, 2]), H, H),
+    "section_distance segment float":
+        (ParameterError, functools.partial(sections.section_distance, segment=[0.0, 1.0]),
+         H, H),
     "geodesic_eval nan t":
         (ParameterError, fiber.geodesic_eval, fiber.FiberGeodesic(EYE, EYE), np.nan),
     "geodesic_eval inf t":
@@ -108,6 +125,10 @@ BAD_INPUTS = {
     "psh_check nan radius": (ParameterError, disk.psh_check,
                              disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))),
                              [np.nan]),
+    "psh_check no radius": (ParameterError, disk.psh_check,
+                            disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))), []),
+    "psh_check scalar radius": (ParameterError, disk.psh_check,
+                                disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))), 0.05),
 }
 
 # the argument that a case's error names, as name=value
@@ -120,6 +141,8 @@ NAMED_ARGUMENTS = {
     "log_truncation levels": "levels", "DiskMesh n_r float": "n_r",
     "DiskMesh n_theta bool": "n_theta", "DiskMesh n_theta zero": "n_theta",
     "QuadratureMesh rank float": "rank", "QuadratureMesh rank zero": "rank",
+    "QuadratureMesh rank past the limit": "rank", "section_distance segment negative": "segment",
+    "section_distance segment past the points": "segment",
     "geodesic_residual nan step": "step", "geodesic_residual inf step": "step",
     "section_geodesic nan t": "t", "section_geodesic inf t": "t",
     "section_geodesic nan t at a point": "t", "geodesic_eval nan t": "t",

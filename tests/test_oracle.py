@@ -396,7 +396,7 @@ def test_seeds_keep_their_integer_type():
         for k in range(2):
             assert out[k] == distance_oracle(p[k], q[k], 0.0, segments=8, iterations=20,
                                              seed=int(seeds[k]))
-    with pytest.raises(ParameterError, match="seed 1.5"):
+    with pytest.raises(ParameterError, match="seed=1.5"):
         distance_oracle(p, q, 0.0, segments=8, iterations=20, seed=[1, 1.5])
 
 

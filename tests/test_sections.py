@@ -15,7 +15,6 @@ from hermgeo.sections import (
     conformal_distance,
     conformal_scale,
     flat_distance,
-    flat_inner,
     gauge_apply,
     l2_inner,
     section_distance,
@@ -183,11 +182,15 @@ def test_overflowing_weighted_sums_raise():
     f, g = ScalarField(mesh, [0.0, 1.0]), ScalarField(mesh, [2.0, -1.0])
     # (f - g)^2 itself overflows here
     big, small = ScalarField(mesh, [0.0, 1e200]), ScalarField(mesh, [0.0, -1e200])
-    for call in (lambda: l2_inner(h1, v, v), lambda: section_distance(h1, h2),
-                 lambda: sections._segment_distances(h1, h2, np.array([0, 1])),
-                 lambda: theta_metric(h1, h2), lambda: conformal_distance(h1, f, g),
-                 lambda: conformal_distance(h1, big, small),
-                 lambda: integrability_report(h2, h1), lambda: mesh.volume):
+    for segment in (None, [0, 1]):
+        for call in (lambda: l2_inner(h1, v, v, segment=segment),
+                     lambda: section_distance(h1, h2, segment=segment),
+                     lambda: theta_metric(h1, h2, segment=segment),
+                     lambda: conformal_distance(h1, f, g, segment=segment),
+                     lambda: conformal_distance(h1, big, small, segment=segment)):
+            with pytest.raises(NonFiniteError, match="overflows"):
+                call()
+    for call in (lambda: integrability_report(h2, h1), lambda: mesh.volume):
         with pytest.raises(NonFiniteError, match="overflows"):
             call()
 
@@ -278,7 +281,7 @@ def test_flat_structure():
     assert flat_distance(h0, h1, const_section(mesh, np.eye(2))) \
         == pytest.approx(np.sqrt(2.0))
     v = TangentSection(mesh, np.stack([np.eye(2, dtype=complex)]))
-    assert flat_inner(h0, v, v) == pytest.approx(2.0)
+    assert l2_inner(h0, v, v) == pytest.approx(2.0)
 
 
 def test_flat_segment_length():

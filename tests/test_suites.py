@@ -5,8 +5,9 @@ in one stacked call per rank.  The loops below are the per-sample form
 of the same sweeps: one sample drawn and evaluated at a time through the
 single-matrix API.  They are the declared test-side reference: every
 report field must match them, at the default seeds, at a bench seed and
-at seeds whose verdict is a failure.  A cost model pins the eigensolve
-counts, which must not grow with the number of samples.
+at seeds whose verdict is a failure.  A cost model pins each suite's
+eigensolves and mesh constructions, which must not grow with the number
+of samples.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hermgeo import fiber, linalg, sampling, sections, suites
 from hermgeo.completion import _cat0_slacks, cat0_check, cat0_comparison_slack
 from hermgeo.errors import ParameterError
-from hermgeo.sections import MetricSection, QuadratureMesh
+from hermgeo.sections import MetricSection, QuadratureMesh, ScalarField, TangentSection
 
 
 def reference_invariants(seed, samples):
@@ -95,9 +96,46 @@ def reference_invariants(seed, samples):
         "curvature_antisym_max_resid": float(worst_antisym),
         "bianchi_max_resid": float(worst_bianchi),
         "sectional_max": float(worst_sec),
-        # the section block is looped in the suite too, and draws after
-        # the fiber block
-        **suites._section_invariants(rng, samples),
+        # the section block draws after the fiber block
+        **reference_section_invariants(rng, samples),
+    }
+
+
+def reference_section_invariants(rng, samples):
+    worst_gauge = 0.0
+    worst_theta = np.inf
+    worst_conformal = 0.0
+    for _ in range(max(10, samples // 5)):
+        r = int(rng.integers(1, 4))
+        mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 8)))
+        h = sampling.random_metric_section(rng, mesh)
+        h2 = sampling.random_metric_section(rng, mesh)
+        v = sampling.random_tangent_section(rng, mesh)
+        w = sampling.random_tangent_section(rng, mesh)
+        phi = sampling.random_gauge(rng, mesh)
+        base = sections.l2_inner(h, v, w)
+        moved = sections.l2_inner(sections.gauge_apply(phi, h),
+                                  sections.gauge_apply(phi, v),
+                                  sections.gauge_apply(phi, w))
+        worst_gauge = max(worst_gauge, abs(moved - base) / (1.0 + abs(base)))
+        d0 = sections.section_distance(h, h2)
+        d1 = sections.section_distance(sections.gauge_apply(phi, h),
+                                       sections.gauge_apply(phi, h2))
+        worst_gauge = max(worst_gauge, abs(d1 - d0) / max(d0, 1e-12))
+        worst_theta = min(worst_theta,
+                          d0 - sections.theta_metric(h, h2) / np.sqrt(mesh.volume))
+
+        f = sampling.random_scalar_field(rng, mesh)
+        g2 = sampling.random_scalar_field(rng, mesh)
+        direct = sections.section_distance(sections.conformal_scale(h, f),
+                                           sections.conformal_scale(h, g2))
+        formula = sections.conformal_distance(h, f, g2)
+        worst_conformal = max(worst_conformal,
+                              abs(direct - formula) / max(formula, 1e-12))
+    return {
+        "gauge_max_rel_err": float(worst_gauge),
+        "theta_bound_min_slack": float(worst_theta),
+        "conformal_max_rel_err": float(worst_conformal),
     }
 
 
@@ -189,37 +227,46 @@ def test_sample_count_must_be_positive(suite, samples):
         suites.SUITES[suite](seed=1, samples=samples)
 
 
-def _cost(counts, fn, *args):
-    """Eigensolves and mesh constructions of one call."""
-    counts.clear()
-    fn(*args)
-    return counts["eig"], counts["mesh"]
-
-
-def test_suite_cost_model(counts):
-    # one stacked evaluation per rank: the count is fixed once every rank
-    # occurs (at these seeds both cat0 ranks occur among the 4 flat
-    # triangles of 40 samples, and both appendix ranks among 40 samples).
-    # cat0, per rank: random triangles 3 vertices x (exp + validation),
+# per suite: a seed, three sample counts at which every rank the suite
+# draws occurs, and the eigensolves and mesh constructions of one run,
+# the same at each count: one stacked evaluation per rank.  The oracle
+# descends at most 3 samples here, to keep the run short
+COST_CASES = {
+    # fiber block, per rank 2-4: exp of h, p and q, h's inverse root, the
+    # Jensen inner product, 2 for each of 3 relative spectra and 2
+    # distances, 4 for the affinity geodesic and 2 for its distance, 4
+    # for the roundtrip, 1 for each of 4 curvature tensors, the
+    # Gram-Schmidt pair and the sectional curvature: 31.  Section block,
+    # per rank 1-3, on one joined mesh each: exp of h and h2, their
+    # validations and those of the gauge-moved h and h2, the roots of the
+    # two l2_inner bases, 2 for each of 4 distances and theta, and the
+    # validations of the two conformal scalings: 18.  Its 3 joined meshes
+    # are the suite's only ones
+    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 18, 3)),
+    # per rank: random triangles 3 vertices x (exp + validation),
     # 5 distances x 2 and 3 geodesic points x 3 (roots, endpoint frame,
     # validation) make 25; flat ones 3 validations, 4 distances x 2 and
     # the midpoint's 3 make 14.  Each rank's random and flat triangles
-    # share one mesh each: 4 meshes
-    cat0 = [_cost(counts, suites.run_cat0, 7, n) for n in (40, 240)]
-    assert cat0 == [(2 * (25 + 14), 4)] * 2
-    # appendix, per rank: exp of h, its roots, which also decide its
-    # positivity, and one frame of both ends of the central differences;
-    # then 2 at v = 0
-    appendix = [_cost(counts, suites.run_appendix, 3, n) for n in (40, 240)]
-    assert appendix == [(2 * 3 + 2, 0)] * 2
-    # ranks 2-4, each in one stacked evaluation
-    fiber_block = [_cost(counts, suites._fiber_invariants, sampling.make_rng(42), n)
-                   for n in (30, 60, 240)]
-    assert fiber_block[0] == fiber_block[1] == fiber_block[2]
-    # the section block runs max(10, samples // 5) iterations of one mesh
-    section_block = [_cost(counts, suites._section_invariants, sampling.make_rng(42), n)[1]
-                     for n in (30, 60, 240)]
-    assert section_block == [10, 12, 48]
+    # share one mesh each
+    "cat0": (7, (40, 120, 240), (2 * (25 + 14), 4)),
+    # rank 2: exp of the p and q stack, their relative spectra, the
+    # oracle's validation of p and q and its straight-line start,
+    # clamped to the cone
+    "oracle": (1, (1, 2, 3), (6, 0)),
+    # per rank: exp of h, its roots, which also decide its positivity,
+    # and one frame of both ends of the central differences; then 2 at
+    # v = 0
+    "appendix": (3, (40, 120, 240), (2 * 3 + 2, 0)),
+}
+
+
+def test_suite_cost_model(counts):
+    for suite, run in suites.SUITES.items():
+        seed, sizes, want = COST_CASES[suite]
+        for n in sizes:
+            counts.clear()
+            run(seed=seed, samples=n)
+            assert (counts["eig"], counts["mesh"]) == want, (suite, n)
 
 
 def _triangles(rng, sizes, rank=2):
@@ -245,17 +292,28 @@ def test_cat0_kernel_matches_one_triangle_wrappers():
     assert midpoint.tolist() == [cat0_check(*v) for v in vertices]
     assert comparison.tolist() == [cat0_comparison_slack(*v, s[k], t[k])
                                    for k, v in enumerate(vertices)]
-    d = sections._segment_distances(p, q, segment)
+    d = sections.section_distance(p, q, segment=segment)
     assert d.tolist() == [sections.section_distance(v[0], v[1]) for v in vertices]
 
 
-def test_segment_distances_of_long_segments():
+def test_segment_sums_of_long_segments():
     # past 8 points numpy's sum is pairwise, the segment sum sequential
     rng = sampling.make_rng(12)
-    vertices, (p, q, _), segment = _triangles(rng, [9, 50, 1])
-    d = sections._segment_distances(p, q, segment)
-    want = [sections.section_distance(v[0], v[1]) for v in vertices]
-    np.testing.assert_allclose(d, want, rtol=1e-14)
+    sizes = [9, 50, 1]
+    vertices, (p, q, _), segment = _triangles(rng, sizes)
+    n = len(segment)
+    v, w = (TangentSection(p.mesh, sampling.random_hermitians(rng, 2, n)) for _ in range(2))
+    f, g = (ScalarField(p.mesh, rng.standard_normal(n)) for _ in range(2))
+    bounds = np.cumsum([0] + sizes)
+
+    def split(x, k):
+        """Segment k of a joined section, on its triangle's own mesh."""
+        return type(x)(vertices[k][0].mesh, x.values[bounds[k]:bounds[k + 1]])
+
+    for fn, args in ((sections.section_distance, (p, q)), (sections.theta_metric, (p, q)),
+                     (sections.l2_inner, (p, v, w)), (sections.conformal_distance, (p, f, g))):
+        want = [fn(*(split(x, k) for x in args)) for k in range(len(sizes))]
+        np.testing.assert_allclose(fn(*args, segment=segment), want, rtol=1e-14)
 
 
 def test_cat0_kernel_rejects_parameters_outside_unit_interval():
