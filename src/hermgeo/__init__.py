@@ -18,7 +18,6 @@ from .linalg import (
     expm_hermitian,
     hermitian,
     logm_posdef,
-    posdef,
     relative_spectrum,
     sqrtm_posdef,
 )

@@ -13,9 +13,9 @@ so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix, and validates arguments once,
 then calls an unvalidated kernel (``_distance``, ``_frame``, ``_geodesic``);
 section ops call those kernels directly on the stacks their constructors
-validated.  A base point is checked Hermitian; the one eigendecomposition
-that gives its roots decides that it is positive definite.  A geodesic is
-one spectral frame: its points and log map take no further eigensolve.
+validated, with the roots a metric section holds.  A base point is checked
+Hermitian; the eigendecomposition that gives its roots decides positivity.
+A geodesic is one spectral frame: its points and log map need no eigh.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Everything downstream (fiber geodesics, section distances, curvature)
 reduces to the handful of primitives defined here.  All matrix functions
 go through the Hermitian eigendecomposition: the matrices are normal, so
 there is no need for Pade approximants or scaling-and-squaring.
-Each takes a matrix or an (..., r, r) stack; the underscored helpers
-skip validation, for callers whose input is already checked.
+Each takes a matrix or an (..., r, r) stack; underscored helpers skip
+validation.  The eigh that gives roots or a spectrum decides positivity.
 """
 
 from __future__ import annotations
@@ -78,14 +78,6 @@ def hermitian(a) -> np.ndarray:
     reject(skew > ASYMMETRY_TOL * scale, NotHermitianError,
            lambda k: f"asymmetry {skew[k]:.3e} exceeds "
                      f"{ASYMMETRY_TOL:.0e} * scale {scale[k]:.3e}")
-    return h
-
-
-def posdef(a) -> np.ndarray:
-    """Validate positive-definite Hermitian matrices (symmetrized copy)
-    that no eigendecomposition follows, which would decide positivity."""
-    h = hermitian(a)
-    _positive(np.linalg.eigvalsh(h))
     return h
 
 
@@ -199,12 +191,12 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = hermitian(p)
     q = hermitian(q)
     same_rank(p, q)
-    return _relative_spectrum(p, q)
+    return _relative_spectrum(_roots(p)[1], q)
 
 
-def _relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    ps = _roots(p)[1]
-    lam = np.linalg.eigvalsh(_finite(hermitian_part(ps @ q @ ps)))
+def _relative_spectrum(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``relative_spectrum`` from psi = p^{-1/2}, the root that decided p."""
+    lam = np.linalg.eigvalsh(_finite(hermitian_part(psi @ q @ psi)))
     reject(lam[..., 0] <= 0, NotPositiveDefiniteError,
            lambda k: f"relative spectrum has nonpositive value {lam[k][0]:.3e}")
     return lam

@@ -47,7 +47,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, OracleFailureError, check_count, reject
+from .errors import (DimensionError, NotPositiveDefiniteError, OracleFailureError,
+                     check_count, reject)
 from .fiber import check_alpha
 from .sampling import _complex_normal, make_rng
 
@@ -315,14 +316,20 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     (inputs, seed); the seed only perturbs the initial interior nodes by
     ~1e-8 to break symmetry.
     """
-    p = linalg.posdef(p)
-    q = linalg.posdef(q)
+    p = linalg.hermitian(p)
+    q = linalg.hermitian(q)
     r = linalg.same_rank(p, q)
     if p.shape != q.shape or p.ndim > 3:
         raise DimensionError(f"need two matrices or two (S, r, r) stacks, "
                              f"got shapes {p.shape} and {q.shape}")
     single = p.ndim == 2
     p, q = p.reshape(-1, r, r), q.reshape(-1, r, r)
+    for name, ends in (("p", p), ("q", q)):
+        try:  # one Cholesky of the stack; a failure is named per sample
+            np.linalg.cholesky(ends)
+        except np.linalg.LinAlgError:
+            reject(~_in_cone(ends[:, None]), NotPositiveDefiniteError,
+                   lambda k: f"{name} has no Cholesky factor: not positive definite")
     alpha = _per_sample(check_alpha(alpha, r), len(p), "alpha")
     # object entries keep each seed the integer it was given
     rngs = [make_rng(s) for s in _per_sample(np.asarray(seed, dtype=object),

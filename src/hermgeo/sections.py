@@ -11,9 +11,9 @@ Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
 Values on a mesh (metric and tangent sections, gauge transforms, scalar
 fields) share one base class: they are validated once, at construction,
-into fresh read-only (n, r, r) or (n,) arrays; the section ops then call
-the unvalidated linalg and fiber kernels on those stacks, whose
-eigendecompositions need no second positivity check.
+into fresh read-only (n, r, r) or (n,) arrays, and a metric section
+keeps the roots that decided its positivity; the section ops whiten with
+those and call the unvalidated linalg and fiber kernels on the stacks.
 """
 
 from __future__ import annotations
@@ -90,14 +90,11 @@ class QuadratureMesh:
                    lambda k: f"quadrature weight {weights[k]} is not positive "
                              "and finite")
             check_alpha(alphas, self.rank)
+        digest = hashlib.sha256(np.int64(self.rank).tobytes())
         for name, a in (("ids", ids), ("weights", weights), ("alphas", alphas)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        digest = hashlib.sha256()
-        digest.update(np.int64(self.rank).tobytes())
-        digest.update(ids.tobytes())
-        digest.update(weights.tobytes())
-        digest.update(alphas.tobytes())
+            digest.update(a.tobytes())
         object.__setattr__(self, "content_hash", digest.hexdigest())
 
     @property
@@ -156,10 +153,10 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _MeshValues:
     """Values at the points of a mesh, validated once, at construction:
-    the shape, then the kind's ``_validate`` under the point ids (a linalg
-    validator is looked up at each call); a fresh read-only array is kept.
-    A kind names its wire ``key`` (a scalar field has none) and whether
-    its values are r x r complex matrices or real numbers."""
+    the shape, then the kind's ``_validate`` under the point ids (linalg
+    validators are looked up at each call; a metric section's sets its
+    roots); a fresh read-only array is kept.  A kind names its wire ``key``
+    (a scalar field has none) and whether its values are r x r matrices."""
 
     mesh: QuadratureMesh
     values: np.ndarray
@@ -184,11 +181,19 @@ class _MeshValues:
         object.__setattr__(self, "values", checked)
 
 
+@dataclass(frozen=True)
 class MetricSection(_MeshValues):
-    """One positive-definite matrix per mesh point."""
+    """A positive-definite h at each mesh point; ``roots``: (h^{1/2}, h^{-1/2})."""
 
     key = "h"
-    _validate = staticmethod(lambda values: linalg.posdef(values))
+    roots: tuple = field(init=False, repr=False, compare=False)
+
+    def _validate(self, values):
+        h = linalg.hermitian(values)
+        object.__setattr__(self, "roots", linalg._roots(h))
+        for a in self.roots:
+            a.flags.writeable = False
+        return h
 
 
 class TangentSection(_MeshValues):
@@ -250,8 +255,7 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection, *, segment=
     or one per segment of a ``segment`` array (see ``_weighted_sum``)."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
-    inner = _inner(*_whiten(linalg._roots(h.values)[1], v.values, w.values),
-                   mesh.alphas)
+    inner = _inner(*_whiten(h.roots[1], v.values, w.values), mesh.alphas)
     return _weighted_sum(mesh.weights, inner, segment=segment)
 
 
@@ -260,7 +264,7 @@ def _relative_spectra(h1: MetricSection, h2: MetricSection):
     point, (n, r); an error names its point id."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        return mesh, linalg._relative_spectrum(h1.values, h2.values)
+        return mesh, linalg._relative_spectrum(h1.roots[1], h2.values)
 
 
 def _fiber_distances(h1: MetricSection, h2: MetricSection):
@@ -287,7 +291,7 @@ def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
     or one per point."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
+        frame = _frame(h1.roots, h2.values, endpoint=True)
         return MetricSection(mesh, _geodesic(h1.values, frame, t))
 
 
@@ -424,10 +428,8 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     steps = check_count(steps, "steps", 2)
     mesh = _same_mesh(h1, h2)
     n, r = mesh.n_points, mesh.rank
-    header = ["t", "point_id"]
-    for i in range(r):
-        for j in range(r):
-            header += [f"re_{i}{j}", f"im_{i}{j}"]
+    header = ["t", "point_id"] + [f"{part}_{i}{j}" for i in range(r) for j in range(r)
+                                  for part in ("re", "im")]
     stream.write(",".join(header) + "\r\n")
     # one %-template formats a whole step block: its cells are t, the
     # point id and the entries of each point
@@ -435,7 +437,7 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     cells = np.empty((n, 2 + 2 * r * r), dtype=object)
     cells[:, 1] = mesh.ids.tolist()
     with _at_points(mesh.ids):
-        frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
+        frame = _frame(h1.roots, h2.values, endpoint=True)
         for k in range(steps):
             t = k / (steps - 1)
             m = _geodesic(h1.values, frame, t)

@@ -8,8 +8,8 @@ from hermgeo import linalg, sections
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves, the linalg validators and mesh constructions
-    while a test runs."""
+    """Count eigensolves, linalg.hermitian validations and mesh
+    constructions while a test runs."""
     seen = collections.Counter()
 
     def counted(key, fn):
@@ -20,8 +20,7 @@ def counts(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
-    for name in ("hermitian", "posdef"):
-        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "hermitian", counted("hermitian", linalg.hermitian))
     monkeypatch.setattr(sections.QuadratureMesh, "__post_init__",
                         counted("mesh", sections.QuadratureMesh.__post_init__))
     return seen

@@ -17,16 +17,23 @@ import pytest
 
 import hermgeo
 from hermgeo import completion, disk, fiber, oracle, sections, suites
-from hermgeo.errors import DimensionError, HermGeoError, NonFiniteError, ParameterError
+from hermgeo.errors import (
+    DimensionError,
+    HermGeoError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+    ParameterError,
+)
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
 # a mesh that leaves out its singular set.  Then the matrix functions of
 # the log-then-exp geodesic route, which the spectral frame replaced.
-# Then an alias of l2_inner, and the per-segment distance that
-# section_distance(..., segment=) replaced
+# Then an alias of l2_inner, the per-segment distance that
+# section_distance(..., segment=) replaced, and the eigvalsh positivity
+# check whose decision the roots of a metric section now make
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
            "MeasureInconsistencyError", "_expm", "_logm", "flat_inner",
-           "_segment_distances")
+           "_segment_distances", "posdef")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -85,6 +92,9 @@ BAD_INPUTS = {
         (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 12.0, 20),
     "oracle iterations float":
         (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, 0.0, 8, 20.0),
+    "oracle indefinite p in a stack":
+        (NotPositiveDefiniteError, oracle.distance_oracle,
+         np.stack([EYE, np.diag([1.0, -1.0]), EYE]), 2 * EYE3, 0.0),
     "cat0 samples float": (ParameterError, suites.run_cat0, 1, 2.5),
     "appendix samples float": (ParameterError, suites.run_appendix, 1, 2.0),
     "invariants samples bool": (ParameterError, suites.run_invariants, 1, True),
@@ -150,6 +160,10 @@ NAMED_ARGUMENTS = {
 }
 
 
+# the sample of a stack that a case's error names
+NAMED_SAMPLES = {"oracle indefinite p in a stack": "at index 1: p "}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_input_checks_raise_typed_errors(case):
     cls, fn, *args = BAD_INPUTS[case]
@@ -158,6 +172,8 @@ def test_input_checks_raise_typed_errors(case):
     assert isinstance(info.value, HermGeoError)
     if case in NAMED_ARGUMENTS:
         assert f"{NAMED_ARGUMENTS[case]}=" in str(info.value), info.value
+    if case in NAMED_SAMPLES:
+        assert str(info.value).startswith(NAMED_SAMPLES[case]), info.value
 
 
 # imports kept for a reader outside the package: (module, name) -> why
@@ -191,3 +207,35 @@ def test_every_imported_name_is_used():
                    if imported not in used
                    and (name, imported) not in UNUSED_IMPORTS_ALLOWED]
     assert not unused
+
+
+# the modules that may factor a matrix into its roots: linalg, and fiber,
+# whose entry points take one base point per call.  A metric section
+# factors its values once, in its construction, and every section op
+# whitens with the roots it holds
+ROOTS_CALLERS = {"linalg", "fiber"}
+ROOTS_CALLERS_IN_SECTIONS = {"MetricSection._validate"}
+
+
+def _roots_callers(tree):
+    """The qualified name of each function of a module that calls
+    linalg._roots (or _roots, inside linalg)."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
+                    "linalg._roots", "_roots"):
+                yield scope or "<module>"
+            yield from visit(child, name)
+    return set(visit(tree, ""))
+
+
+def test_only_linalg_fiber_and_section_construction_factor_roots():
+    calls = {path.stem: _roots_callers(ast.parse(path.read_text()))
+             for path in sorted(Path(hermgeo.__file__).parent.glob("*.py"))}
+    assert calls["sections"] == ROOTS_CALLERS_IN_SECTIONS
+    others = {m: c for m, c in calls.items()
+              if c and m not in ROOTS_CALLERS | {"sections"}}
+    assert not others

@@ -280,11 +280,12 @@ def test_bad_matrix_error_names_its_point(kind, rank, n, k):
     p[k] = _spoil(kind, p[k])
     with pytest.raises(ERRORS[kind], match=f"^point id {k}: "):
         MetricSection(mesh, p)
+    # the linalg route the constructor takes: hermitian, then the roots
     with pytest.raises(ERRORS[kind]) as info:
-        linalg.posdef(p)
+        linalg.sqrtm_posdef(p)
     assert info.value.index == k and str(info.value).startswith(f"at index {k}: ")
     with pytest.raises(ERRORS[kind]) as info:
-        linalg.posdef(p[k])
+        linalg.sqrtm_posdef(p[k])
     assert info.value.index is None
 
 
@@ -299,44 +300,57 @@ def test_stacked_guard_names_its_point():
         section_geodesic(h1, h2, 2.0)
 
 
-def _eigh_sees_nonpositive(seed=0):
-    """A rank-3 matrix near condition 1e16 that posdef accepts but on which
-    eigh, which the roots use, finds a nonpositive eigenvalue: the first
-    hit of the construction that tests/test_linalg.py searches."""
+def _eigvalsh_sees_nonpositive(seed=0):
+    """A rank-3 matrix near condition 1e16 that eigh, which the roots use,
+    accepts but on which eigvalsh, which the relative spectrum uses, finds
+    a nonpositive eigenvalue: the first hit of the construction that
+    tests/test_linalg.py searches."""
     rng = np.random.default_rng(seed)
     while True:
         w = np.array([10.0 ** rng.uniform(-17.5, -15.5), *rng.uniform(0.5, 2.0, 2)])
         p = _from_spectrum(_unitary(rng, 1, 3)[0], w)
-        if np.linalg.eigvalsh(p)[0] > 0 >= np.linalg.eigh(p)[0][0]:
+        if np.linalg.eigh(p)[0][0] > 0 >= np.linalg.eigvalsh(p)[0]:
             return p
 
 
 @pytest.mark.parametrize("op", [integrability_report, disk.boundedness_bound])
 def test_relative_spectrum_error_names_its_point(op):
+    # the section accepts the matrix; the spectrum relative to the
+    # identity base is its eigvalsh spectrum, which rejects it
     mesh = QuadratureMesh(rank=3, ids=[10, 20, 30], weights=[1.0] * 3, alphas=[0.0] * 3)
     eye = np.broadcast_to(np.eye(3, dtype=complex), (3, 3, 3))
-    h0 = MetricSection(mesh, np.stack([eye[0], _eigh_sees_nonpositive(), eye[0]]))
-    with pytest.raises(NotPositiveDefiniteError, match="^point id 20: smallest eigenvalue"):
-        op(MetricSection(mesh, eye), h0)
+    sigma = MetricSection(mesh, np.stack([eye[0], _eigvalsh_sees_nonpositive(), eye[0]]))
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="^point id 20: relative spectrum has nonpositive value"):
+        op(sigma, MetricSection(mesh, eye))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_section_ops_cost_model(counts, n):
-    # per call, whatever the mesh size: only the geodesic point, a
-    # computed result, is validated again
+    # per call, whatever the mesh size: a metric section's construction
+    # validates it and factors its roots, which every op then reuses;
+    # only the geodesic point, a computed result, is validated again
     mesh, p, q, _ = _case(2, n, 100 + n, "mild")
-    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    counts.clear()
+    h1 = MetricSection(mesh, p)
+    assert counts == {"eig": 1, "hermitian": 1}
+    h2 = MetricSection(mesh, q)
     counts.clear()
     section_distance(h1, h2)
-    assert counts == {"eig": 2}
+    assert counts == {"eig": 1}
+    v, w = TangentSection(mesh, q), TangentSection(mesh, p)
     counts.clear()
+    l2_inner(h1, v, w)
+    assert counts == {}
+    counts.clear()
+    # the endpoint frame, then the roots of the result
     section_geodesic(h1, h2, 0.5)
-    assert counts == {"eig": 3, "hermitian": 1, "posdef": 1}
-    # the roots and the endpoint frame, whatever the step count
+    assert counts == {"eig": 2, "hermitian": 1}
+    # the endpoint frame, whatever the step count
     for steps in (2, 11):
         counts.clear()
         write_geodesic_csv(h1, h2, steps, io.StringIO())
-        assert counts == {"eig": 2}
+        assert counts == {"eig": 1}
 
 
 def test_raufi_integrability_cost_model(counts):

@@ -4,11 +4,20 @@ import pytest
 from hermgeo import fiber, linalg
 from hermgeo.errors import (
     DimensionError,
+    HermGeoError,
     IllConditionedError,
     NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
     OverflowGuardError,
+)
+from hermgeo.sections import (
+    MetricSection,
+    QuadratureMesh,
+    TangentSection,
+    l2_inner,
+    section_distance,
+    section_geodesic,
 )
 
 
@@ -36,8 +45,11 @@ def test_hermitian_entries_near_the_float_limit():
 
 
 def test_posdef_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        linalg.posdef(np.diag([1.0, -1.0]))
+    # the roots decide positivity, for linalg and a metric section alike
+    mesh = QuadratureMesh(rank=2, ids=[5], weights=[1.0], alphas=[0.0])
+    for check in (linalg.sqrtm_posdef, lambda p: MetricSection(mesh, p[None])):
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
+            check(np.diag([1.0, -1.0]))
 
 
 def test_eig_diagonal():
@@ -170,7 +182,7 @@ def test_matrix_json_roundtrip():
 def test_non_finite_entries_rejected():
     for bad in ([[np.inf, 0], [0, 1]], [[1, np.nan], [np.nan, 1]]):
         with pytest.raises(NonFiniteError):
-            linalg.posdef(bad)
+            linalg.sqrtm_posdef(bad)
         with pytest.raises(NonFiniteError):
             linalg.hermitian(bad)
 
@@ -236,6 +248,34 @@ def test_near_singular_input_raises_or_stays_finite():
             for op in ops:
                 assert "smallest eigenvalue" in _error(NotPositiveDefiniteError, op, p)
     assert splits > 1000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_singular_sections_raise_at_construction_or_stay_finite():
+    # A metric section keeps the roots whose eigh decided its positivity,
+    # so no op rejects an accepted draw a second time: on each draw either
+    # the construction raises, or each op returns finite values or raises
+    # a typed error, and every error names the point.
+    accepted = 0
+    for stack in _near_singular_draws():
+        r = stack.shape[-1]
+        mesh = QuadratureMesh(rank=r, ids=[7], weights=[1.0], alphas=[0.5])
+        eye = MetricSection(mesh, np.eye(r)[None])
+        v = TangentSection(mesh, np.eye(r)[None])
+        for p in stack:
+            try:
+                h = MetricSection(mesh, p[None])
+            except NotPositiveDefiniteError as exc:
+                assert str(exc).startswith("point id 7: "), exc
+                continue
+            accepted += 1
+            for op in (lambda: l2_inner(h, v, v), lambda: section_distance(h, eye),
+                       lambda: section_geodesic(h, eye, 0.5).values):
+                try:
+                    assert np.isfinite(op()).all()
+                except HermGeoError as exc:
+                    assert str(exc).startswith("point id 7: "), exc
+    assert accepted > 10000
 
 
 def _error(cls, op, *args) -> str:

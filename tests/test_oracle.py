@@ -166,8 +166,8 @@ def reference_descend(path, alpha, iterations, events=None):
 
 
 def reference_oracle(p, q, alpha, segments=64, iterations=500, seed=0):
-    p = linalg.posdef(p)
-    q = linalg.posdef(q)
+    p, q = linalg.hermitian(p), linalg.hermitian(q)
+    assert _is_posdef(p) and _is_posdef(q)
     levels = [segments]
     while levels[-1] > 8 and levels[-1] % 2 == 0:
         levels.append(levels[-1] // 2)

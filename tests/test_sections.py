@@ -353,7 +353,9 @@ def test_validated_stacks_are_read_only_copies(cls):
     mesh = QuadratureMesh(rank=2, ids=ids, weights=weights, alphas=alphas)
     vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)])
     section = cls(mesh, vals)
-    for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas):
+    # a metric section's roots as well
+    for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas,
+                   *getattr(section, "roots", ())):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = stored[1]
     for given in (vals, ids, weights, alphas):

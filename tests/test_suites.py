@@ -237,22 +237,21 @@ COST_CASES = {
     # distances, 4 for the affinity geodesic and 2 for its distance, 4
     # for the roundtrip, 1 for each of 4 curvature tensors, the
     # Gram-Schmidt pair and the sectional curvature: 31.  Section block,
-    # per rank 1-3, on one joined mesh each: exp of h and h2, their
-    # validations and those of the gauge-moved h and h2, the roots of the
-    # two l2_inner bases, 2 for each of 4 distances and theta, and the
-    # validations of the two conformal scalings: 18.  Its 3 joined meshes
-    # are the suite's only ones
-    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 18, 3)),
-    # per rank: random triangles 3 vertices x (exp + validation),
-    # 5 distances x 2 and 3 geodesic points x 3 (roots, endpoint frame,
-    # validation) make 25; flat ones 3 validations, 4 distances x 2 and
-    # the midpoint's 3 make 14.  Each rank's random and flat triangles
-    # share one mesh each
-    "cat0": (7, (40, 120, 240), (2 * (25 + 14), 4)),
-    # rank 2: exp of the p and q stack, their relative spectra, the
-    # oracle's validation of p and q and its straight-line start,
-    # clamped to the cone
-    "oracle": (1, (1, 2, 3), (6, 0)),
+    # per rank 1-3, on one joined mesh each: exp of h and h2, the roots
+    # that validate them and the gauge-moved h and h2 (which the two
+    # l2_inner bases reuse), 1 for each of 3 distances and theta, and the
+    # roots of the two conformal scalings: 12.  Its 3 joined meshes are
+    # the suite's only ones
+    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 12, 3)),
+    # per rank: random triangles 3 vertices x (exp + roots), 5 distances
+    # x 1 and 3 geodesic points x 2 (endpoint frame, roots of the point)
+    # make 17; flat ones 3 roots, 4 distances x 1 and the midpoint's 2
+    # make 9.  Each rank's random and flat triangles share one mesh each
+    "cat0": (7, (40, 120, 240), (2 * (17 + 9), 4)),
+    # rank 2: exp of the p and q stack, their relative spectra and the
+    # oracle's straight-line start, clamped to the cone; the oracle checks
+    # p and q by Cholesky
+    "oracle": (1, (1, 2, 3), (4, 0)),
     # per rank: exp of h, its roots, which also decide its positivity,
     # and one frame of both ends of the central differences; then 2 at
     # v = 0
