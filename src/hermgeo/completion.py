@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, reject
+from .errors import ParameterError, check_floats, reject
 from .sections import (
     MetricSection,
     ScalarField,
@@ -75,8 +75,7 @@ def refinement_trend(norms, levels) -> float:
     stays bounded under refinement fits an exponent near zero, while a
     genuinely divergent L2 norm grows with the level.
     """
-    norms = np.asarray(norms, dtype=float)
-    levels = np.asarray(levels, dtype=float)
+    norms, levels = check_floats(norms, "norms"), check_floats(levels, "levels")
     if norms.size != levels.size or np.unique(levels).size < 2:
         raise ParameterError("need matching norms/levels with at least 2 distinct levels")
     if not np.all(np.isfinite(norms) & np.isfinite(levels) & (norms > 0) & (levels > 0)):

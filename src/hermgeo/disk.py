@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .completion import CauchyReport, cauchy_experiment, l2_report
-from .errors import DimensionError, NonFiniteError, ParameterError, check_count
+from .errors import DimensionError, NonFiniteError, ParameterError, check_count, check_floats
 from .fiber import check_alpha
 from .sections import (MetricSection, QuadratureMesh, ScalarField, _relative_spectra,
                        _weighted_sum)
@@ -251,7 +252,7 @@ def psh_check(u: GridFunction, radii) -> PshReport:
     remaining interpolation error.
     """
     mesh = u.mesh
-    radii = np.asarray(radii, dtype=float)
+    radii = check_floats(radii, "radii")
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ParameterError("test radii must be a nonempty list of positive finite values")
     z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
@@ -276,8 +277,10 @@ def psh_check(u: GridFunction, radii) -> PshReport:
 
 
 def dual_section(sigma: MetricSection) -> MetricSection:
-    """Pointwise dual metric: transpose of the inverse matrix."""
-    return MetricSection(sigma.mesh, np.linalg.inv(sigma.values).swapaxes(-1, -2))
+    """Pointwise dual metric: transpose of the inverse matrix, made
+    Hermitian (an inverse loses about cond * eps of its symmetry)."""
+    return MetricSection(sigma.mesh,
+                         linalg.hermitian_part(np.linalg.inv(sigma.values)).swapaxes(-1, -2))
 
 
 def boundedness_bound(sigma: MetricSection, h0: MetricSection) -> float:

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checks that raise them."""
 
+import reprlib
+
 import numpy as np
 
 
@@ -75,3 +77,13 @@ def check_count(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ParameterError(f"{name}={value!r}: need an integer of at least {minimum}")
     return int(value)
+
+
+def check_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a value numpy cannot convert (a
+    string, a ragged list) raises ParameterError naming the argument
+    ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name}={reprlib.repr(value)}: need real numbers ({exc})") from None

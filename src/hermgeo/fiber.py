@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePlaneError, ParameterError, reject
+from .errors import DegeneratePlaneError, ParameterError, check_floats, reject
 
 __all__ = [
     "check_alpha",
@@ -187,7 +187,7 @@ def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
 def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
     """The geodesic point h^{1/2} U e^{t lam} U^dagger h^{1/2} at a finite t,
     a scalar or one value per matrix; where t is 0 the point is h itself."""
-    t = np.asarray(t, dtype=float)
+    t = check_floats(t, "t")
     linalg._broadcast(t.shape, h.shape[:-2], what="t and batch shapes")
     reject(~np.isfinite(t), ParameterError, lambda k: f"t={t[k]} is not finite")
     if not t.any():

@@ -41,24 +41,40 @@ def random_hermitian(rng: np.random.Generator, r: int,
 def random_hermitians(rng: np.random.Generator, r: int, n: int,
                       scale=1.0) -> np.ndarray:
     """n random Hermitian matrices with Frobenius norm
-    scale * sqrt(r) * U(0.2, 1), scale a float or one per draw, drawn
-    one after another: the real and imaginary parts of an r x r
-    Gaussian, then the norm's uniform factor, which a draw whose
-    Hermitian part has zero norm skips (it is returned unscaled)."""
-    a = np.empty((n, r, r), dtype=complex)
+    scale * sqrt(r) * U(0.2, 1), scale a float or one per draw: the
+    draws of ``_gaussians``, scaled by ``_hermitians``."""
+    return _hermitians(*_gaussians(rng, r, n), scale)
+
+
+def _gaussians(rng: np.random.Generator, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of n ``random_hermitians`` matrices, one after another:
+    x[k], the real and then the imaginary part of an r x r Gaussian, in
+    one fill, and u[k], the norm's U(0.2, 1) factor, which a matrix whose
+    Hermitian part has zero norm skips (u[k] stays 0)."""
+    x = np.empty((n, 2, r, r))
     u = np.zeros(n)
-    for k in range(n):
-        a[k] = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        # the Hermitian part's (0, 0) entry is Re a[0, 0]: unless that is
-        # tiny, its square alone keeps the part's norm above zero
-        if abs(a[k, 0, 0].real) > 1e-100 or np.linalg.norm(linalg.hermitian_part(a[k])):
-            u[k] = rng.uniform(0.2, 1.0)
-    a = linalg.hermitian_part(a)
+    for k, block in enumerate(x):
+        rng.standard_normal(out=block)
+        # the Hermitian part's (0, 0) entry is the real part's: unless that
+        # is tiny, its square alone keeps the part's norm above zero
+        if abs(block[0, 0, 0]) > 1e-100 or np.linalg.norm(
+                linalg.hermitian_part(block[0] + 1j * block[1])):
+            # rng.uniform(0.2, 1.0), without its per-call overhead
+            u[k] = 0.2 + (1.0 - 0.2) * rng.random()
+    return x, u
+
+
+def _hermitians(x: np.ndarray, u: np.ndarray, scale=1.0) -> np.ndarray:
+    """The Hermitian matrices of ``_gaussians`` draws x (..., 2, r, r) and
+    u (...): each Hermitian part scaled to Frobenius norm
+    scale * sqrt(r) * u, scale broadcast against u; a part of zero norm
+    is returned unscaled."""
+    a = linalg.hermitian_part(x[..., 0, :, :] + 1j * x[..., 1, :, :])
     norm = linalg._norm(a)
     nonzero = norm != 0
     factor = (np.asarray(scale, dtype=float) * u / np.where(nonzero, norm, 1.0)
-              * np.sqrt(r))
-    a *= np.where(nonzero, factor, 1.0)[:, None, None]
+              * np.sqrt(x.shape[-1]))
+    a *= np.where(nonzero, factor, 1.0)[..., None, None]
     return a
 
 

@@ -6,8 +6,9 @@ acceptance tests both run exactly these functions, so a CI failure is
 self-describing down to the tolerance that tripped it.
 
 A suite first draws every sample in seed order, as its rank and plain
-arrays; then, per rank, it builds each stack, mesh and section once and
-evaluates each property in one stacked call.  ``tests/test_suites.py``
+arrays (its random Hermitian matrices as ``sampling._gaussians`` draws);
+then, per rank, it scales those draws, builds each stack, mesh and
+section once and evaluates each property in one stacked call.  ``tests/test_suites.py``
 keeps the per-sample loops as the reference these runs must reproduce.
 """
 
@@ -57,30 +58,40 @@ def _joined_mesh(rank: int, g: dict):
                                    alphas=np.concatenate(g["alphas"])), segment
 
 
+def _joined_hermitians(g: dict) -> np.ndarray:
+    """A rank group's Hermitian stacks from its ``_gaussians`` draws,
+    k stacks per sample (``x`` (k, n, 2, r, r), ``u`` (k, n)), joined
+    along the point axis: (k, points, r, r)."""
+    return sampling._hermitians(np.concatenate(g["x"], axis=1),
+                                np.concatenate(g["u"], axis=1))
+
+
 def _fiber_invariants(rng, samples: int) -> dict:
     """Worst case of each fiber property over ``samples`` points of ranks 2-4."""
     draws = []
     for _ in range(samples):
         r = int(rng.integers(2, 5))
         d = {"alpha": float(rng.uniform(-1.0 / r + 1e-3, 1.0))}
-        # logs of h, p and q: exponentiated after the draws
-        d["h"], d["v"], d["p"], d["q"] = sampling.random_hermitians(rng, r, 4)
+        # the draws of the log of h, of v, then of the logs of p and q:
+        # made Hermitian and scaled per rank
+        d["x4"], d["u4"] = sampling._gaussians(rng, r, 4)
         d["c"] = float(rng.uniform(0.1, 10.0))
         d["phi"] = sampling._complex_normal(rng, 1, (r, r))[0]
         d["st"] = rng.uniform(0.0, 1.0, 2)
         # v10 for the roundtrip, u3, v3, w3 for the curvature identities,
         # then the pair that Gram-Schmidt makes orthonormal for the
         # sectional curvature
-        d["v10"], d["u3"], d["v3"], d["w3"], d["uo"], d["vo"] = sampling.random_hermitians(
-            rng, r, 6, [4.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        d["x6"], d["u6"] = sampling._gaussians(rng, r, 6)
         draws.append((r, d))
 
     found = []
     for r, g in _rank_groups(draws):
         g = {name: np.array(values) for name, values in g.items()}
         alpha = g["alpha"]
-        h, p, q = (linalg.expm_hermitian(g[name]) for name in ("h", "p", "q"))
-        v = g["v"]
+        logh, v, logp, logq = sampling._hermitians(g["x4"], g["u4"]).swapaxes(0, 1)
+        h, p, q = (linalg.expm_hermitian(x) for x in (logh, logp, logq))
+        v10, u3, v3, w3, uo, vo = sampling._hermitians(
+            g["x6"], g["u6"], [4.0, 1.0, 1.0, 1.0, 1.0, 1.0]).swapaxes(0, 1)
         worst = {}
 
         # Jensen positivity bound
@@ -114,13 +125,11 @@ def _fiber_invariants(rng, samples: int) -> dict:
                                          / np.maximum(d0, 1e-12))
 
         # exp/log roundtrip
-        v10 = g["v10"]
         end = fiber.geodesic_eval(fiber.FiberGeodesic(h, v10), 1.0)
         worst["roundtrip_max_rel_err"] = (linalg._norm(fiber.log_map(h, end) - v10)
                                           / np.maximum(linalg._norm(v10), 1e-12))
 
         # curvature identities
-        u3, v3, w3 = g["u3"], g["v3"], g["w3"]
         r_uv = fiber.curvature_tensor(h, u3, v3, w3)
         r_vu = fiber.curvature_tensor(h, v3, u3, w3)
         worst["curvature_antisym_max_resid"] = linalg._norm(r_uv + r_vu)
@@ -128,7 +137,7 @@ def _fiber_invariants(rng, samples: int) -> dict:
                                                   + fiber.curvature_tensor(h, w3, u3, v3))
 
         # nonpositive sectional curvature
-        uo, vo = fiber._gram_schmidt_pair(h, g["uo"], g["vo"], alpha)
+        uo, vo = fiber._gram_schmidt_pair(h, uo, vo, alpha)
         worst["sectional_max"] = fiber.sectional_curvature(h, uo, vo, alpha)
         found.append(worst)
     return _worst(found)
@@ -141,15 +150,16 @@ def _section_invariants(rng, samples: int) -> dict:
     for _ in range(max(10, samples // 5)):
         r, n = int(rng.integers(1, 4)), int(rng.integers(1, 8))
         weights, alphas = sampling._mesh_fields(rng, r, n, None)
-        # the logs of h and h2, then v and w
-        hvw = sampling.random_hermitians(rng, r, 4 * n).reshape(4, n, r, r)
-        draws.append((r, {"weights": weights, "alphas": alphas, "hvw": hvw,
+        # the draws of the logs of h and h2, then of v and w
+        x, u = sampling._gaussians(rng, r, 4 * n)
+        draws.append((r, {"weights": weights, "alphas": alphas,
+                          "x": x.reshape(4, n, 2, r, r), "u": u.reshape(4, n),
                           "phi": sampling._near_identity(rng, n, r),
                           "fg": rng.standard_normal((2, n))}))
     found = []
     for r, g in _rank_groups(draws):
         mesh, segment = _joined_mesh(r, g)
-        stacks = np.concatenate(g["hvw"], axis=1)
+        stacks = _joined_hermitians(g)
         h, h2 = (sections.MetricSection(mesh, linalg.expm_hermitian(x)) for x in stacks[:2])
         v, w = (sections.TangentSection(mesh, x) for x in stacks[2:])
         f, g2 = (sections.ScalarField(mesh, x) for x in np.concatenate(g["fg"], axis=1))
@@ -205,16 +215,15 @@ def _diagonal(logs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triangle_slacks(draws, values):
+def _triangle_slacks(draws, vertices):
     """Yield ``_cat0_slacks`` of the drawn triangles, one call per rank.
 
     A draw is a triangle's rank and fields: its mesh's weights and
-    alphas, its three vertices' stacks, from which ``values`` makes the
-    matrices, and optionally its ``st``.  A rank's triangles share one mesh."""
+    alphas, the draws from which ``vertices`` makes a rank's three vertex
+    stacks, and optionally its ``st``.  A rank's triangles share one mesh."""
     for rank, g in _rank_groups(draws):
         mesh, segment = _joined_mesh(rank, g)
-        p, q, r = (sections.MetricSection(mesh, values(v))
-                   for v in np.concatenate(g["vertices"], axis=1))
+        p, q, r = (sections.MetricSection(mesh, v) for v in vertices(g))
         st = np.array(g["st"]).T if "st" in g else ()
         yield _cat0_slacks(p, q, r, segment, *st)
 
@@ -227,12 +236,14 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
     draws = []
     for _ in range(samples):
         r = 2 if rng.uniform() < 0.5 else 3
-        alpha = float(rng.choice([0.0, 1.0]))
-        weights, alphas = sampling._mesh_fields(rng, r, int(rng.integers(1, 5)), alpha)
-        # the logs of p, q and r, one vertex after another
-        logs = sampling.random_hermitians(rng, r, 3 * len(weights))
+        # rng.choice([0.0, 1.0]), without its per-call overhead
+        alpha = (0.0, 1.0)[rng.integers(0, 2)]
+        n = int(rng.integers(1, 5))
+        weights, alphas = sampling._mesh_fields(rng, r, n, alpha)
+        # the draws of the logs of p, q and r, one vertex after another
+        x, u = sampling._gaussians(rng, r, 3 * n)
         draws.append((r, {"weights": weights, "alphas": alphas,
-                          "vertices": logs.reshape(3, -1, r, r),
+                          "x": x.reshape(3, n, 2, r, r), "u": u.reshape(3, n),
                           "st": rng.uniform(0.0, 1.0, 2)}))
     flat = []
     for _ in range(max(1, samples // 10)):
@@ -241,10 +252,12 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
                                                 float(rng.uniform(-1.0 / r + 1e-3, 1.0)))
         # log-eigenvalues of three commuting diagonal vertices
         flat.append((r, {"weights": weights, "alphas": alphas,
-                         "vertices": rng.uniform(-1, 1, (3, len(weights), r))}))
+                         "logs": rng.uniform(-1, 1, (3, len(weights), r))}))
 
-    slacks = [x for pair in _triangle_slacks(draws, linalg.expm_hermitian) for x in pair]
-    flat_slacks = [midpoint for midpoint, _ in _triangle_slacks(flat, _diagonal)]
+    slacks = [x for pair in _triangle_slacks(
+        draws, lambda g: map(linalg.expm_hermitian, _joined_hermitians(g))) for x in pair]
+    flat_slacks = [midpoint for midpoint, _ in _triangle_slacks(
+        flat, lambda g: _diagonal(np.concatenate(g["logs"], axis=1)))]
     rep = {
         "suite": "cat0", "seed": seed, "samples": samples,
         "min_slack": float(min(x.min() for x in slacks)),
@@ -259,8 +272,8 @@ def run_oracle(seed: int = 1, samples: int = 10, segments: int = 64,
     samples = check_count(samples, "samples", 1)
     rng = sampling.make_rng(seed)
     # the logs of each sample's p and q, in seed order
-    p, q = linalg.expm_hermitian(
-        sampling.random_hermitians(rng, 2, 2 * samples, 1.2).reshape(samples, 2, 2, 2)
+    p, q = linalg.expm_hermitian(sampling._hermitians(
+        *sampling._gaussians(rng, 2, 2 * samples), 1.2).reshape(samples, 2, 2, 2)
     ).swapaxes(0, 1)
     alpha = np.array([0.0, 1.0, -0.4])[np.arange(samples) % 3]
     d = fiber.fiber_distance(p, q, alpha)
@@ -284,12 +297,15 @@ def run_appendix(seed: int = 3, samples: int = 100) -> dict:
     draws = []
     for _ in range(samples):
         r = int(rng.integers(2, 4))
-        # the log of h, exponentiated after the draws, then v
-        h, v = sampling.random_hermitians(rng, r, 2, [0.8, 3.0 / np.sqrt(r)])
-        draws.append((r, {"h": h, "v": v}))
-    min_sv = min(fiber.exp_differential_min_singular(
-        linalg.expm_hermitian(g["h"]), np.array(g["v"])).min()
-        for _, g in _rank_groups(draws))
+        # the draws of the log of h, then of v
+        x, u = sampling._gaussians(rng, r, 2)
+        draws.append((r, {"x": x, "u": u}))
+    min_sv = np.inf
+    for r, g in _rank_groups(draws):
+        h, v = sampling._hermitians(np.array(g["x"]), np.array(g["u"]),
+                                    [0.8, 3.0 / np.sqrt(r)]).swapaxes(0, 1)
+        min_sv = min(min_sv, fiber.exp_differential_min_singular(
+            linalg.expm_hermitian(h), v).min())
     at_zero = fiber.exp_differential_min_singular(np.eye(2), np.zeros((2, 2)))
     rep = {
         "suite": "appendix", "seed": seed, "samples": samples,

@@ -3,13 +3,13 @@ import collections
 import numpy as np
 import pytest
 
-from hermgeo import linalg, sections
+from hermgeo import linalg, sampling, sections
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves, linalg.hermitian validations and mesh
-    constructions while a test runs."""
+    """Count eigensolves, linalg.hermitian validations, mesh
+    constructions and the sampler's scaling steps while a test runs."""
     seen = collections.Counter()
 
     def counted(key, fn):
@@ -23,4 +23,6 @@ def counts(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian", counted("hermitian", linalg.hermitian))
     monkeypatch.setattr(sections.QuadratureMesh, "__post_init__",
                         counted("mesh", sections.QuadratureMesh.__post_init__))
+    for name in ("_hermitians", "random_hermitians"):
+        monkeypatch.setattr(sampling, name, counted(name, getattr(sampling, name)))
     return seen

@@ -139,6 +139,11 @@ BAD_INPUTS = {
                             disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))), []),
     "psh_check scalar radius": (ParameterError, disk.psh_check,
                                 disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))), 0.05),
+    "psh_check string radius": (ParameterError, disk.psh_check,
+                                disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))), ["a"]),
+    "refinement_trend string norms":
+        (ParameterError, completion.refinement_trend, ["a", "b"], [1, 2]),
+    "section_geodesic string t": (ParameterError, sections.section_geodesic, H, H, "x"),
 }
 
 # the argument that a case's error names, as name=value
@@ -156,7 +161,8 @@ NAMED_ARGUMENTS = {
     "geodesic_residual nan step": "step", "geodesic_residual inf step": "step",
     "section_geodesic nan t": "t", "section_geodesic inf t": "t",
     "section_geodesic nan t at a point": "t", "geodesic_eval nan t": "t",
-    "geodesic_eval inf t": "t",
+    "geodesic_eval inf t": "t", "psh_check string radius": "radii",
+    "refinement_trend string norms": "norms", "section_geodesic string t": "t",
 }
 
 

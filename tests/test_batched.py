@@ -236,14 +236,29 @@ def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
     _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
 
 
+def _mp_inverse(p):
+    """The inverse of the float64 matrix p in 40 digits."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.inverse(mpmath.matrix(p.tolist())).tolist(), dtype=complex)
+
+
 @cases
 def test_dual_section_matches_point_loop(rank, n, regime):
-    # the inverse of a matrix loses about cond * eps of its symmetry, so
-    # the dual of the ill-conditioned p would fail the Hermitian check
-    mesh, p, _, _ = _case(rank, n, 60 * rank + n, "mild" if regime == "ill" else regime)
-    want = np.stack([np.linalg.inv(p[i]).T for i in range(n)])
-    got = disk.dual_section(MetricSection(mesh, p))
-    _assert_stack(got.values, want)
+    mesh, p, _, _ = _case(rank, n, 60 * rank + n, regime)
+    plain = np.stack([np.linalg.inv(p[i]).T for i in range(n)])
+    got = disk.dual_section(MetricSection(mesh, p)).values
+    if regime != "ill":
+        _assert_stack(got, plain)
+        return
+    # an inverse loses about cond * eps (1e-4 here), which swamps the
+    # 1e-12 gate: the dual is gated against a 40-digit inverse instead,
+    # no further from it than plain numpy's
+    want = np.stack([_mp_inverse(p[i]).T for i in range(n)])
+    scale = np.abs(want).max(axis=(-2, -1))
+
+    def error(x):
+        return (np.abs(x - want).max(axis=(-2, -1)) / scale).max()
+    assert error(got) <= error(plain)
 
 
 @pytest.mark.parametrize("rank", RANKS)

@@ -51,19 +51,29 @@ def test_random_hermitians_match_per_draw_reference(r):
 
 
 class StubGenerator:
-    """Hands out the given normal matrices and uniforms, counting calls."""
+    """Hands out the given normal matrices and uniforms, counting calls:
+    ``standard_normal(out=)`` fills its (2, r, r) block with the next two
+    matrices, ``random()`` hands out the next uniform in [0, 1).  The
+    reference draws through ``standard_normal(shape)`` and ``uniform``."""
 
     def __init__(self, normals, uniforms):
         self.normals, self.uniforms = list(normals), list(uniforms)
         self.calls = []
 
-    def standard_normal(self, shape):
+    def standard_normal(self, shape=None, *, out=None):
         self.calls.append("normal")
-        return np.asarray(self.normals.pop(0), dtype=float).reshape(shape)
+        if out is None:
+            return np.asarray(self.normals.pop(0), dtype=float).reshape(shape)
+        for part in out:
+            part[...] = self.normals.pop(0)
+        return out
 
-    def uniform(self, low, high):
+    def random(self):
         self.calls.append("uniform")
         return self.uniforms.pop(0)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
 
 
 def test_zero_hermitian_part_stays_zero_and_skips_its_uniform():
@@ -81,14 +91,54 @@ def test_zero_hermitian_part_stays_zero_and_skips_its_uniform():
     ref = StubGenerator(normals, [0.25, 0.75, 0.5])
     out = sampling.random_hermitians(stub, 2, 4, 2.0)
     expected = [reference_hermitian(ref, 2, 2.0) for _ in range(4)]
-    assert stub.calls == ref.calls == ["normal", "normal", "uniform",
-                                       "normal", "normal",
-                                       "normal", "normal", "uniform",
-                                       "normal", "normal"]
+    # one fill per matrix, then its uniform unless its part is zero
+    assert stub.calls == ["normal", "uniform", "normal", "normal", "uniform", "normal"]
+    assert ref.calls == ["normal", "normal", "uniform",
+                         "normal", "normal",
+                         "normal", "normal", "uniform",
+                         "normal", "normal"]
     assert np.array_equal(out, expected)
     assert not out[1].any()
     assert out[3][0, 0] == 1e-170
-    assert stub.uniforms == [0.5]
+    assert stub.uniforms == ref.uniforms == [0.5]
+
+
+# the stream identities that let ``_gaussians`` skip numpy's per-call
+# overhead: each must hold bit for bit on Philox
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_one_block_fill_equals_two_matrix_draws(r):
+    rng, ref = sampling.make_rng(200 + r), sampling.make_rng(200 + r)
+    block = np.empty((2, r, r))
+    for _ in range(5000):
+        rng.standard_normal(out=block)
+        assert np.array_equal(block[0], ref.standard_normal((r, r)))
+        assert np.array_equal(block[1], ref.standard_normal((r, r)))
+    assert rng.uniform() == ref.uniform()
+
+
+def test_affine_random_equals_uniform():
+    rng, ref = sampling.make_rng(300), sampling.make_rng(300)
+    got = [0.2 + (1.0 - 0.2) * rng.random() for _ in range(20000)]
+    assert got == [ref.uniform(0.2, 1.0) for _ in range(20000)]
+
+
+def test_tuple_index_equals_choice():
+    rng, ref = sampling.make_rng(301), sampling.make_rng(301)
+    got = [(0.0, 1.0)[rng.integers(0, 2)] for _ in range(20000)]
+    assert got == [float(ref.choice([0.0, 1.0])) for _ in range(20000)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hermitians_of_a_joined_group_match_per_call_draws(r):
+    # six samples of 4 draws each, scaled per draw as the fiber suite does
+    scale = [4.0, 0.5, 1.0, 3.0 / np.sqrt(r)]
+    rng, ref = sampling.make_rng(400 + r), sampling.make_rng(400 + r)
+    x, u = zip(*(sampling._gaussians(rng, r, 4) for _ in range(6)))
+    got = sampling._hermitians(np.array(x), np.array(u), scale)
+    want = [sampling.random_hermitians(ref, r, 4, scale) for _ in range(6)]
+    assert got.shape == (6, 4, r, r)
+    assert np.array_equal(got, want)
+    assert rng.uniform() == ref.uniform()
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0, 0.4])

@@ -6,8 +6,8 @@ of the same sweeps: one sample drawn and evaluated at a time through the
 single-matrix API.  They are the declared test-side reference: every
 report field must match them, at the default seeds, at a bench seed and
 at seeds whose verdict is a failure.  A cost model pins each suite's
-eigensolves and mesh constructions, which must not grow with the number
-of samples.
+eigensolves, mesh constructions and sampling scaling steps, which must
+not grow with the number of samples.
 """
 
 import numpy as np
@@ -228,9 +228,10 @@ def test_sample_count_must_be_positive(suite, samples):
 
 
 # per suite: a seed, three sample counts at which every rank the suite
-# draws occurs, and the eigensolves and mesh constructions of one run,
-# the same at each count: one stacked evaluation per rank.  The oracle
-# descends at most 3 samples here, to keep the run short
+# draws occurs, and the eigensolves, mesh constructions and sampling
+# scaling steps (``sampling._hermitians``) of one run, the same at each
+# count: one stacked evaluation per rank.  The oracle descends at most 3
+# samples here, to keep the run short
 COST_CASES = {
     # fiber block, per rank 2-4: exp of h, p and q, h's inverse root, the
     # Jensen inner product, 2 for each of 3 relative spectra and 2
@@ -241,21 +242,23 @@ COST_CASES = {
     # that validate them and the gauge-moved h and h2 (which the two
     # l2_inner bases reuse), 1 for each of 3 distances and theta, and the
     # roots of the two conformal scalings: 12.  Its 3 joined meshes are
-    # the suite's only ones
-    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 12, 3)),
+    # the suite's only ones.  Scaling: the fiber block's two draws per
+    # sample, the section block's one, each once per rank
+    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 12, 3, 3 * 2 + 3)),
     # per rank: random triangles 3 vertices x (exp + roots), 5 distances
     # x 1 and 3 geodesic points x 2 (endpoint frame, roots of the point)
     # make 17; flat ones 3 roots, 4 distances x 1 and the midpoint's 2
-    # make 9.  Each rank's random and flat triangles share one mesh each
-    "cat0": (7, (40, 120, 240), (2 * (17 + 9), 4)),
+    # make 9.  Each rank's random and flat triangles share one mesh each.
+    # Scaling: the random triangles' vertices, once per rank
+    "cat0": (7, (40, 120, 240), (2 * (17 + 9), 4, 2)),
     # rank 2: exp of the p and q stack, their relative spectra and the
     # oracle's straight-line start, clamped to the cone; the oracle checks
-    # p and q by Cholesky
-    "oracle": (1, (1, 2, 3), (4, 0)),
+    # p and q by Cholesky.  Scaling: one, of the whole p and q stack
+    "oracle": (1, (1, 2, 3), (4, 0, 1)),
     # per rank: exp of h, its roots, which also decide its positivity,
     # and one frame of both ends of the central differences; then 2 at
-    # v = 0
-    "appendix": (3, (40, 120, 240), (2 * 3 + 2, 0)),
+    # v = 0.  Scaling: h and v, once per rank
+    "appendix": (3, (40, 120, 240), (2 * 3 + 2, 0, 2)),
 }
 
 
@@ -265,7 +268,9 @@ def test_suite_cost_model(counts):
         for n in sizes:
             counts.clear()
             run(seed=seed, samples=n)
-            assert (counts["eig"], counts["mesh"]) == want, (suite, n)
+            assert (counts["eig"], counts["mesh"], counts["_hermitians"]) == want, (suite, n)
+            # a suite draws through the two halves, never the per-call sampler
+            assert counts["random_hermitians"] == 0, (suite, n)
 
 
 def _triangles(rng, sizes, rank=2):
