@@ -153,7 +153,7 @@ def _cat0_slacks(p: MetricSection, q: MetricSection, r: MetricSection,
                 - sq(dist(p, section_geodesic(q, r, 0.5))))
     if s is None:
         return midpoint, None
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    s, t = check_floats(s, "s"), check_floats(t, "t")
     reject(~((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)), ParameterError,
            lambda k: f"s={s[k]}, t={t[k]}: s and t must lie in [0, 1]")
     actual = dist(section_geodesic(p, q, s[segment]), section_geodesic(p, r, t[segment]))

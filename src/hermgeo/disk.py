@@ -82,7 +82,7 @@ class DiskMesh:
         n = self.n_points
         return QuadratureMesh(rank=rank, ids=np.arange(n),
                               weights=self.cell_weights(),
-                              alphas=np.full(n, float(alpha)))
+                              alphas=np.full(n, check_alpha(alpha, rank, (n,))))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)  # a copy, frozen below
+        values = check_floats(self.values, "values").copy()  # frozen below
         if values.shape != (self.mesh.n_r, self.mesh.n_theta):
             raise DimensionError(
                 f"values shape {values.shape} != "
@@ -135,7 +135,7 @@ class GridFunction:
 
 def raufi_matrix(z) -> np.ndarray:
     """The rank-2 disk example matrix [[1+|z|^2, z], [zbar, |z|^2]] per point z."""
-    z = np.asarray(z, dtype=np.complex128)
+    z = check_floats(z, "z", complex)
     t = np.abs(z) ** 2
     return np.stack([np.stack([1.0 + t, z], axis=-1),
                      np.stack([np.conj(z), t], axis=-1)], axis=-2)
@@ -175,8 +175,8 @@ def raufi_integrability(mesh: DiskMesh, alpha: float = 0.0) -> dict:
     eigenvalue data so the trace/determinant bookkeeping is visible
     rather than buried.
     """
-    check_alpha(alpha, 2)
     t = np.abs(mesh.points()) ** 2
+    alpha = check_alpha(alpha, 2, t.shape)
     lam_lo, lam_hi = raufi_eigenvalues(t)
     report = l2_report(np.log(np.stack([lam_lo, lam_hi], axis=-1)),
                        mesh.cell_weights(), alpha)

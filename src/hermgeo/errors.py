@@ -79,11 +79,12 @@ def check_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def check_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array; a value numpy cannot convert (a
-    string, a ragged list) raises ParameterError naming the argument
-    ``name``."""
+def check_floats(value, name: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex: the package's
+    one float coercion.  A bool converts to 0 or 1; a value numpy
+    cannot convert (a string, a ragged list, an object) raises
+    ParameterError naming the argument ``name``."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name}={reprlib.repr(value)}: need real numbers ({exc})") from None
+        raise ParameterError(f"{name}={reprlib.repr(value)}: need numbers ({exc})") from None

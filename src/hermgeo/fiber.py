@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePlaneError, ParameterError, check_floats, reject
+from .errors import DegeneratePlaneError, ParameterError, check_count, check_floats, reject
 
 __all__ = [
     "check_alpha",
@@ -48,7 +48,8 @@ def check_alpha(alpha, rank: int, batch: tuple = ()):
     """Validate the metric parameter (a float or per-matrix array):
     finite and alpha > -1/rank, strictly, with a shape that broadcasts
     against the ``batch`` shape of the matrix stacks."""
-    a = np.asarray(alpha, dtype=float)
+    a = check_floats(alpha, "alpha")
+    rank = check_count(rank, "rank", 1)
     linalg._broadcast(a.shape, batch, what="alpha and batch shapes")
     reject(~(np.isfinite(a) & (a > -1.0 / rank)), ParameterError,
            lambda k: f"alpha={a[k]} not admissible for rank {rank}: "
@@ -70,17 +71,15 @@ def _inner(vw: np.ndarray, ww: np.ndarray, alpha) -> np.ndarray:
     return _trace(vw @ ww) + alpha * _trace(vw) * _trace(ww)
 
 
-def _checked_alpha(alpha, *mats: np.ndarray):
-    """check_alpha at the common rank of ``mats``, against the broadcast of
-    their batch shapes."""
-    return check_alpha(alpha, linalg.same_rank(*mats),
-                       linalg._broadcast(*(m.shape[:-2] for m in mats)))
+def _checked(alpha, **mats):
+    """``linalg._checked`` of the named matrices, then check_alpha."""
+    mats, r, batch = linalg._checked(**mats)
+    return mats, check_alpha(alpha, r, batch)
 
 
 def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
-    h, v, w = (linalg.hermitian(x) for x in (h, v, w))
-    alpha = _checked_alpha(alpha, h, v, w)
+    (h, v, w), alpha = _checked(alpha, h=h, v=v, w=w)
     return _inner(*_whiten(linalg._roots(h)[1], v, w), alpha)
 
 
@@ -89,8 +88,7 @@ def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Independent of alpha: one spray serves the whole metric family.
     """
-    h, v, w = (linalg.hermitian(x) for x in (h, v, w))
-    linalg.same_rank(h, v, w)
+    (h, v, w), _, _ = linalg._checked(h=h, v=v, w=w)
     hsi = linalg._roots(h)[1]
     return linalg.hermitian_part(v @ hsi @ hsi @ w)
 
@@ -103,8 +101,7 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     mapping back through v -> h^{-1} v gives the Hermitian result
     -h^{1/2} [[U', V'], W'] h^{1/2} / 4 in whitened coordinates.
     """
-    h, u, v, w = (linalg.hermitian(x) for x in (h, u, v, w))
-    linalg.same_rank(h, u, v, w)
+    (h, u, v, w), _, _ = linalg._checked(h=h, u=u, v=v, w=w)
     hs, hsi = linalg._roots(h)
     up, vp, wp = _whiten(hsi, u, v, w)
     k = up @ vp - vp @ up
@@ -140,8 +137,7 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     Pairs that fail the orthonormality check (tolerance 1e-8) are
     re-orthonormalized by Gram-Schmidt and a warning is issued.
     """
-    h, u, v = (linalg.hermitian(x) for x in (h, u, v))
-    alpha = _checked_alpha(alpha, h, u, v)
+    (h, u, v), alpha = _checked(alpha, h=h, u=u, v=v)
     hsi = linalg._roots(h)[1]
     up, vp = _whiten(hsi, u, v)
     dev = np.max([abs(_inner(up, up, alpha) - 1.0),
@@ -167,10 +163,10 @@ class FiberGeodesic:
     frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", linalg.hermitian(self.start))
-        object.__setattr__(self, "velocity", linalg.hermitian(self.velocity))
-        linalg.same_rank(self.start, self.velocity)
-        object.__setattr__(self, "frame", _frame(linalg._roots(self.start), self.velocity))
+        (h, v), _, _ = linalg._checked(start=self.start, velocity=self.velocity)
+        object.__setattr__(self, "start", h)
+        object.__setattr__(self, "velocity", v)
+        object.__setattr__(self, "frame", _frame(linalg._roots(h), v))
 
     def __call__(self, t) -> np.ndarray:
         return geodesic_eval(self, t)
@@ -227,9 +223,7 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Realized as p^{1/2} U diag(lam) U^dagger p^{1/2} in the endpoint frame
     of q; the roots decide that p is positive definite, the frame that q is.
     """
-    p = linalg.hermitian(p)
-    q = linalg.hermitian(q)
-    linalg.same_rank(p, q)
+    (p, q), _, _ = linalg._checked(p=p, q=q)
     ps, u, lam = _frame(linalg._roots(p), q, endpoint=True)
     return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
 
@@ -244,8 +238,9 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float):
     Zero up to that truncation error exactly when g satisfies the
     geodesic equation; convention-free check of the spray sign.
     """
-    if not 0 < step < np.inf:
-        raise ParameterError(f"step={step!r} must be positive and finite")
+    t, step = check_floats(t, "t"), check_floats(step, "step")
+    reject(~((step > 0) & (step < np.inf)), ParameterError,
+           lambda k: f"step={step[k]} must be positive and finite")
     gm = geodesic_eval(g, t)
     gp = geodesic_eval(g, t + step)
     gn = geodesic_eval(g, t - step)
@@ -258,6 +253,7 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float):
 def hermitian_basis(r: int) -> np.ndarray:
     """Orthonormal real basis of the r x r Hermitian matrices (Frobenius):
     a stack of the diagonal units, then real and imaginary units per i < j."""
+    r = check_count(r, "r", 1)
     i, j = np.triu_indices(r, 1)
     k = r + 2 * np.arange(len(i))
     basis = np.zeros((r * r, r, r), dtype=np.complex128)
@@ -279,9 +275,8 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray):
     system of the real r^2-dimensional space of Hermitian matrices; a
     strictly positive result certifies local invertibility at v.
     """
-    h = linalg.hermitian(h)
-    v = linalg.hermitian(v)
-    basis = hermitian_basis(linalg.same_rank(h, v))
+    (h, v), r, _ = linalg._checked(h=h, v=v)
+    basis = hermitian_basis(r)
     steps, h, v = EXP_FD_STEP * basis, h[..., None, :, :], v[..., None, :, :]
     frame = _frame(linalg._roots(h), np.stack([v + steps, v - steps]))
     plus, minus = _geodesic(h, frame, 1.0)

@@ -4,8 +4,9 @@ Everything downstream (fiber geodesics, section distances, curvature)
 reduces to the handful of primitives defined here.  All matrix functions
 go through the Hermitian eigendecomposition: the matrices are normal, so
 there is no need for Pade approximants or scaling-and-squaring.
-Each takes a matrix or an (..., r, r) stack; underscored helpers skip
-validation.  The eigh that gives roots or a spectrum decides positivity.
+Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
+``_checked``, skip validation.  The eigh that gives roots or a spectrum
+decides positivity.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     NotPositiveDefiniteError,
     OverflowGuardError,
     WireFormatError,
+    check_floats,
     reject,
 )
 
@@ -53,15 +55,16 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermitian(a) -> np.ndarray:
+def hermitian(a, name: str = "a") -> np.ndarray:
     """Validate and symmetrize a square complex matrix or stack of them.
 
     Each matrix is replaced by (A + A^dagger)/2, which absorbs roundoff;
     inputs whose asymmetry exceeds ``ASYMMETRY_TOL`` (relative to the
     entry scale, so large well-conditioned products are not rejected for
-    roundoff) are flagged as genuine errors rather than noise.
+    roundoff) are flagged as genuine errors rather than noise.  Entries
+    that are not numbers raise ParameterError naming the argument ``name``.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = check_floats(a, name, complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     r = a.shape[-1]
@@ -81,17 +84,15 @@ def hermitian(a) -> np.ndarray:
     return h
 
 
-def same_rank(*mats: np.ndarray) -> int:
-    """Return the common rank of the given square matrices or stacks, whose
-    batch shapes must broadcast, or raise."""
+def _checked(**mats) -> tuple[list, int, tuple]:
+    """The check of every matrix entry point: ``hermitian`` of each named
+    matrix or stack, their common rank, the broadcast of their batch shapes."""
+    mats = [hermitian(m, name) for name, m in mats.items()]
     r = mats[0].shape[-1]
     for m in mats[1:]:
         if m.shape[-1] != r:
-            raise DimensionError(
-                f"rank mismatch: {r} vs {m.shape[-1]}"
-            )
-    _broadcast(*(m.shape[:-2] for m in mats))
-    return r
+            raise DimensionError(f"rank mismatch: {r} vs {m.shape[-1]}")
+    return mats, r, _broadcast(*(m.shape[:-2] for m in mats))
 
 
 def _broadcast(*shapes: tuple, what: str = "batch shapes") -> tuple:
@@ -161,12 +162,12 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-definite Hermitian matrix."""
-    return _roots(hermitian(p))[0]
+    return _roots(hermitian(p, "p"))[0]
 
 
 def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive-definite matrix."""
-    return _roots(hermitian(p))[1]
+    return _roots(hermitian(p, "p"))[1]
 
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
@@ -177,7 +178,7 @@ def expm_hermitian(a: np.ndarray) -> np.ndarray:
 
 def logm_posdef(p: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive-definite Hermitian matrix."""
-    w, u = _eigh(hermitian(p))
+    w, u = _eigh(hermitian(p, "p"))
     return _recompose(u, _log(w))
 
 
@@ -188,9 +189,7 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     has the same spectrum and stays Hermitian under roundoff.  The roots
     decide that p is positive definite, the spectrum that q is.
     """
-    p = hermitian(p)
-    q = hermitian(q)
-    same_rank(p, q)
+    (p, q), _, _ = _checked(p=p, q=q)
     return _relative_spectrum(_roots(p)[1], q)
 
 
@@ -204,7 +203,7 @@ def _relative_spectrum(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Serialize a complex matrix as {"re": [[..]], "im": [[..]]}."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = check_floats(a, "a", complex)
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 

@@ -316,9 +316,7 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     (inputs, seed); the seed only perturbs the initial interior nodes by
     ~1e-8 to break symmetry.
     """
-    p = linalg.hermitian(p)
-    q = linalg.hermitian(q)
-    r = linalg.same_rank(p, q)
+    (p, q), r, _ = linalg._checked(p=p, q=q)
     if p.shape != q.shape or p.ndim > 3:
         raise DimensionError(f"need two matrices or two (S, r, r) stacks, "
                              f"got shapes {p.shape} and {q.shape}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import check_count
+from .errors import check_count, check_floats
 from .fiber import _gram_schmidt_pair
 from .sections import (
     GaugeTransform,
@@ -72,7 +72,7 @@ def _hermitians(x: np.ndarray, u: np.ndarray, scale=1.0) -> np.ndarray:
     a = linalg.hermitian_part(x[..., 0, :, :] + 1j * x[..., 1, :, :])
     norm = linalg._norm(a)
     nonzero = norm != 0
-    factor = (np.asarray(scale, dtype=float) * u / np.where(nonzero, norm, 1.0)
+    factor = (check_floats(scale, "scale") * u / np.where(nonzero, norm, 1.0)
               * np.sqrt(x.shape[-1]))
     a *= np.where(nonzero, factor, 1.0)[..., None, None]
     return a

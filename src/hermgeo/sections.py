@@ -38,6 +38,7 @@ from .errors import (
     ParameterError,
     WireFormatError,
     check_count,
+    check_floats,
     reject,
 )
 from .fiber import _distance, _frame, _geodesic, _inner, _whiten, check_alpha
@@ -78,8 +79,8 @@ class QuadratureMesh:
         if check_count(self.rank, "rank", 1) > linalg.RANK_LIMIT:
             raise ParameterError(f"rank={self.rank}: need at most {linalg.RANK_LIMIT}")
         ids = _int64_ids(self.ids)
-        weights = np.asarray(self.weights, dtype=float)
-        alphas = np.asarray(self.alphas, dtype=float)
+        weights = check_floats(self.weights, "weights")
+        alphas = check_floats(self.alphas, "alphas")
         if not (ids.shape == weights.shape == alphas.shape) or ids.ndim != 1:
             raise DimensionError("ids, weights, alphas must be equal-length 1-d")
         order = np.argsort(ids)
@@ -106,12 +107,20 @@ class QuadratureMesh:
         return _weighted_sum(self.weights)
 
 
+def _array(value, name: str) -> np.ndarray:
+    """np.asarray(value); a ragged list raises ParameterError naming ``name``."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise ParameterError(f"{name}={reprlib.repr(value)}: not an array ({exc})") from None
+
+
 def _int64_ids(ids) -> np.ndarray:
     """Point ids as int64.  An id outside the int64 range, or one that is
     not an integer (a bool, float, complex, string or other object),
     raises ParameterError naming the first such id: a plain cast would
     wrap, truncate or parse it."""
-    raw = np.asarray(ids)
+    raw = _array(ids, "ids")
 
     def in_range():
         reject(~((raw >= -INT64_BOUND) & (raw < INT64_BOUND)), ParameterError,
@@ -168,7 +177,7 @@ class _MeshValues:
 
     def __post_init__(self):
         mesh = self.mesh
-        values = np.asarray(self.values, dtype=np.complex128 if self.matrix else float)
+        values = check_floats(self.values, "values", complex if self.matrix else float)
         expected = (mesh.n_points, mesh.rank, mesh.rank)[:3 if self.matrix else 1]
         if values.shape != expected:
             raise DimensionError(f"values shape {values.shape} != {expected}")
@@ -235,7 +244,7 @@ def _segment_sums(terms: np.ndarray, segment) -> np.ndarray:
     """np.bincount of ``terms`` by ``segment``, checked first: an entry past
     n - 1 would make np.bincount allocate that many sums, and a float or
     negative one would end in a bare numpy error."""
-    seg = np.asarray(segment)
+    seg = _array(segment, "segment")
     if seg.shape != terms.shape:
         raise DimensionError(f"segment shape {seg.shape} != point shape {terms.shape}")
     if seg.dtype.kind not in "iu":

@@ -209,10 +209,7 @@ def run_invariants(seed: int = 42, samples: int = 100) -> dict:
 
 def _diagonal(logs: np.ndarray) -> np.ndarray:
     """Diagonal matrices with entries exp(logs), logs of shape (..., r)."""
-    r = logs.shape[-1]
-    out = np.zeros(logs.shape + (r,), dtype=complex)
-    out[..., np.arange(r), np.arange(r)] = np.exp(logs)
-    return out
+    return np.exp(logs)[..., None] * np.eye(logs.shape[-1])
 
 
 def _triangle_slacks(draws, vertices):

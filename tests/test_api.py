@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import hermgeo
-from hermgeo import completion, disk, fiber, oracle, sections, suites
+from hermgeo import completion, disk, fiber, linalg, oracle, sections, suites
 from hermgeo.errors import (
     DimensionError,
     HermGeoError,
@@ -144,6 +146,32 @@ BAD_INPUTS = {
     "refinement_trend string norms":
         (ParameterError, completion.refinement_trend, ["a", "b"], [1, 2]),
     "section_geodesic string t": (ParameterError, sections.section_geodesic, H, H, "x"),
+    "hermitian string entry": (ParameterError, linalg.hermitian, [["a"]]),
+    "hermitian ragged": (ParameterError, linalg.hermitian, [[1, 2], [3]]),
+    "matrix_to_json string entry": (ParameterError, linalg.matrix_to_json, [["a"]]),
+    "relative_spectrum string q": (ParameterError, linalg.relative_spectrum, EYE, "x"),
+    "fiber_distance string alpha": (ParameterError, fiber.fiber_distance, EYE, 2 * EYE, "x"),
+    "alpha_inner string alpha": (ParameterError, fiber.alpha_inner, EYE, EYE, EYE, "x"),
+    "sectional_curvature string u":
+        (ParameterError, fiber.sectional_curvature, EYE, "x", EYE, 0.0),
+    "log_map string q": (ParameterError, fiber.log_map, EYE, "x"),
+    "FiberGeodesic string velocity": (ParameterError, fiber.FiberGeodesic, EYE, "x"),
+    "geodesic_residual string step":
+        (ParameterError, fiber.geodesic_residual, fiber.FiberGeodesic(EYE, EYE), 0.5, "x"),
+    "oracle string alpha": (ParameterError, oracle.distance_oracle, EYE, 2 * EYE, "x"),
+    "QuadratureMesh string weight":
+        (ParameterError, sections.QuadratureMesh, 2, [0], ["a"], [0.0]),
+    "QuadratureMesh string alpha":
+        (ParameterError, sections.QuadratureMesh, 2, [0], [1.0], ["a"]),
+    "MetricSection string entry": (ParameterError, sections.MetricSection, MESH, [[["a"]]] * 2),
+    "GaugeTransform string entry": (ParameterError, sections.GaugeTransform, MESH, [[["a"]]]),
+    "ScalarField string values": (ParameterError, sections.ScalarField, MESH, ["a", "b"]),
+    "DiskMesh quadrature string alpha": (ParameterError, disk.DiskMesh(2, 2).quadrature, 1, "x"),
+    "raufi_integrability string alpha":
+        (ParameterError, disk.raufi_integrability, disk.DiskMesh(2, 2), "x"),
+    "raufi_matrix string z": (ParameterError, disk.raufi_matrix, ["a"]),
+    "GridFunction string values": (ParameterError, disk.GridFunction, disk.DiskMesh(1, 2),
+                                   [["a", "b"]]),
 }
 
 # the argument that a case's error names, as name=value
@@ -163,6 +191,16 @@ NAMED_ARGUMENTS = {
     "section_geodesic nan t at a point": "t", "geodesic_eval nan t": "t",
     "geodesic_eval inf t": "t", "psh_check string radius": "radii",
     "refinement_trend string norms": "norms", "section_geodesic string t": "t",
+    "hermitian string entry": "a", "hermitian ragged": "a", "matrix_to_json string entry": "a",
+    "relative_spectrum string q": "q", "fiber_distance string alpha": "alpha",
+    "alpha_inner string alpha": "alpha", "sectional_curvature string u": "u",
+    "log_map string q": "q", "FiberGeodesic string velocity": "velocity",
+    "geodesic_residual string step": "step", "oracle string alpha": "alpha",
+    "QuadratureMesh string weight": "weights", "QuadratureMesh string alpha": "alphas",
+    "MetricSection string entry": "values", "GaugeTransform string entry": "values",
+    "ScalarField string values": "values", "DiskMesh quadrature string alpha": "alpha",
+    "raufi_integrability string alpha": "alpha", "raufi_matrix string z": "z",
+    "GridFunction string values": "values",
 }
 
 
@@ -180,6 +218,98 @@ def test_input_checks_raise_typed_errors(case):
         assert f"{NAMED_ARGUMENTS[case]}=" in str(info.value), info.value
     if case in NAMED_SAMPLES:
         assert str(info.value).startswith(NAMED_SAMPLES[case]), info.value
+
+
+U2 = np.diag([1.0, -1.0]) / np.sqrt(2.0)
+W2 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
+V = sections.TangentSection(MESH, EYE2)
+F = sections.ScalarField(MESH, [0.0, 0.0])
+G = fiber.FiberGeodesic(EYE, EYE)
+DISK = disk.DiskMesh(2, 4)
+SEGMENT = {"segment": [0, 1]}
+
+# each exported callable that takes numbers: its valid arguments (U2 and
+# W2 are traceless, so orthonormal at the identity for every alpha), then
+# the positions and keywords of the arguments that take numbers
+NUMERIC_CALLS = {
+    "FiberGeodesic": ((EYE, EYE), {}, (0, 1)),
+    "alpha_inner": ((EYE, EYE, EYE, 0.0), {}, (0, 1, 2, 3)),
+    "curvature_tensor": ((EYE, EYE, EYE, EYE), {}, (0, 1, 2, 3)),
+    "fiber_distance": ((EYE, 2 * EYE, 0.0), {}, (0, 1, 2)),
+    "geodesic_eval": ((G, 0.5), {}, (1,)),
+    "log_map": ((EYE, 2 * EYE), {}, (0, 1)),
+    "sectional_curvature": ((EYE, U2, W2, 0.0), {}, (0, 1, 2, 3)),
+    "spray": ((EYE, EYE, EYE), {}, (0, 1, 2)),
+    "eig_hermitian": ((EYE,), {}, (0,)),
+    "expm_hermitian": ((EYE,), {}, (0,)),
+    "hermitian": ((EYE,), {}, (0,)),
+    "logm_posdef": ((EYE,), {}, (0,)),
+    "relative_spectrum": ((EYE, 2 * EYE), {}, (0, 1)),
+    "sqrtm_posdef": ((EYE,), {}, (0,)),
+    "distance_oracle": ((EYE, 2 * EYE, 0.0, 8, 8, 0), {}, (0, 1, 2, 3, 4, 5)),
+    "GaugeTransform": ((MESH, EYE2), {}, (1,)),
+    "MetricSection": ((MESH, EYE2), {}, (1,)),
+    "TangentSection": ((MESH, EYE2), {}, (1,)),
+    "ScalarField": ((MESH, [0.0, 0.0]), {}, (1,)),
+    "QuadratureMesh": ((2, [0, 1], [1.0, 1.0], [0.0, 0.0]), {}, (0, 1, 2, 3)),
+    "section_geodesic": ((H, H, 0.5), {}, (2,)),
+    "l2_inner": ((H, V, V), SEGMENT, ("segment",)),
+    "section_distance": ((H, H), SEGMENT, ("segment",)),
+    "theta_metric": ((H, H), SEGMENT, ("segment",)),
+    "conformal_distance": ((H, F, F), SEGMENT, ("segment",)),
+    "check_alpha": ((0.0, 2), {}, (0, 1)),
+    "geodesic_residual": ((G, 0.5, 1e-3), {}, (1, 2)),
+    "hermitian_basis": ((2,), {}, (0,)),
+    "exp_differential_min_singular": ((EYE, EYE), {}, (0, 1)),
+    "DiskMesh": ((2, 4), {}, (0, 1)),
+    "GridFunction": ((disk.DiskMesh(1, 2), [[0.0, 1.0]]), {}, (1,)),
+    "raufi_matrix": ((0.5,), {}, (0,)),
+    "raufi_section": ((DISK, 0.0), {}, (1,)),
+    "identity_reference": ((DISK, 2, 0.0), {}, (1, 2)),
+    "raufi_integrability": ((DISK, 0.0), {}, (1,)),
+    "log_truncation_experiment": ((DISK, 0.0, 2), {}, (1, 2)),
+    "psh_check": ((disk.GridFunction(disk.DiskMesh(100, 16), np.zeros((100, 16))), [0.05]), {},
+                  (1,)),
+}
+# exported callables whose arguments are all sections, meshes or geodesics;
+# PshReport is a plain result record
+NO_NUMERIC_ARGUMENTS = {"gauge_apply", "flat_distance", "conformal_scale", "line_bundle_norms",
+                        "dual_section", "boundedness_bound", "PshReport"}
+EXPORTED = {name: getattr(module, name) for module in (hermgeo, fiber, disk)
+            for name in module.__all__ if callable(getattr(module, name))}
+
+
+def test_numeric_calls_cover_the_exports_and_accept_their_arguments():
+    assert set(NUMERIC_CALLS) | NO_NUMERIC_ARGUMENTS == set(EXPORTED)
+    for name, (args, kwargs, _) in NUMERIC_CALLS.items():
+        EXPORTED[name](*args, **kwargs)
+
+
+NOT_NUMBERS = st.one_of(
+    st.text(), st.none(), st.booleans(), st.builds(object),
+    # a ragged list: rows of two different lengths
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda n: n[0] != n[1]).map(
+        lambda n: [[0.5] * n[0], [0.5] * n[1]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(slot=st.sampled_from([(name, key) for name, (_, _, keys) in sorted(NUMERIC_CALLS.items())
+                             for key in keys]), bad=NOT_NUMBERS)
+def test_numeric_arguments_fail_typed_or_not_at_all(slot, bad):
+    """One numeric argument replaced by a string, None, a bool, an object
+    or a ragged list: the call returns or raises a HermGeoError, never a
+    bare numpy or Python error."""
+    name, key = slot
+    args, kwargs, _ = NUMERIC_CALLS[name]
+    args, kwargs = list(args), dict(kwargs)
+    if isinstance(key, int):
+        args[key] = bad
+    else:
+        kwargs[key] = bad
+    try:
+        EXPORTED[name](*args, **kwargs)
+    except HermGeoError as exc:
+        event(type(exc).__name__)  # shown by pytest --hypothesis-show-statistics
 
 
 # imports kept for a reader outside the package: (module, name) -> why
@@ -223,25 +353,41 @@ ROOTS_CALLERS = {"linalg", "fiber"}
 ROOTS_CALLERS_IN_SECTIONS = {"MetricSection._validate"}
 
 
-def _roots_callers(tree):
-    """The qualified name of each function of a module that calls
-    linalg._roots (or _roots, inside linalg)."""
+def _callers(matches):
+    """{module: the qualified name of each function of it that makes a call
+    for which ``matches(call)`` holds}, over the package's modules."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             name = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
-                    "linalg._roots", "_roots"):
+            if isinstance(child, ast.Call) and matches(child):
                 yield scope or "<module>"
             yield from visit(child, name)
-    return set(visit(tree, ""))
+    return {path.stem: set(visit(ast.parse(path.read_text()), ""))
+            for path in sorted(Path(hermgeo.__file__).parent.glob("*.py"))}
 
 
 def test_only_linalg_fiber_and_section_construction_factor_roots():
-    calls = {path.stem: _roots_callers(ast.parse(path.read_text()))
-             for path in sorted(Path(hermgeo.__file__).parent.glob("*.py"))}
+    # linalg._roots, or _roots inside linalg
+    calls = _callers(lambda call: ast.unparse(call.func) in ("linalg._roots", "_roots"))
     assert calls["sections"] == ROOTS_CALLERS_IN_SECTIONS
     others = {m: c for m, c in calls.items()
               if c and m not in ROOTS_CALLERS | {"sections"}}
     assert not others
+
+
+def _float_coercion(call) -> bool:
+    """An np.asarray or np.array call with a float or complex dtype, given
+    by keyword or as the second positional argument."""
+    if ast.unparse(call.func) not in ("np.asarray", "np.array"):
+        return False
+    dtypes = [kw.value for kw in call.keywords if kw.arg == "dtype"] + call.args[1:2]
+    return any(word in ast.unparse(d) for d in dtypes for word in ("float", "complex", "double"))
+
+
+def test_only_check_floats_coerces_to_floats():
+    """errors.check_floats is the one float or complex coercion: every
+    other site calls it, so a failed conversion names its argument."""
+    calls = {m: c for m, c in _callers(_float_coercion).items() if c}
+    assert calls == {}, calls
