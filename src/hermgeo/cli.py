@@ -9,6 +9,7 @@ Identical inputs and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,14 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance between two section files")
     p.add_argument("h1")
     p.add_argument("h2")
-    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("geodesic", help="CSV trace of the connecting geodesic")
     p.add_argument("h1")
     p.add_argument("h2")
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("curvature",
                        help="sectional curvature from matrix JSON files")
@@ -143,14 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("check", help="run a seeded property sweep")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("example", help="disk case studies")
     p.add_argument("name", choices=["raufi", "line-bundle"])
@@ -158,14 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntheta", type=int, default=64)
     p.add_argument("--alpha", type=float, default=None, help="raufi only (default 0.0)")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("integrability",
                        help="integrability report for a section pair")
     p.add_argument("sigma")
     p.add_argument("h0")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_integrability)
 
     p = sub.add_parser("completion-demo",
                        help="Cauchy experiment toward a singular limit")
@@ -174,14 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_completion_demo)
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and kept;
+    the command is looked up by name at each call, so a rebinding of a
+    ``cmd_*`` function is seen by every later call."""
+    args = _parser().parse_args(argv)
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except (HermGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

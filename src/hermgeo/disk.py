@@ -47,14 +47,19 @@ class DiskMesh:
 
     n_r: int
     n_theta: int
-    radii: np.ndarray = field(init=False)
-    thetas: np.ndarray = field(init=False)
+    # derived from the cell counts, so equality and the hash use those alone
+    radii: np.ndarray = field(init=False, compare=False)
+    thetas: np.ndarray = field(init=False, compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_r", "n_theta"):
             check_count(getattr(self, name), name, 1)
         object.__setattr__(self, "radii", (np.arange(self.n_r) + 0.5) * self.dr)
         object.__setattr__(self, "thetas", (np.arange(self.n_theta) + 0.5) * self.dtheta)
+        z = np.repeat(self.radii, self.n_theta) * np.exp(1j * np.tile(self.thetas, self.n_r))
+        z.flags.writeable = False
+        object.__setattr__(self, "_points", z)
 
     @property
     def dr(self) -> float:
@@ -69,10 +74,9 @@ class DiskMesh:
         return self.n_r * self.n_theta
 
     def points(self) -> np.ndarray:
-        """Complex coordinates of all cell centers, radial-major order."""
-        r = np.repeat(self.radii, self.n_theta)
-        th = np.tile(self.thetas, self.n_r)
-        return r * np.exp(1j * th)
+        """Complex coordinates of all cell centers, radial-major order
+        (read-only, computed once)."""
+        return self._points
 
     def cell_weights(self) -> np.ndarray:
         return np.repeat(self.radii * self.dr * self.dtheta, self.n_theta)
@@ -266,7 +270,7 @@ def psh_check(u: GridFunction, radii) -> PshReport:
         circles = centers[:, None] + rho * angles
         rr = np.abs(circles)
         used = (rr.min(axis=-1) >= inner_cut) & (rr.max(axis=-1) <= mesh.radii[-1])
-        gaps.append((center_vals - u.interpolate(circles).mean(axis=-1))[used])
+        gaps.append(center_vals[used] - u.interpolate(circles[used]).mean(axis=-1))
     gaps = np.concatenate(gaps)
     if gaps.size == 0:
         raise ParameterError("no admissible (center, radius) pair: shrink the "

@@ -81,10 +81,19 @@ def check_count(value, name: str, minimum: int) -> int:
 
 def check_floats(value, name: str, dtype=float) -> np.ndarray:
     """``value`` as an array of ``dtype``, float or complex: the package's
-    one float coercion.  A bool converts to 0 or 1; a value numpy
-    cannot convert (a string, a ragged list, an object) raises
-    ParameterError naming the argument ``name``."""
+    one float coercion.  A bool converts to 0 or 1.  A string (numeric
+    ones included), a complex value where ``dtype`` is float, a ragged
+    list or an object that is no number raises ParameterError naming the
+    argument ``name``."""
     try:
-        return np.asarray(value, dtype=dtype)
+        a = np.asarray(value)
+        kind = a.dtype.kind
+        if kind in "SU" or kind == "O" and any(isinstance(x, (str, bytes)) for x in a.flat):
+            raise TypeError("a string is not a number")
+        if kind == "c" and np.dtype(dtype).kind != "c":
+            raise TypeError("complex where real numbers are needed")
+        if kind not in "biufcO":
+            raise TypeError(f"{a.dtype} values")
+        return a.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{name}={reprlib.repr(value)}: need numbers ({exc})") from None

@@ -172,6 +172,27 @@ BAD_INPUTS = {
     "raufi_matrix string z": (ParameterError, disk.raufi_matrix, ["a"]),
     "GridFunction string values": (ParameterError, disk.GridFunction, disk.DiskMesh(1, 2),
                                    [["a", "b"]]),
+    # a numeric string is a string: no argument parses text
+    "fiber_distance numeric string alpha":
+        (ParameterError, fiber.fiber_distance, EYE, 2 * EYE, "0.5"),
+    "hermitian numeric string entry": (ParameterError, linalg.hermitian, [["1"]]),
+    "hermitian numeric string in an object array":
+        (ParameterError, linalg.hermitian, np.array([["1"]], dtype=object)),
+    "QuadratureMesh numeric string weight":
+        (ParameterError, sections.QuadratureMesh, 2, [0], ["1.0"], [0.0]),
+    "raufi_matrix numeric string z": (ParameterError, disk.raufi_matrix, "0.5"),
+    "psh_check numeric string radius": (ParameterError, disk.psh_check,
+                                        disk.GridFunction(disk.DiskMesh(8, 8), np.zeros((8, 8))),
+                                        ["0.05"]),
+    # a complex value where reals are needed keeps its imaginary part out
+    # of the result by raising, not by a ComplexWarning
+    "ScalarField complex values":
+        (ParameterError, sections.ScalarField, MESH, np.array([1j, 0.0])),
+    "GridFunction complex values":
+        (ParameterError, disk.GridFunction, disk.DiskMesh(1, 2), [[1.0, 1.0 + 0.5j]]),
+    "fiber_distance complex alpha": (ParameterError, fiber.fiber_distance, EYE, 2 * EYE, 0.5j),
+    "QuadratureMesh complex alpha in an object array":
+        (ParameterError, sections.QuadratureMesh, 2, [0], [1.0], np.array([1j], dtype=object)),
 }
 
 # the argument that a case's error names, as name=value
@@ -201,6 +222,12 @@ NAMED_ARGUMENTS = {
     "ScalarField string values": "values", "DiskMesh quadrature string alpha": "alpha",
     "raufi_integrability string alpha": "alpha", "raufi_matrix string z": "z",
     "GridFunction string values": "values",
+    "fiber_distance numeric string alpha": "alpha", "hermitian numeric string entry": "a",
+    "hermitian numeric string in an object array": "a",
+    "QuadratureMesh numeric string weight": "weights", "raufi_matrix numeric string z": "z",
+    "psh_check numeric string radius": "radii", "ScalarField complex values": "values",
+    "GridFunction complex values": "values", "fiber_distance complex alpha": "alpha",
+    "QuadratureMesh complex alpha in an object array": "alphas",
 }
 
 
@@ -287,6 +314,8 @@ def test_numeric_calls_cover_the_exports_and_accept_their_arguments():
 
 NOT_NUMBERS = st.one_of(
     st.text(), st.none(), st.booleans(), st.builds(object),
+    # numeric strings, which numpy would parse
+    st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0)).map(str),
     # a ragged list: rows of two different lengths
     st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda n: n[0] != n[1]).map(
         lambda n: [[0.5] * n[0], [0.5] * n[1]]))
@@ -298,7 +327,7 @@ NOT_NUMBERS = st.one_of(
 def test_numeric_arguments_fail_typed_or_not_at_all(slot, bad):
     """One numeric argument replaced by a string, None, a bool, an object
     or a ragged list: the call returns or raises a HermGeoError, never a
-    bare numpy or Python error."""
+    bare numpy or Python error.  A string, numeric or not, always raises."""
     name, key = slot
     args, kwargs, _ = NUMERIC_CALLS[name]
     args, kwargs = list(args), dict(kwargs)
@@ -310,6 +339,8 @@ def test_numeric_arguments_fail_typed_or_not_at_all(slot, bad):
         EXPORTED[name](*args, **kwargs)
     except HermGeoError as exc:
         event(type(exc).__name__)  # shown by pytest --hypothesis-show-statistics
+    else:
+        assert not isinstance(bad, str), "a string was read as a number"
 
 
 # imports kept for a reader outside the package: (module, name) -> why

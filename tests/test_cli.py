@@ -377,3 +377,51 @@ def test_count_errors_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["completion-demo", "--nr", "0"])
     assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
                                 "--levels", "0"])
+
+
+# one argv per command; the stubbed commands never read the files
+COMMAND_ARGVS = {
+    "cmd_distance": ["distance", "a.json", "b.json"],
+    "cmd_geodesic": ["geodesic", "a.json", "b.json"],
+    "cmd_curvature": ["curvature", "h.json", "u.json", "v.json"],
+    "cmd_check": ["check", "cat0"],
+    "cmd_example": ["example", "raufi"],
+    "cmd_integrability": ["integrability", "s.json", "h.json"],
+    "cmd_completion_demo": ["completion-demo"],
+}
+
+
+def test_main_looks_commands_up_at_each_call(monkeypatch, capsys):
+    # the parser is built once per process; a command rebound after that
+    # (as a tracer or a test does) is still the one main runs
+    assert main(["example", "line-bundle", "--nr", "60", "--ntheta", "16"]) == 0
+    capsys.readouterr()
+    assert set(COMMAND_ARGVS) == {name for name in vars(cli) if name.startswith("cmd_")}
+    for name, argv in COMMAND_ARGVS.items():
+        seen = []
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+        assert main(argv) == 7
+        assert seen == [argv[0]]
+    monkeypatch.undo()
+    assert main(["example", "line-bundle", "--nr", "60", "--ntheta", "16"]) == 0
+
+
+def test_back_to_back_calls_keep_their_own_defaults(monkeypatch, capsys):
+    small = ["--nr", "100", "--ntheta", "32"]
+    assert main(["example", "raufi", "--alpha", "0.3", *small]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.3
+    assert main(["example", "line-bundle", *small]) == 0
+    assert "psh_phi" in json.loads(capsys.readouterr().out)
+    assert "no --alpha" in assert_input_error(capsys, ["example", "line-bundle", "--alpha", "1"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_example", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "cmd_completion_demo", lambda args: seen.append(vars(args)) or 0)
+    for argv in (["example", "raufi", "--alpha", "0.3", "--nr", "7", "--out", "x"],
+                 ["example", "line-bundle"], ["completion-demo"]):
+        assert main(argv) == 0
+    assert seen == [
+        {"command": "example", "name": "raufi", "nr": 7, "ntheta": 64, "alpha": 0.3, "out": "x"},
+        {"command": "example", "name": "line-bundle", "nr": 400, "ntheta": 64, "alpha": None,
+         "out": None},
+        {"command": "completion-demo", "nr": 100, "ntheta": 32, "alpha": 0.0, "levels": 8,
+         "out": None}]

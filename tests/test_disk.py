@@ -21,6 +21,23 @@ def test_mesh_excludes_origin():
     assert np.abs(m.points()).min() > 0
 
 
+def test_mesh_points_are_held_read_only():
+    for n_r, n_theta in [(1, 1), (3, 5), (400, 64)]:
+        m = DiskMesh(n_r, n_theta)
+        z = m.points()
+        assert m.points() is z
+        assert not z.flags.writeable
+        want = np.repeat(m.radii, n_theta) * np.exp(1j * np.tile(m.thetas, n_r))
+        assert np.array_equal(z, want)
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+    # the derived arrays take no part in comparisons or the hash, the
+    # points none in the repr
+    assert DiskMesh(3, 5) == DiskMesh(3, 5) != DiskMesh(3, 4)
+    assert hash(DiskMesh(3, 5)) == hash(DiskMesh(3, 5))
+    assert repr(DiskMesh(3, 5)).count("array") == 2
+
+
 def test_raufi_matrix_identities():
     m = DiskMesh(50, 16)
     z = m.points()
@@ -204,6 +221,44 @@ def test_psh_check_log_det_raufi():
     u = GridFunction.from_callable(m, lambda z: 2.0 * np.log(np.abs(z) ** 2))
     rep = disk.psh_check(u, radii=[0.05, 0.1])
     assert rep.passed
+
+
+def _psh_all_circles(u, radii):
+    """psh_check's sub-mean-value gaps with every circle interpolated and
+    the inadmissible ones dropped afterwards."""
+    mesh = u.mesh
+    z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
+    sel = z[::disk.PSH_CENTER_STRIDE, ::disk.PSH_CENTER_STRIDE].ravel()
+    centers = sel[np.abs(sel) >= disk.PSH_MIN_CENTER_RADIUS]
+    angles = np.exp(2j * np.pi * (np.arange(disk.PSH_ANGLES) + 0.5) / disk.PSH_ANGLES)
+    inner_cut = max(mesh.radii[0], 40.0 / mesh.n_r)
+    gaps = []
+    for rho in radii:
+        circles = centers[:, None] + rho * angles
+        rr = np.abs(circles)
+        used = (rr.min(axis=-1) >= inner_cut) & (rr.max(axis=-1) <= mesh.radii[-1])
+        gaps.append((u.interpolate(centers) - u.interpolate(circles).mean(axis=-1))[used])
+    gaps = np.concatenate(gaps)
+    return float(gaps.max()), gaps.size, centers.size * len(radii) - gaps.size
+
+
+@pytest.mark.parametrize("n_r,n_theta,circles", [(400, 64, 600), (100, 32, 44)])
+def test_psh_check_interpolates_only_admissible_circles(monkeypatch, n_r, n_theta, circles):
+    m = DiskMesh(n_r, n_theta)
+    for scale in (1.0, 2.0):
+        u = GridFunction.from_callable(m, lambda z: scale * np.log(np.abs(z) ** 2))
+        want = _psh_all_circles(u, [0.05, 0.1])
+        sizes = []
+        interpolate = GridFunction.interpolate
+        monkeypatch.setattr(GridFunction, "interpolate",
+                            lambda self, z: sizes.append(np.shape(z)) or interpolate(self, z))
+        rep = disk.psh_check(u, radii=[0.05, 0.1])
+        monkeypatch.undo()
+        assert (rep.max_violation, rep.n_centers, rep.n_skipped) == want
+        assert rep.n_centers == circles
+        # the centres once, then each radius's admissible circles
+        assert sum(s[0] for s in sizes[1:]) == circles
+        assert all(s[1:] == (disk.PSH_ANGLES,) for s in sizes[1:])
 
 
 def test_psh_radius_too_large_all_skipped():
