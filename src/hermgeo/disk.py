@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .completion import CauchyReport, cauchy_experiment, l2_report
-from .errors import DimensionError, NonFiniteError, ParameterError, check_count, check_floats
+from .errors import (DimensionError, NonFiniteError, ParameterError, check_count, check_floats,
+                     reject)
 from .fiber import check_alpha
 from .sections import (MetricSection, QuadratureMesh, ScalarField, _relative_spectra,
                        _weighted_sum)
@@ -57,7 +58,7 @@ class DiskMesh:
             check_count(getattr(self, name), name, 1)
         object.__setattr__(self, "radii", (np.arange(self.n_r) + 0.5) * self.dr)
         object.__setattr__(self, "thetas", (np.arange(self.n_theta) + 0.5) * self.dtheta)
-        z = np.repeat(self.radii, self.n_theta) * np.exp(1j * np.tile(self.thetas, self.n_r))
+        z = (self.radii[:, None] * np.exp(1j * self.thetas)).ravel()  # one exp per angle
         z.flags.writeable = False
         object.__setattr__(self, "_points", z)
 
@@ -119,22 +120,36 @@ class GridFunction:
             sq = self.values**2
         return float(_weighted_sum(w, sq))
 
-    def interpolate(self, z: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation in (r, theta) with angular wraparound."""
+    def interpolate(self, z) -> np.ndarray:
+        """Bilinear interpolation in (r, theta) with angular wraparound, at
+        points z of the closed unit disk.  A non-finite z raises
+        NonFiniteError, a z with |z| > 1 ParameterError."""
+        z = check_floats(z, "z", complex)
+        reject(~np.isfinite(z), NonFiniteError, lambda k: f"z={z[k]}: not finite")
         r = np.abs(z)
-        th = np.mod(np.angle(z), 2 * np.pi)
+        reject(r > 1.0, ParameterError, lambda k: f"z={z[k]}: off the closed unit disk")
+        return self._bilinear(r, np.angle(z))
+
+    def _bilinear(self, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
+        """The interpolation at polar coordinates r = |z|, ang = angle(z)."""
         mesh = self.mesh
+        # ang lies in [-pi, pi]: as np.mod(ang, 2 pi), bit for bit, -0.0 too
+        th = ang + 2 * np.pi * (ang < 0)
         fi = r / mesh.dr - 0.5
         i0 = np.clip(np.floor(fi).astype(int), 0, mesh.n_r - 2)
         ti = fi - i0
         fj = th / mesh.dtheta - 0.5
         j0 = np.floor(fj).astype(int)
         tj = fj - j0
-        j0 = np.mod(j0, mesh.n_theta)
-        j1 = np.mod(j0 + 1, mesh.n_theta)
-        v = self.values
-        return ((1 - ti) * (1 - tj) * v[i0, j0] + (1 - ti) * tj * v[i0, j1]
-                + ti * (1 - tj) * v[i0 + 1, j0] + ti * tj * v[i0 + 1, j1])
+        # j0 lies in -1 .. n_theta - 1; wrap it and j0 + 1 into the grid
+        n = mesh.n_theta
+        j0 += n * (j0 < 0)
+        j1 = j0 + 1 - n * (j0 == n - 1)
+        # flat gathers; at n_r = 1, i0 = -1 and row -1 is row 0
+        v = self.values.ravel()
+        k0, k1 = i0 * n + j0, i0 * n + j1
+        return ((1 - ti) * (1 - tj) * v[k0] + (1 - ti) * tj * v[k1]
+                + ti * (1 - tj) * v[k0 + n] + ti * tj * v[k1 + n])
 
 
 def raufi_matrix(z) -> np.ndarray:
@@ -270,7 +285,9 @@ def psh_check(u: GridFunction, radii) -> PshReport:
         circles = centers[:, None] + rho * angles
         rr = np.abs(circles)
         used = (rr.min(axis=-1) >= inner_cut) & (rr.max(axis=-1) <= mesh.radii[-1])
-        gaps.append(center_vals[used] - u.interpolate(circles[used]).mean(axis=-1))
+        # the kernel takes the moduli the mask already needed
+        arc = u._bilinear(rr[used], np.angle(circles[used]))
+        gaps.append(center_vals[used] - arc.mean(axis=-1))
     gaps = np.concatenate(gaps)
     if gaps.size == 0:
         raise ParameterError("no admissible (center, radius) pair: shrink the "

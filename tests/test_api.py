@@ -60,6 +60,17 @@ H = sections.MetricSection(MESH, EYE2)
 BAD_INPUTS = {
     "GridFunction non-finite":
         (NonFiniteError, disk.GridFunction, disk.DiskMesh(1, 2), [[0.0, np.nan]]),
+    "GridFunction interpolate nan z":
+        (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
+         [0.5, complex(np.nan, 0.0)]),
+    "GridFunction interpolate inf z":
+        (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
+         np.inf),
+    "GridFunction interpolate string z":
+        (ParameterError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate, "x"),
+    "GridFunction interpolate z off the disk":
+        (ParameterError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
+         [0.5, 5.0]),
     "GridFunction integral overflow":
         (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[1e200, 1.0]]).integral_sq),
     "refinement_trend one level": (ParameterError, completion.refinement_trend, [1.0], [1]),
@@ -221,7 +232,9 @@ NAMED_ARGUMENTS = {
     "MetricSection string entry": "values", "GaugeTransform string entry": "values",
     "ScalarField string values": "values", "DiskMesh quadrature string alpha": "alpha",
     "raufi_integrability string alpha": "alpha", "raufi_matrix string z": "z",
-    "GridFunction string values": "values",
+    "GridFunction string values": "values", "GridFunction interpolate nan z": "z",
+    "GridFunction interpolate inf z": "z", "GridFunction interpolate string z": "z",
+    "GridFunction interpolate z off the disk": "z",
     "fiber_distance numeric string alpha": "alpha", "hermitian numeric string entry": "a",
     "hermitian numeric string in an object array": "a",
     "QuadratureMesh numeric string weight": "weights", "raufi_matrix numeric string z": "z",

@@ -192,6 +192,57 @@ def test_dual_section():
     assert np.allclose(dd.values[0], np.diag([0.5, 0.2]))
 
 
+def _interpolate_reference(u, z):
+    """GridFunction.interpolate's former route, kept as the reference:
+    np.mod of the angle and of the indices, and 2-D gathers."""
+    r = np.abs(z)
+    th = np.mod(np.angle(z), 2 * np.pi)
+    mesh = u.mesh
+    fi = r / mesh.dr - 0.5
+    i0 = np.clip(np.floor(fi).astype(int), 0, mesh.n_r - 2)
+    ti = fi - i0
+    fj = th / mesh.dtheta - 0.5
+    j0 = np.floor(fj).astype(int)
+    tj = fj - j0
+    j0 = np.mod(j0, mesh.n_theta)
+    j1 = np.mod(j0 + 1, mesh.n_theta)
+    v = u.values
+    return ((1 - ti) * (1 - tj) * v[i0, j0] + (1 - ti) * tj * v[i0, j1]
+            + ti * (1 - tj) * v[i0 + 1, j0] + ti * tj * v[i0 + 1, j1])
+
+
+def _edge_points(m):
+    """Points on the closed disk where the kernel's wraps and clips act."""
+    dr, dth = m.dr, m.dtheta
+    tiny = np.nextafter(0.0, 1.0)
+    z = [complex(-0.5, 0.0), complex(-0.5, -0.0), complex(0.5, -0.0), complex(0.0, -0.0),
+         complex(-0.0, 0.0), complex(-0.0, -0.0), 0.0, 1.0, -1.0, 1j, -1j, complex(-1.0, -0.0),
+         complex(0.5, -tiny), complex(0.5, tiny), complex(-0.5, -tiny), complex(-0.5, tiny)]
+    # the theta seam, and the cell edges and centres in theta and r
+    edges = np.concatenate([np.arange(m.n_theta + 1) * dth, (np.arange(m.n_theta) + 0.5) * dth])
+    angles = np.concatenate([edges, -edges, np.nextafter(edges, -np.inf), [-np.pi, np.pi]])
+    radii = np.concatenate([np.arange(m.n_r + 1) * dr, m.radii,
+                            # the innermost and outermost half-cells
+                            np.linspace(0.0, dr / 2, 5), np.linspace(1.0 - dr / 2, 1.0, 5)])
+    polar = (radii[:, None] * np.exp(1j * angles)).ravel()
+    return np.concatenate([np.array(z), polar[np.abs(polar) <= 1.0]])
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(1, 1), (2, 3), (120, 5), (400, 64)])
+def test_interpolate_is_bit_identical_to_the_reference_route(n_r, n_theta):
+    m = DiskMesh(n_r, n_theta)
+    rng = np.random.default_rng(n_r * 1000 + n_theta)
+    u = GridFunction(m, rng.standard_normal((n_r, n_theta)))
+    r = np.sqrt(rng.random(20_000))
+    seeded = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+    for z in (seeded, _edge_points(m), seeded.reshape(100, 200)):
+        got, want = u.interpolate(z), _interpolate_reference(u, z)
+        # equal bytes: the same doubles, sign bits included
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert u.interpolate(0.5j) == _interpolate_reference(u, 0.5j)
+
+
 def test_grid_interpolation():
     m = DiskMesh(100, 64)
     u = GridFunction.from_callable(m, lambda z: np.abs(z) ** 2)
@@ -224,8 +275,8 @@ def test_psh_check_log_det_raufi():
 
 
 def _psh_all_circles(u, radii):
-    """psh_check's sub-mean-value gaps with every circle interpolated and
-    the inadmissible ones dropped afterwards."""
+    """psh_check's sub-mean-value gaps with every circle interpolated by
+    the reference route and the inadmissible ones dropped afterwards."""
     mesh = u.mesh
     z = mesh.points().reshape(mesh.n_r, mesh.n_theta)
     sel = z[::disk.PSH_CENTER_STRIDE, ::disk.PSH_CENTER_STRIDE].ravel()
@@ -237,7 +288,8 @@ def _psh_all_circles(u, radii):
         circles = centers[:, None] + rho * angles
         rr = np.abs(circles)
         used = (rr.min(axis=-1) >= inner_cut) & (rr.max(axis=-1) <= mesh.radii[-1])
-        gaps.append((u.interpolate(centers) - u.interpolate(circles).mean(axis=-1))[used])
+        gaps.append((_interpolate_reference(u, centers)
+                     - _interpolate_reference(u, circles).mean(axis=-1))[used])
     gaps = np.concatenate(gaps)
     return float(gaps.max()), gaps.size, centers.size * len(radii) - gaps.size
 
@@ -249,9 +301,9 @@ def test_psh_check_interpolates_only_admissible_circles(monkeypatch, n_r, n_thet
         u = GridFunction.from_callable(m, lambda z: scale * np.log(np.abs(z) ** 2))
         want = _psh_all_circles(u, [0.05, 0.1])
         sizes = []
-        interpolate = GridFunction.interpolate
-        monkeypatch.setattr(GridFunction, "interpolate",
-                            lambda self, z: sizes.append(np.shape(z)) or interpolate(self, z))
+        bilinear = GridFunction._bilinear
+        monkeypatch.setattr(GridFunction, "_bilinear",
+                            lambda self, r, a: sizes.append(np.shape(r)) or bilinear(self, r, a))
         rep = disk.psh_check(u, radii=[0.05, 0.1])
         monkeypatch.undo()
         assert (rep.max_violation, rep.n_centers, rep.n_skipped) == want
