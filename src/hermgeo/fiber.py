@@ -10,11 +10,14 @@ Expressions of the form h^{-1} v are never evaluated as an explicit
 inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
 so Hermiticity survives roundoff.  Every function also takes (..., r, r)
-stacks, with alpha one value per matrix, and validates arguments once,
-then calls an unvalidated kernel (``_distance``, ``_frame``, ``_geodesic``);
-section ops call those kernels directly on the stacks their constructors
-validated, with the roots a metric section holds.  A base point is checked
-Hermitian; the eigendecomposition that gives its roots decides positivity.
+stacks, with alpha one value per matrix.  It validates its arguments once,
+factors its base point once (the eigendecomposition that gives the roots
+h^{1/2}, h^{-1/2} decides positivity), then calls an unvalidated kernel
+that takes that factorization: ``_alpha_inner``, ``_curvature``,
+``_sectional`` and ``_orthonormalize`` take the roots or h^{-1/2},
+``_frame``, ``_geodesic`` and ``_log_map`` a geodesic's frame, and
+``_distance`` a relative spectrum.  Section ops and the check suites call
+those kernels directly on stacks they validated and factored once.
 A geodesic is one spectral frame: its points and log map need no eigh.
 """
 
@@ -80,7 +83,12 @@ def _checked(alpha, **mats):
 def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
     (h, v, w), alpha = _checked(alpha, h=h, v=v, w=w)
-    return _inner(*_whiten(linalg._roots(h)[1], v, w), alpha)
+    return _alpha_inner(linalg._roots(h)[1], v, w, alpha)
+
+
+def _alpha_inner(hsi, v, w, alpha):
+    """``alpha_inner`` at the point whose h^{-1/2} is hsi."""
+    return _inner(*_whiten(hsi, v, w), alpha)
 
 
 def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -102,7 +110,12 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     -h^{1/2} [[U', V'], W'] h^{1/2} / 4 in whitened coordinates.
     """
     (h, u, v, w), _, _ = linalg._checked(h=h, u=u, v=v, w=w)
-    hs, hsi = linalg._roots(h)
+    return _curvature(linalg._roots(h), u, v, w)
+
+
+def _curvature(roots, u, v, w):
+    """``curvature_tensor`` at the point whose roots are (h^{1/2}, h^{-1/2})."""
+    hs, hsi = roots
     up, vp, wp = _whiten(hsi, u, v, w)
     k = up @ vp - vp @ up
     dbl = k @ wp - wp @ k
@@ -117,12 +130,12 @@ def _gram_schmidt_pair(h, u, v, alpha):
 
 def _orthonormalize(hsi, u, v, alpha):
     """``_gram_schmidt_pair`` at the point whose h^{-1/2} is hsi."""
-    nu = np.sqrt(_inner(*_whiten(hsi, u, u), alpha))
+    nu = np.sqrt(_alpha_inner(hsi, u, u, alpha))
     reject(nu < 1e-14, DegeneratePlaneError,
            lambda k: "first vector has vanishing norm")
     u = u / nu[..., None, None]
-    v = v - _inner(*_whiten(hsi, u, v), alpha)[..., None, None] * u
-    nv = np.sqrt(_inner(*_whiten(hsi, v, v), alpha))
+    v = v - _alpha_inner(hsi, u, v, alpha)[..., None, None] * u
+    nv = np.sqrt(_alpha_inner(hsi, v, v, alpha))
     reject(nv < 1e-12, DegeneratePlaneError,
            lambda k: "vectors are linearly dependent")
     return u, v / nv[..., None, None]
@@ -138,7 +151,12 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     re-orthonormalized by Gram-Schmidt and a warning is issued.
     """
     (h, u, v), alpha = _checked(alpha, h=h, u=u, v=v)
-    hsi = linalg._roots(h)[1]
+    return _sectional(linalg._roots(h)[1], u, v, alpha)
+
+
+def _sectional(hsi, u, v, alpha):
+    """``sectional_curvature`` at the point whose h^{-1/2} is hsi; its
+    warning names the caller of ``sectional_curvature``."""
     up, vp = _whiten(hsi, u, v)
     dev = np.max([abs(_inner(up, up, alpha) - 1.0),
                   abs(_inner(vp, vp, alpha) - 1.0),
@@ -148,7 +166,7 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
         up, vp = _whiten(hsi, u, v)
         warnings.warn(
             f"input pair deviated from orthonormality by {np.max(dev):.3e}; "
-            "re-orthonormalized via Gram-Schmidt", stacklevel=2)
+            "re-orthonormalized via Gram-Schmidt", stacklevel=3)
     k = up @ vp - vp @ up
     return -0.25 * np.linalg.norm(k, axis=(-2, -1)) ** 2
 
@@ -224,7 +242,12 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     of q; the roots decide that p is positive definite, the frame that q is.
     """
     (p, q), _, _ = linalg._checked(p=p, q=q)
-    ps, u, lam = _frame(linalg._roots(p), q, endpoint=True)
+    return _log_map(linalg._roots(p), q)
+
+
+def _log_map(roots, q: np.ndarray) -> np.ndarray:
+    """``log_map`` from the point whose roots are (p^{1/2}, p^{-1/2})."""
+    ps, u, lam = _frame(roots, q, endpoint=True)
     return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
 
 

@@ -124,13 +124,24 @@ def _recompose(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return hermitian_part((u * fw[..., None, :]) @ np.conj(u).swapaxes(-1, -2))
 
 
+def _factor(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpair (w, u) of p, whose eigendecomposition decides that p
+    is positive definite."""
+    w, u = _eigh(p)
+    _positive(w)
+    return w, u
+
+
+def _roots_from(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p^{1/2}, p^{-1/2}) from the eigenpair ``_factor`` gives of p."""
+    s = np.sqrt(w)
+    return _recompose(u, s), _recompose(u, 1.0 / s)
+
+
 def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p^{1/2}, p^{-1/2}) from one eigendecomposition, which also decides
     that p is positive definite."""
-    w, u = _eigh(p)
-    _positive(w)
-    s = np.sqrt(w)
-    return _recompose(u, s), _recompose(u, 1.0 / s)
+    return _roots_from(*_factor(p))
 
 
 def _exp(w: np.ndarray) -> np.ndarray:

@@ -11,9 +11,13 @@ Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
 Values on a mesh (metric and tangent sections, gauge transforms, scalar
 fields) share one base class: they are validated once, at construction,
-into fresh read-only (n, r, r) or (n,) arrays, and a metric section
-keeps the roots that decided its positivity; the section ops whiten with
-those and call the unvalidated linalg and fiber kernels on the stacks.
+into fresh read-only (n, r, r) or (n,) arrays.  A metric section also
+holds the eigenpair (w, V) of the one eigendecomposition that decided its
+positivity, and builds its roots (h^{1/2}, h^{-1/2}) from that pair on
+first use; a section that is only ever the second argument of an op (the
+far end of a distance or a geodesic) never builds them.  The section ops
+whiten with the held roots and call the unvalidated linalg and fiber
+kernels on the stacks; none factors h again.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     check_floats,
     reject,
 )
-from .fiber import _distance, _frame, _geodesic, _inner, _whiten, check_alpha
+from .fiber import _alpha_inner, _distance, _frame, _geodesic, check_alpha
 # unused here; bench/test_bench.py::test_tracer_restores_every_binding reads it
 from .fiber import fiber_distance  # noqa: F401
 
@@ -164,7 +168,7 @@ class _MeshValues:
     """Values at the points of a mesh, validated once, at construction:
     the shape, then the kind's ``_validate`` under the point ids (linalg
     validators are looked up at each call; a metric section's sets its
-    roots); a fresh read-only array is kept.  A kind names its wire ``key``
+    eigenpair); a fresh read-only array is kept.  A kind names its wire ``key``
     (a scalar field has none) and whether its values are r x r matrices."""
 
     mesh: QuadratureMesh
@@ -192,17 +196,30 @@ class _MeshValues:
 
 @dataclass(frozen=True)
 class MetricSection(_MeshValues):
-    """A positive-definite h at each mesh point; ``roots``: (h^{1/2}, h^{-1/2})."""
+    """A positive-definite h at each mesh point.
+
+    ``eig`` is the read-only eigenpair (w, V), h = V diag(w) V^dagger, of
+    the one eigendecomposition that decides positivity at construction;
+    ``roots``, the read-only (h^{1/2}, h^{-1/2}), is built from it on first
+    use, exactly as ``linalg._roots`` builds them, and then held."""
 
     key = "h"
-    roots: tuple = field(init=False, repr=False, compare=False)
+    eig: tuple = field(init=False, repr=False, compare=False)
 
     def _validate(self, values):
         h = linalg.hermitian(values)
-        object.__setattr__(self, "roots", linalg._roots(h))
-        for a in self.roots:
-            a.flags.writeable = False
+        object.__setattr__(self, "eig", _read_only(linalg._factor(h)))
         return h
+
+    @functools.cached_property
+    def roots(self) -> tuple:
+        return _read_only(linalg._roots_from(*self.eig))
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class TangentSection(_MeshValues):
@@ -264,7 +281,7 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection, *, segment=
     or one per segment of a ``segment`` array (see ``_weighted_sum``)."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
-    inner = _inner(*_whiten(h.roots[1], v.values, w.values), mesh.alphas)
+    inner = _alpha_inner(h.roots[1], v.values, w.values, mesh.alphas)
     return _weighted_sum(mesh.weights, inner, segment=segment)
 
 

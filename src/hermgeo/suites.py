@@ -92,17 +92,20 @@ def _fiber_invariants(rng, samples: int) -> dict:
         h, p, q = (linalg.expm_hermitian(x) for x in (logh, logp, logq))
         v10, u3, v3, w3, uo, vo = sampling._hermitians(
             g["x6"], g["u6"], [4.0, 1.0, 1.0, 1.0, 1.0, 1.0]).swapaxes(0, 1)
+        # the base stacks, factored once: every property below at h or
+        # from p calls a kernel on these roots
+        roots_h, roots_p = linalg._roots(h), linalg._roots(p)
+        hsi = roots_h[1]
         worst = {}
 
         # Jensen positivity bound
-        hs = linalg.invsqrtm_posdef(h)
-        tr = np.trace(hs @ v @ hs, axis1=-2, axis2=-1).real
-        worst["jensen_min_slack"] = (fiber.alpha_inner(h, v, v, alpha)
+        tr = np.trace(hsi @ v @ hsi, axis1=-2, axis2=-1).real
+        worst["jensen_min_slack"] = (fiber._alpha_inner(hsi, v, v, alpha)
                                      - (1.0 / r + alpha) * tr**2)
 
         # distance symmetry via reciprocal spectra, and scaling invariance
-        s1 = linalg.relative_spectrum(p, q)
-        s2 = linalg.relative_spectrum(q, p)
+        s1 = linalg._relative_spectrum(roots_p[1], q)
+        s2 = linalg._relative_spectrum(linalg._roots(q)[1], p)
         c = g["c"][:, None, None]
         scaled = linalg.relative_spectrum(c * p, c * q)
         worst["reciprocal_spectrum_max_err"] = np.maximum(
@@ -112,33 +115,33 @@ def _fiber_invariants(rng, samples: int) -> dict:
         # congruence invariance of the fiber distance
         phi = g["phi"] + 2.0 * np.eye(r)
         phi_h = np.conj(phi).swapaxes(-1, -2)
-        d0 = fiber.fiber_distance(p, q, alpha)
-        d1 = fiber.fiber_distance(phi_h @ p @ phi, phi_h @ q @ phi, alpha)
+        d0 = fiber._distance(s1, alpha)
+        d1 = fiber._distance(linalg.relative_spectrum(phi_h @ p @ phi, phi_h @ q @ phi), alpha)
         worst["congruence_max_rel_err"] = np.abs(d1 - d0) / np.maximum(d0, 1e-12)
 
         # geodesic affinity
         s, t = np.sort(g["st"], axis=-1).T
-        geo = fiber.FiberGeodesic(p, fiber.log_map(p, q))
-        dst = fiber.fiber_distance(fiber.geodesic_eval(geo, s),
-                                   fiber.geodesic_eval(geo, t), alpha)
+        frame = fiber._frame(roots_p, fiber._log_map(roots_p, q))
+        dst = fiber._distance(linalg.relative_spectrum(fiber._geodesic(p, frame, s),
+                                                       fiber._geodesic(p, frame, t)), alpha)
         worst["affinity_max_rel_err"] = (np.abs(dst - (t - s) * d0)
                                          / np.maximum(d0, 1e-12))
 
         # exp/log roundtrip
-        end = fiber.geodesic_eval(fiber.FiberGeodesic(h, v10), 1.0)
-        worst["roundtrip_max_rel_err"] = (linalg._norm(fiber.log_map(h, end) - v10)
+        end = fiber._geodesic(h, fiber._frame(roots_h, v10), 1.0)
+        worst["roundtrip_max_rel_err"] = (linalg._norm(fiber._log_map(roots_h, end) - v10)
                                           / np.maximum(linalg._norm(v10), 1e-12))
 
         # curvature identities
-        r_uv = fiber.curvature_tensor(h, u3, v3, w3)
-        r_vu = fiber.curvature_tensor(h, v3, u3, w3)
+        r_uv = fiber._curvature(roots_h, u3, v3, w3)
+        r_vu = fiber._curvature(roots_h, v3, u3, w3)
         worst["curvature_antisym_max_resid"] = linalg._norm(r_uv + r_vu)
-        worst["bianchi_max_resid"] = linalg._norm(r_uv + fiber.curvature_tensor(h, v3, w3, u3)
-                                                  + fiber.curvature_tensor(h, w3, u3, v3))
+        worst["bianchi_max_resid"] = linalg._norm(r_uv + fiber._curvature(roots_h, v3, w3, u3)
+                                                  + fiber._curvature(roots_h, w3, u3, v3))
 
         # nonpositive sectional curvature
-        uo, vo = fiber._gram_schmidt_pair(h, uo, vo, alpha)
-        worst["sectional_max"] = fiber.sectional_curvature(h, uo, vo, alpha)
+        uo, vo = fiber._orthonormalize(hsi, uo, vo, alpha)
+        worst["sectional_max"] = fiber._sectional(hsi, uo, vo, alpha)
         found.append(worst)
     return _worst(found)
 
@@ -167,9 +170,11 @@ def _section_invariants(rng, samples: int) -> dict:
         gh, gh2, gv, gw = (sections.gauge_apply(phi, x) for x in (h, h2, v, w))
         base = sections.l2_inner(h, v, w, segment=segment)
         moved = sections.l2_inner(gh, gv, gw, segment=segment)
-        d0 = sections.section_distance(h, h2, segment=segment)
+        # the distance and theta from one set of fiber distances
+        d = sections._fiber_distances(h, h2)[1]
+        d0 = sections._root(sections._weighted_sum(mesh.weights, d**2, segment=segment))
         d1 = sections.section_distance(gh, gh2, segment=segment)
-        theta = (sections.theta_metric(h, h2, segment=segment)
+        theta = (sections._weighted_sum(mesh.weights, d, segment=segment)
                  / np.sqrt(sections._weighted_sum(mesh.weights, segment=segment)))
         direct = sections.section_distance(sections.conformal_scale(h, f),
                                            sections.conformal_scale(h, g2), segment=segment)

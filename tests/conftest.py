@@ -8,8 +8,9 @@ from hermgeo import linalg, sampling, sections
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves, linalg.hermitian validations, mesh
-    constructions and the sampler's scaling steps while a test runs."""
+    """Count eigensolves, linalg.hermitian validations, roots built from
+    an eigenpair, mesh constructions and the sampler's scaling steps while
+    a test runs."""
     seen = collections.Counter()
 
     def counted(key, fn):
@@ -21,6 +22,7 @@ def counts(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
     monkeypatch.setattr(linalg, "hermitian", counted("hermitian", linalg.hermitian))
+    monkeypatch.setattr(linalg, "_roots_from", counted("roots", linalg._roots_from))
     monkeypatch.setattr(sections.QuadratureMesh, "__post_init__",
                         counted("mesh", sections.QuadratureMesh.__post_init__))
     for name in ("_hermitians", "random_hermitians"):

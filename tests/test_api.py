@@ -10,6 +10,7 @@ import functools
 import importlib
 import io
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -389,12 +390,17 @@ def test_every_imported_name_is_used():
     assert not unused
 
 
-# the modules that may factor a matrix into its roots: linalg, and fiber,
-# whose entry points take one base point per call.  A metric section
-# factors its values once, in its construction, and every section op
-# whitens with the roots it holds
-ROOTS_CALLERS = {"linalg", "fiber"}
-ROOTS_CALLERS_IN_SECTIONS = {"MetricSection._validate"}
+# the modules that may factor a matrix: linalg, and fiber, whose entry
+# points take one base point per call.  A metric section factors its
+# values once, in its construction, and builds its roots from that
+# eigenpair on first use; every section op whitens with the roots it
+# holds.  The invariants suite factors each base stack of a rank once
+FACTORING = {"_factor", "_roots_from", "_roots"}
+FACTORING_MODULES = {"linalg", "fiber"}
+FACTORING_SITES = {
+    "sections": {"MetricSection._validate", "MetricSection.roots"},
+    "suites": {"_fiber_invariants"},
+}
 
 
 def _callers(matches):
@@ -413,12 +419,31 @@ def _callers(matches):
 
 
 def test_only_linalg_fiber_and_section_construction_factor_roots():
-    # linalg._roots, or _roots inside linalg
-    calls = _callers(lambda call: ast.unparse(call.func) in ("linalg._roots", "_roots"))
-    assert calls["sections"] == ROOTS_CALLERS_IN_SECTIONS
-    others = {m: c for m, c in calls.items()
-              if c and m not in ROOTS_CALLERS | {"sections"}}
-    assert not others
+    # linalg._factor, _roots_from or _roots, or those names inside linalg
+    calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.") in FACTORING)
+    sites = {m: c for m, c in calls.items() if c and m not in FACTORING_MODULES}
+    assert sites == FACTORING_SITES
+
+
+def test_fiber_invariants_validates_each_stack_once():
+    """suites._fiber_invariants hands its drawn and factored stacks to the
+    underscored linalg and fiber kernels; a public linalg or fiber entry
+    point would validate (and factor) such a stack again.  Public calls
+    take only the new stacks the suite builds for them."""
+    path = Path(hermgeo.__file__).parent / "suites.py"
+    body = next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_fiber_invariants")
+    calls = [node for node in ast.walk(body) if isinstance(node, ast.Call)]
+
+    def named_args(pattern):
+        """The bare names passed to each call whose function matches."""
+        return [(ast.unparse(call), {a.id for a in call.args if isinstance(a, ast.Name)})
+                for call in calls if re.fullmatch(pattern, ast.unparse(call.func))]
+
+    handed = set().union(*(names for _, names in named_args(r"(linalg|fiber)\._\w+")))
+    again = [call for call, names in named_args(r"(linalg|fiber)\.[a-z]\w*") if names & handed]
+    assert {"h", "p", "q"} <= handed
+    assert not again
 
 
 def _float_coercion(call) -> bool:

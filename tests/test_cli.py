@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hermgeo import cli, linalg, sampling, sections
+from hermgeo import cli, disk, linalg, sampling, sections
 from hermgeo.cli import main
 from hermgeo.sections import GaugeTransform, MetricSection, QuadratureMesh, save_section
 
@@ -377,6 +377,16 @@ def test_count_errors_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["completion-demo", "--nr", "0"])
     assert_input_error(capsys, ["completion-demo", "--nr", "8", "--ntheta", "8",
                                 "--levels", "0"])
+
+
+
+def test_oversized_disk_mesh_exits_2(capsys):
+    # refused by its cell count, before the mesh allocates anything
+    huge = str(10**8)
+    for argv in (["example", "raufi", "--nr", huge, "--ntheta", huge],
+                 ["example", "line-bundle", "--nr", "1001", "--ntheta", "1000"],
+                 ["completion-demo", "--nr", "1", "--ntheta", str(disk.DISK_POINT_LIMIT + 1)]):
+        assert "need at most" in assert_input_error(capsys, argv)
 
 
 # one argv per command; the stubbed commands never read the files

@@ -1,12 +1,13 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from hermgeo import disk
-from hermgeo.completion import integrability_report
+from hermgeo import disk, sampling
+from hermgeo.completion import integrability_report, refinement_trend
 from hermgeo.disk import DiskMesh, GridFunction
-from hermgeo.errors import MeshMismatchError
+from hermgeo.errors import MeshMismatchError, ParameterError
 
 
 def test_mesh_weight_sum():
@@ -36,6 +37,20 @@ def test_mesh_points_are_held_read_only():
     assert DiskMesh(3, 5) == DiskMesh(3, 5) != DiskMesh(3, 4)
     assert hash(DiskMesh(3, 5)) == hash(DiskMesh(3, 5))
     assert repr(DiskMesh(3, 5)).count("array") == 2
+
+
+def test_mesh_past_the_point_limit_is_refused_before_allocating():
+    # each of these would need gigabytes; the count alone refuses it
+    tracemalloc.start()
+    try:
+        for n_r, n_theta in [(disk.DISK_POINT_LIMIT + 1, 1), (1, disk.DISK_POINT_LIMIT + 1),
+                             (10**8, 10**8), (np.int64(2**40), np.int64(2**40))]:
+            with pytest.raises(ParameterError, match="need at most"):
+                DiskMesh(n_r, n_theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_raufi_matrix_identities():
@@ -272,6 +287,50 @@ def test_psh_check_log_det_raufi():
     u = GridFunction.from_callable(m, lambda z: 2.0 * np.log(np.abs(z) ** 2))
     rep = disk.psh_check(u, radii=[0.05, 0.1])
     assert rep.passed
+
+
+def _log_norm(mesh, h, u):
+    """log |u|^2_h = log(u^dagger h u) of a constant section u of a metric
+    h(z), as a grid function."""
+    m = h(mesh.points().reshape(mesh.n_r, mesh.n_theta))
+    return GridFunction(mesh, np.log(np.einsum("i,...ij,j->...", np.conj(u), m, u).real))
+
+
+def _control_metric(z):
+    """diag(1, e^{-|z|^2}): log |e_2|^2 = -|z|^2 is superharmonic."""
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    return np.stack([np.stack([one, zero], axis=-1),
+                     np.stack([zero, np.exp(-np.abs(z) ** 2) + 0j], axis=-1)], axis=-2)
+
+
+# Raufi's h = A^dagger A with A(z) = [[1, z], [z, 0]] holomorphic, so for a
+# constant u = (a, b), log |u|^2_h = log(|a + z b|^2 + |z a|^2) is psh:
+# Griffiths seminegativity, tested on sections rather than on log det
+GRIFFITHS_SECTIONS = sampling._complex_normal(sampling.make_rng(3), 20, (2,))
+
+
+def test_psh_check_griffiths_constant_sections_of_raufi():
+    m = DiskMesh(200, 64)
+    reps = [disk.psh_check(_log_norm(m, disk.raufi_matrix, u), [0.05, 0.1])
+            for u in GRIFFITHS_SECTIONS]
+    assert all(rep.passed for rep in reps)
+    assert max(rep.max_violation for rep in reps) < 0.5 * disk.PSH_TOLERANCE
+    # the control along e_2 fails by about 1e-2 at this mesh
+    control = disk.psh_check(_log_norm(m, _control_metric, np.array([0.0, 1.0])),
+                             [0.05, 0.1])
+    assert not control.passed
+    assert control.max_violation > 5e-3
+
+
+def test_psh_check_griffiths_violation_falls_under_refinement():
+    # the violation is interpolation error: it falls with the mesh, at
+    # about second order in the mesh width (slope near -2.7 here)
+    levels = [1, 2, 4]
+    worst = [max(disk.psh_check(_log_norm(DiskMesh(100 * k, 32 * k), disk.raufi_matrix, u),
+                                [0.05, 0.1]).max_violation for u in GRIFFITHS_SECTIONS)
+             for k in levels]
+    assert all(b < a for a, b in zip(worst, worst[1:]))
+    assert refinement_trend(worst, levels) < -1.0
 
 
 def _psh_all_circles(u, radii):

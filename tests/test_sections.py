@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hermgeo import sampling, sections
+from hermgeo import linalg, sampling, sections
 from hermgeo.completion import integrability_report
 from hermgeo.errors import HermGeoError, MeshMismatchError, NonFiniteError, ParameterError
 from hermgeo.sections import (
@@ -353,12 +353,34 @@ def test_validated_stacks_are_read_only_copies(cls):
     mesh = QuadratureMesh(rank=2, ids=ids, weights=weights, alphas=alphas)
     vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)])
     section = cls(mesh, vals)
-    # a metric section's roots as well
+    # a metric section's eigenpair and roots as well
     for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas,
-                   *getattr(section, "roots", ())):
+                   *getattr(section, "eig", ()), *getattr(section, "roots", ())):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = stored[1]
     for given in (vals, ids, weights, alphas):
         assert given.flags.writeable
     vals[0] = vals[1]
     assert not np.array_equal(section.values[0], section.values[1])
+
+
+def test_metric_section_builds_its_roots_once_on_first_use(counts):
+    rng = sampling.make_rng(6)
+    mesh = sampling.random_mesh(rng, 3, 5)
+    vals = [sampling.random_posdef(rng, 3) for _ in range(10)]
+    counts.clear()
+    h1, h2 = MetricSection(mesh, vals[:5]), MetricSection(mesh, vals[5:])
+    # construction factors each section once and builds no roots
+    assert (counts["eig"], counts["roots"]) == (2, 0)
+    w, v = h1.eig
+    np.testing.assert_allclose((v * w[:, None, :]) @ np.conj(v).swapaxes(-1, -2),
+                               h1.values, rtol=0, atol=1e-12)
+    # h2, only ever the far end of a distance, never builds its roots
+    d = section_distance(h1, h2)
+    assert section_distance(h1, h2) == d
+    assert counts["roots"] == 1
+    # h1's are held, and bit for bit the roots linalg factors anew
+    roots = h1.roots
+    assert h1.roots is roots and counts["roots"] == 1
+    for held, fresh in zip(roots, linalg._roots(h1.values)):
+        assert held.tobytes() == fresh.tobytes()

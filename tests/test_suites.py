@@ -233,22 +233,27 @@ def test_sample_count_must_be_positive(suite, samples):
 # count: one stacked evaluation per rank.  The oracle descends at most 3
 # samples here, to keep the run short
 COST_CASES = {
-    # fiber block, per rank 2-4: exp of h, p and q, h's inverse root, the
-    # Jensen inner product, 2 for each of 3 relative spectra and 2
-    # distances, 4 for the affinity geodesic and 2 for its distance, 4
-    # for the roundtrip, 1 for each of 4 curvature tensors, the
-    # Gram-Schmidt pair and the sectional curvature: 31.  Section block,
-    # per rank 1-3, on one joined mesh each: exp of h and h2, the roots
-    # that validate them and the gauge-moved h and h2 (which the two
-    # l2_inner bases reuse), 1 for each of 3 distances and theta, and the
-    # roots of the two conformal scalings: 12.  Its 3 joined meshes are
-    # the suite's only ones.  Scaling: the fiber block's two draws per
-    # sample, the section block's one, each once per rank
-    "invariants": (42, (30, 60, 240), (3 * 31 + 3 * 12, 3, 3 * 2 + 3)),
-    # per rank: random triangles 3 vertices x (exp + roots), 5 distances
-    # x 1 and 3 geodesic points x 2 (endpoint frame, roots of the point)
-    # make 17; flat ones 3 roots, 4 distances x 1 and the midpoint's 2
-    # make 9.  Each rank's random and flat triangles share one mesh each.
+    # fiber block, per rank 2-4: exp of h, p and q (3); the roots of h and
+    # p, factored once and used by the Jensen bound, the curvatures, the
+    # Gram-Schmidt pair and the sectional curvature (2); the spectrum of
+    # p^-1 q from p's roots, which also gives d0 (1); that of q^-1 p, from
+    # q's roots (2); the scaled and the congruent pair, 2 each (4); the
+    # affinity geodesic's log map and frame from p's roots (2) and the
+    # distance of its two points (2); the roundtrip's frame and log map
+    # from h's roots (2): 18.  Section block, per rank 1-3, on one joined
+    # mesh each: exp of h and h2, the eigendecompositions that validate
+    # them and the gauge-moved h and h2 (which the two l2_inner bases
+    # reuse), the distance and theta from one spectrum, the gauge-moved
+    # and the conformal distances, and the validation of the two
+    # conformal scalings: 11.  Its 3 joined meshes are the suite's only
+    # ones.  Scaling: the fiber block's two draws per sample, the section
+    # block's one, each once per rank
+    "invariants": (42, (30, 60, 240), (3 * 18 + 3 * 11, 3, 3 * 2 + 3)),
+    # per rank: random triangles 3 vertices x (exp + the eigenpair that
+    # validates it), 5 distances x 1 and 3 geodesic points x 2 (endpoint
+    # frame, the point's eigenpair) make 17; flat ones 3 eigenpairs, 4
+    # distances x 1 and the midpoint's 2 make 9.  Each rank's random and
+    # flat triangles share one mesh each.
     # Scaling: the random triangles' vertices, once per rank
     "cat0": (7, (40, 120, 240), (2 * (17 + 9), 4, 2)),
     # rank 2: exp of the p and q stack, their relative spectra and the
