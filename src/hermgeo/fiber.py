@@ -19,6 +19,8 @@ that takes that factorization: ``_alpha_inner``, ``_curvature``,
 ``_distance`` a relative spectrum.  Section ops and the check suites call
 those kernels directly on stacks they validated and factored once.
 A geodesic is one spectral frame: its points and log map need no eigh.
+``linalg._whiten`` forms the middle factor; ``_frame`` scans it for
+non-finite entries before its eigh.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
-    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian."""
-    return [linalg.hermitian_part(hsi @ v @ hsi) for v in vs]
-
-
 def _inner(vw: np.ndarray, ww: np.ndarray, alpha) -> np.ndarray:
     """The inner product at the identity, applied to whitened vectors."""
     return _trace(vw @ ww) + alpha * _trace(vw) * _trace(ww)
@@ -88,7 +85,7 @@ def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
 
 def _alpha_inner(hsi, v, w, alpha):
     """``alpha_inner`` at the point whose h^{-1/2} is hsi."""
-    return _inner(*_whiten(hsi, v, w), alpha)
+    return _inner(*linalg._whiten(hsi, v, w), alpha)
 
 
 def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -116,7 +113,7 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
 def _curvature(roots, u, v, w):
     """``curvature_tensor`` at the point whose roots are (h^{1/2}, h^{-1/2})."""
     hs, hsi = roots
-    up, vp, wp = _whiten(hsi, u, v, w)
+    up, vp, wp = linalg._whiten(hsi, u, v, w)
     k = up @ vp - vp @ up
     dbl = k @ wp - wp @ k
     return linalg.hermitian_part(-0.25 * (hs @ dbl @ hs))
@@ -157,13 +154,13 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
 def _sectional(hsi, u, v, alpha):
     """``sectional_curvature`` at the point whose h^{-1/2} is hsi; its
     warning names the caller of ``sectional_curvature``."""
-    up, vp = _whiten(hsi, u, v)
+    up, vp = linalg._whiten(hsi, u, v)
     dev = np.max([abs(_inner(up, up, alpha) - 1.0),
                   abs(_inner(vp, vp, alpha) - 1.0),
                   abs(_inner(up, vp, alpha))], axis=0)
     if np.any(dev > 1e-8):
         u, v = _orthonormalize(hsi, u, v, alpha)
-        up, vp = _whiten(hsi, u, v)
+        up, vp = linalg._whiten(hsi, u, v)
         warnings.warn(
             f"input pair deviated from orthonormality by {np.max(dev):.3e}; "
             "re-orthonormalized via Gram-Schmidt", stacklevel=3)
@@ -194,8 +191,8 @@ def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
     """The geodesic frame (h^{1/2}, U, lam) from roots = (h^{1/2}, h^{-1/2}) and
     h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu for a velocity m, and
     lam = log mu for an endpoint m, whose positivity and condition this decides."""
-    mu, u = linalg._eigh(_whiten(roots[1], m)[0])
-    return roots[0], u, linalg._log(mu) if endpoint else mu
+    mu, u = linalg._eigh(linalg._finite(linalg._whiten(roots[1], m)[0]))
+    return roots[0], u, linalg._log(mu, m) if endpoint else mu
 
 
 def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:

@@ -5,8 +5,10 @@ reduces to the handful of primitives defined here.  All matrix functions
 go through the Hermitian eigendecomposition: the matrices are normal, so
 there is no need for Pade approximants or scaling-and-squaring.
 Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
-``_checked``, skip validation.  The eigh that gives roots or a spectrum
-decides positivity.
+``_checked``, skip validation: ``hermitian`` scans for non-finite
+entries, ``_eigh`` does not.  ``_whiten`` is the one congruence
+h^{-1/2} (.) h^{-1/2}, and ``_positive`` the one check that a spectrum,
+a matrix's own or a whitened one, is positive.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _broadcast(*shapes: tuple, what: str = "batch shapes") -> tuple:
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        return np.linalg.eigh(_finite(a))
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"eigensolver failed on matrix with Frobenius norm "
@@ -114,9 +116,19 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _positive(w: np.ndarray) -> None:
-    """Reject a stack whose ascending eigenvalues ``w`` reach zero."""
-    reject(w[..., 0] <= 0, NotPositiveDefiniteError,
+def _positive(w: np.ndarray, q: np.ndarray | None = None) -> None:
+    """Reject a stack whose ascending eigenvalues ``w`` reach zero.  Given
+    ``q``, whose whitened spectrum ``w`` is, the first such point is beyond
+    float64 resolution (IllConditionedError) if q's own eigh, the one that
+    ``_factor`` takes, finds q positive definite."""
+    bad = w[..., 0] <= 0
+    if q is not None and bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if _eigh(np.broadcast_to(q, bad.shape + q.shape[-2:])[first])[0][0] > 0:
+            reject(bad, IllConditionedError, lambda k: f"relative spectrum reaches "
+                   f"{w[k][0]:.3e} <= 0 for a positive-definite pair: beyond float64 "
+                   "resolution")
+    reject(bad, NotPositiveDefiniteError,
            lambda k: f"smallest eigenvalue {w[k][0]:.3e} <= 0")
 
 
@@ -153,9 +165,10 @@ def _exp(w: np.ndarray) -> np.ndarray:
     return np.exp(w)
 
 
-def _log(w: np.ndarray) -> np.ndarray:
-    """log w for a stack of ascending spectra, positive and within COND_GUARD."""
-    _positive(w)
+def _log(w: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """log w for a stack of ascending spectra, positive and within COND_GUARD;
+    ``q`` as for ``_positive``."""
+    _positive(w, q)
     cond = w[..., -1] / w[..., 0]
     reject(cond > COND_GUARD, IllConditionedError,
            lambda k: f"condition number {cond[k]:.3e} exceeds guard {COND_GUARD:.0e}")
@@ -204,11 +217,15 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _relative_spectrum(_roots(p)[1], q)
 
 
+def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
+    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian."""
+    return [hermitian_part(hsi @ v @ hsi) for v in vs]
+
+
 def _relative_spectrum(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``relative_spectrum`` from psi = p^{-1/2}, the root that decided p."""
-    lam = np.linalg.eigvalsh(_finite(hermitian_part(psi @ q @ psi)))
-    reject(lam[..., 0] <= 0, NotPositiveDefiniteError,
-           lambda k: f"relative spectrum has nonpositive value {lam[k][0]:.3e}")
+    lam = np.linalg.eigvalsh(_finite(_whiten(psi, q)[0]))
+    _positive(lam, q)
     return lam
 
 

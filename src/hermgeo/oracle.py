@@ -323,11 +323,8 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     single = p.ndim == 2
     p, q = p.reshape(-1, r, r), q.reshape(-1, r, r)
     for name, ends in (("p", p), ("q", q)):
-        try:  # one Cholesky of the stack; a failure is named per sample
-            np.linalg.cholesky(ends)
-        except np.linalg.LinAlgError:
-            reject(~_in_cone(ends[:, None]), NotPositiveDefiniteError,
-                   lambda k: f"{name} has no Cholesky factor: not positive definite")
+        reject(~_in_cone(ends[:, None]), NotPositiveDefiniteError,
+               lambda k: f"{name} has no Cholesky factor: not positive definite")
     alpha = _per_sample(check_alpha(alpha, r), len(p), "alpha")
     # object entries keep each seed the integer it was given
     rngs = [make_rng(s) for s in _per_sample(np.asarray(seed, dtype=object),

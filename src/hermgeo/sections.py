@@ -456,14 +456,15 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     n, r = mesh.n_points, mesh.rank
     header = ["t", "point_id"] + [f"{part}_{i}{j}" for i in range(r) for j in range(r)
                                   for part in ("re", "im")]
-    stream.write(",".join(header) + "\r\n")
     # one %-template formats a whole step block: its cells are t, the
     # point id and the entries of each point
     block = ("%s,%d," + ",".join(["%.17g"] * (2 * r * r)) + "\r\n") * n
     cells = np.empty((n, 2 + 2 * r * r), dtype=object)
     cells[:, 1] = mesh.ids.tolist()
     with _at_points(mesh.ids):
+        # the frame refuses a pair before anything is written
         frame = _frame(h1.roots, h2.values, endpoint=True)
+        stream.write(",".join(header) + "\r\n")
         for k in range(steps):
             t = k / (steps - 1)
             m = _geodesic(h1.values, frame, t)

@@ -425,6 +425,27 @@ def test_only_linalg_fiber_and_section_construction_factor_roots():
     assert sites == FACTORING_SITES
 
 
+def test_only_linalg_positive_and_the_oracle_refuse_indefinite_input():
+    """linalg._positive is the one check that a spectrum is positive; the
+    oracle keeps its own cone test, independent of the closed forms."""
+    def refuses(call):
+        return any(isinstance(node, ast.Name) and node.id == "NotPositiveDefiniteError"
+                   for node in (call.func, *call.args))
+    sites = {m: c for m, c in _callers(refuses).items() if c}
+    assert sites == {"linalg": {"_positive"}, "oracle": {"distance_oracle"}}
+
+
+EIGENSOLVERS = {f"np.linalg.{name}" for name in ("eigh", "eigvalsh", "eig", "eigvals")}
+
+
+def test_only_linalg_and_the_oracle_clamp_call_an_eigensolver():
+    """Every spectrum goes through linalg's eigh or the relative spectrum's
+    eigvalsh; the oracle's start clamp, an independent route, has its own."""
+    sites = {m: c for m, c in _callers(
+        lambda call: ast.unparse(call.func) in EIGENSOLVERS).items() if c}
+    assert sites == {"linalg": {"_eigh", "_relative_spectrum"}, "oracle": {"_clamp_posdef"}}
+
+
 def test_fiber_invariants_validates_each_stack_once():
     """suites._fiber_invariants hands its drawn and factored stacks to the
     underscored linalg and fiber kernels; a public linalg or fiber entry

@@ -77,7 +77,7 @@ def test_geodesic_error_leaves_out_file_as_it_was(tmp_path, capsys):
     heavier = QuadratureMesh(rank=2, ids=[0], weights=[2.0], alphas=[0.0])
     other, far = tmp_path / "other.json", tmp_path / "far.json"
     save_section(MetricSection(heavier, np.eye(2, dtype=complex)[None]), str(other))
-    # the log of h1^{-1} far fails its condition guard after the header is out
+    # the log of h1^{-1} far fails its condition guard
     mesh = sections.load_section(str(f1)).mesh
     save_section(MetricSection(mesh, np.diag([1.0, 1e-15]).astype(complex)[None]), str(far))
     out = tmp_path / "trace.csv"
@@ -89,6 +89,21 @@ def test_geodesic_error_leaves_out_file_as_it_was(tmp_path, capsys):
         assert_input_error(capsys, [*argv, "--out", str(out)])
         assert out.read_bytes() == b"one line\n"
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_geodesic_refused_pair_writes_nothing_to_stdout(tmp_path, capsys):
+    # both sections are valid; the endpoint frame refuses the pair at
+    # point 0, whose relative condition is 1e16, before the CSV header
+    mesh = QuadratureMesh(rank=2, ids=[0, 1], weights=[1.0, 1.0], alphas=[0.0, 0.0])
+    eye = np.eye(2, dtype=complex)
+    f1, f2 = tmp_path / "h1.json", tmp_path / "h2.json"
+    save_section(MetricSection(mesh, np.stack([eye, 2 * eye])), str(f1))
+    save_section(MetricSection(mesh, np.stack([np.diag([1e8, 1e-8]), eye])), str(f2))
+    assert main(["geodesic", str(f1), str(f2), "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: point id 0: condition number 1.000e+16 exceeds guard 1e+14"]
 
 
 @pytest.mark.parametrize("command", ["distance", "geodesic", "integrability"])

@@ -18,6 +18,7 @@ from hermgeo.sections import (
     l2_inner,
     section_distance,
     section_geodesic,
+    write_geodesic_csv,
 )
 
 
@@ -188,9 +189,11 @@ def test_non_finite_entries_rejected():
 
 
 def test_overflowed_relative_spectrum_rejected():
-    # p^{-1/2} q p^{-1/2} overflows although p and q are finite
-    with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-        linalg.relative_spectrum(np.diag([1e-200, 1.0]), np.diag([1e200, 1.0]))
+    # p^{-1/2} q p^{-1/2} overflows although p and q are finite; a geodesic
+    # frame, endpoint or velocity, scans that product before its eigh
+    for op in (linalg.relative_spectrum, fiber.log_map, fiber.FiberGeodesic):
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            op(np.diag([1e-200, 1.0]), np.diag([1e200, 1.0]))
 
 
 def test_roots_reject_nonpositive_eigenvalue():
@@ -276,6 +279,68 @@ def test_near_singular_sections_raise_at_construction_or_stay_finite():
                 except HermGeoError as exc:
                     assert str(exc).startswith("point id 7: "), exc
     assert accepted > 10000
+
+
+def _wide_pairs(n=60, seed=113, spread=13.0):
+    """n rank-4 pairs (p, q), drawn one matrix after the other, each with
+    Haar eigenvectors and log-eigenvalues uniform in +-spread, so that
+    some relative spectra span more than float64 resolves."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2 * n):
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        mats.append((u * np.exp(rng.uniform(-spread, spread, 4))) @ np.conj(u).T)
+    return np.array(mats[0::2]), np.array(mats[1::2])
+
+
+WIDE_PAIR_OPS = {
+    "relative_spectrum": linalg.relative_spectrum,
+    "fiber_distance": lambda p, q: fiber.fiber_distance(p, q, 0.0),
+    "log_map": fiber.log_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PAIR_OPS))
+def test_positive_definite_pairs_are_never_called_indefinite(name):
+    # pair 12's whitened spectrum reaches -1.559e-08 in eigvalsh (-4.560e-09
+    # in the log map's eigh) although q's smallest eigenvalue is 2.8e-05:
+    # the pair is beyond float64 resolution, not indefinite
+    op = WIDE_PAIR_OPS[name]
+    p, q = _wide_pairs()
+    refused = []
+    for k in range(len(p)):
+        try:
+            assert np.isfinite(op(p[k], q[k])).all()
+        except IllConditionedError:
+            refused.append(k)
+    assert 12 in refused
+    with pytest.raises(IllConditionedError, match="^at index 12: relative spectrum reaches"):
+        op(p, q)
+    with pytest.raises(NotPositiveDefiniteError, match="^smallest eigenvalue -5.000e-01 <= 0$"):
+        op(np.eye(2), np.diag([1.0, -0.5]))
+    # a stack is judged at its first nonpositive point
+    with pytest.raises(NotPositiveDefiniteError, match="^at index 0: smallest eigenvalue"):
+        op(np.stack([np.eye(4), p[12]]), np.stack([np.diag([1.0, 1.0, 1.0, -0.5]), q[12]]))
+
+
+@pytest.mark.parametrize("op", [
+    section_distance,
+    lambda h1, h2: section_geodesic(h1, h2, 0.5),
+    lambda h1, h2: write_geodesic_csv(h1, h2, 3, _RefuseWrites()),
+], ids=["section_distance", "section_geodesic", "write_geodesic_csv"])
+def test_sections_of_wide_pairs_are_refused_as_ill_conditioned(op):
+    # both constructions decide that their matrices are positive definite;
+    # no op on the pair contradicts them
+    p, q = _wide_pairs()
+    mesh = QuadratureMesh(rank=4, ids=np.arange(60), weights=np.ones(60), alphas=np.zeros(60))
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    with pytest.raises(IllConditionedError, match="^point id 12: relative spectrum reaches"):
+        op(h1, h2)
+
+
+class _RefuseWrites:
+    def write(self, text):
+        raise AssertionError(f"wrote {text!r}")
 
 
 def _error(cls, op, *args) -> str:

@@ -417,14 +417,15 @@ def test_check_oracle_names_the_failing_sample(monkeypatch, capsys):
     # before any other sample can have stopped
     def second_sample_never_inside(nodes):
         inside = in_cone(nodes)
-        inside[1] = False
+        # the endpoint check, one node per sample, stays real
+        inside[1] &= nodes.shape[1] == 1
         return inside
     monkeypatch.setattr(oracle, "_in_cone", second_sample_never_inside)
     # no sample may stall and leave the stack, so position 1 stays sample 1
     monkeypatch.setattr(oracle, "STOP_TOL", 0.0)
     # 201 rejections in a row need a level budget above the default 125
-    monkeypatch.setitem(suites.SUITES, "oracle", lambda seed, samples: suites.run_oracle(
-        seed, samples, segments=8, iterations=300))
+    monkeypatch.setattr(suites, "ORACLE_SEGMENTS", 8)
+    monkeypatch.setattr(suites, "ORACLE_ITERATIONS", 300)
     assert main(["check", "oracle", "--samples", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -472,7 +473,8 @@ def test_check_oracle_names_a_sample_that_never_moves(monkeypatch, capsys):
 
     def second_sample_never_inside(nodes):
         inside = in_cone(nodes)
-        inside[1] = False
+        # the endpoint check, one node per sample, stays real
+        inside[1] &= nodes.shape[1] == 1
         return inside
     monkeypatch.setattr(oracle, "_in_cone", second_sample_never_inside)
     # no sample may stall and leave the stack, so position 1 stays sample 1
