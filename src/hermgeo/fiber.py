@@ -4,7 +4,8 @@ matrices with the one-parameter family of invariant metrics
     <v, w>_h = tr(h^{-1} v h^{-1} w) + alpha tr(h^{-1} v) tr(h^{-1} w),
 
 admissible for alpha > -1/r.  Closed-form geodesics, distance, curvature
-and exponential/log maps all live here.
+and exponential/log maps all live here; a sectional curvature belongs to
+its plane and takes any basis of it.
 
 Expressions of the form h^{-1} v are never evaluated as an explicit
 inverse times a matrix: they go through the congruence
@@ -13,8 +14,8 @@ so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix.  It validates its arguments once,
 factors its base point once (the eigendecomposition that gives the roots
 h^{1/2}, h^{-1/2} decides positivity), then calls an unvalidated kernel
-that takes that factorization: ``_alpha_inner``, ``_curvature``,
-``_sectional`` and ``_orthonormalize`` take the roots or h^{-1/2},
+that takes that factorization: ``_alpha_inner``, ``_curvature`` and
+``_sectional`` take the roots or h^{-1/2}, ``_project`` a whitened pair,
 ``_frame``, ``_geodesic`` and ``_log_map`` a geodesic's frame, and
 ``_distance`` a relative spectrum.  Section ops and the check suites call
 those kernels directly on stacks they validated and factored once.
@@ -25,7 +26,6 @@ non-finite entries before its eigh.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,49 +122,46 @@ def _curvature(roots, u, v, w):
 def _gram_schmidt_pair(h, u, v, alpha):
     """Orthonormalize (u, v), Hermitian, for the inner product at the
     Hermitian h; the roots of h decide that it is positive definite."""
-    return _orthonormalize(linalg._roots(h)[1], u, v, alpha)
+    c, nu, nw = _project(*linalg._whiten(linalg._roots(h)[1], u, v), alpha)
+    return u / nu, (v - c * u) / nw
 
 
-def _orthonormalize(hsi, u, v, alpha):
-    """``_gram_schmidt_pair`` at the point whose h^{-1/2} is hsi."""
-    nu = np.sqrt(_alpha_inner(hsi, u, u, alpha))
-    reject(nu < 1e-14, DegeneratePlaneError,
-           lambda k: "first vector has vanishing norm")
-    u = u / nu[..., None, None]
-    v = v - _alpha_inner(hsi, u, v, alpha)[..., None, None] * u
-    nv = np.sqrt(_alpha_inner(hsi, v, v, alpha))
-    reject(nv < 1e-12, DegeneratePlaneError,
+def _project(up, vp, alpha):
+    """(c, |u|, |w|) for the whitened pair (up, vp), where w = v - c u with
+    c = <u, v>/<u, u> is the part of v orthogonal to u: u/|u|, w/|w| is an
+    orthonormal basis of their plane.  The pair spans no plane where <u, u>
+    is not positive or |w| <= 1e-12 |v|, a test that no scale changes."""
+    uu = _inner(up, up, alpha)
+    reject(~(uu > 0), DegeneratePlaneError, lambda k: "first vector has vanishing norm")
+    c = (_inner(up, vp, alpha) / uu)[..., None, None]
+    wp = vp - c * up
+    nw = np.sqrt(_inner(wp, wp, alpha))
+    reject(~(nw > 1e-12 * np.sqrt(_inner(vp, vp, alpha))), DegeneratePlaneError,
            lambda k: "vectors are linearly dependent")
-    return u, v / nv[..., None, None]
+    return c, np.sqrt(uu)[..., None, None], nw[..., None, None]
 
 
 def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
-    """Sectional curvature of the plane spanned by u, v at h.
+    """Sectional curvature of the plane spanned by u, v at h, from any
+    basis (u, v) of it.
 
-    Equals tr([U, V]^2)/4 for an orthonormal pair; the commutator of the
-    whitened vectors is skew-Hermitian, so the value is computed as
-    -||[U', V']||_F^2 / 4, which is nonpositive by construction.
-    Pairs that fail the orthonormality check (tolerance 1e-8) are
-    re-orthonormalized by Gram-Schmidt and a warning is issued.
+    Equals tr([U, W]^2)/4 for the orthonormal basis U, W of the plane in
+    whitened coordinates (see ``_project``); the commutator is
+    skew-Hermitian, so the value is computed as -||[U, W]||_F^2 / 4,
+    which is nonpositive by construction.  U and W have unit length, so
+    the value stays representable for a pair of any scale from 1e-150
+    to 1e150.
     """
     (h, u, v), alpha = _checked(alpha, h=h, u=u, v=v)
     return _sectional(linalg._roots(h)[1], u, v, alpha)
 
 
 def _sectional(hsi, u, v, alpha):
-    """``sectional_curvature`` at the point whose h^{-1/2} is hsi; its
-    warning names the caller of ``sectional_curvature``."""
+    """``sectional_curvature`` at the point whose h^{-1/2} is hsi."""
     up, vp = linalg._whiten(hsi, u, v)
-    dev = np.max([abs(_inner(up, up, alpha) - 1.0),
-                  abs(_inner(vp, vp, alpha) - 1.0),
-                  abs(_inner(up, vp, alpha))], axis=0)
-    if np.any(dev > 1e-8):
-        u, v = _orthonormalize(hsi, u, v, alpha)
-        up, vp = linalg._whiten(hsi, u, v)
-        warnings.warn(
-            f"input pair deviated from orthonormality by {np.max(dev):.3e}; "
-            "re-orthonormalized via Gram-Schmidt", stacklevel=3)
-    k = up @ vp - vp @ up
+    c, nu, nw = _project(up, vp, alpha)
+    up, wp = up / nu, (vp - c * up) / nw
+    k = up @ wp - wp @ up
     return -0.25 * np.linalg.norm(k, axis=(-2, -1)) ** 2
 
 
@@ -188,11 +185,12 @@ class FiberGeodesic:
 
 
 def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
-    """The geodesic frame (h^{1/2}, U, lam) from roots = (h^{1/2}, h^{-1/2}) and
-    h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu for a velocity m, and
-    lam = log mu for an endpoint m, whose positivity and condition this decides."""
+    """The geodesic frame (h^{1/2}, U, lam, endpoint) from roots =
+    (h^{1/2}, h^{-1/2}) and h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu
+    for a velocity m, and lam = log mu for an endpoint m, whose positivity
+    and condition this decides."""
     mu, u = linalg._eigh(linalg._finite(linalg._whiten(roots[1], m)[0]))
-    return roots[0], u, linalg._log(mu, m) if endpoint else mu
+    return roots[0], u, linalg._log(mu, m) if endpoint else mu, endpoint
 
 
 def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
@@ -203,8 +201,12 @@ def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
     reject(~np.isfinite(t), ParameterError, lambda k: f"t={t[k]} is not finite")
     if not t.any():
         return h
-    hs, u, lam = frame
-    g = hs @ linalg._recompose(u, linalg._exp(t[..., None] * lam)) @ hs
+    hs, u, lam, endpoint = frame
+    # between the ends of an endpoint frame, t lam lies between 0 and
+    # log mu, mu finite: such a point is bounded by its ends
+    # (p #_t q <= (1 - t) p + t q), so only the others meet the exp guard
+    guard = ~(endpoint & (t >= 0.0) & (t <= 1.0))
+    g = hs @ linalg._recompose(u, linalg._exp(t[..., None] * lam, guard)) @ hs
     g = linalg._finite(linalg.hermitian_part(g))
     return g if t.all() else np.where(t[..., None, None] == 0.0, h, g)
 
@@ -244,7 +246,7 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _log_map(roots, q: np.ndarray) -> np.ndarray:
     """``log_map`` from the point whose roots are (p^{1/2}, p^{-1/2})."""
-    ps, u, lam = _frame(roots, q, endpoint=True)
+    ps, u, lam, _ = _frame(roots, q, endpoint=True)
     return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
 
 
@@ -272,8 +274,12 @@ def geodesic_residual(g: FiberGeodesic, t: float, step: float):
 
 def hermitian_basis(r: int) -> np.ndarray:
     """Orthonormal real basis of the r x r Hermitian matrices (Frobenius):
-    a stack of the diagonal units, then real and imaginary units per i < j."""
+    a stack of the diagonal units, then real and imaginary units per i < j.
+    A rank above ``linalg.RANK_LIMIT`` is refused before the r^4 entries
+    are allocated."""
     r = check_count(r, "r", 1)
+    if r > linalg.RANK_LIMIT:
+        raise ParameterError(f"r={r}: need at most {linalg.RANK_LIMIT}")
     i, j = np.triu_indices(r, 1)
     k = r + 2 * np.arange(len(i))
     basis = np.zeros((r * r, r, r), dtype=np.complex128)

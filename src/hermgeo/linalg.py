@@ -156,9 +156,10 @@ def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _roots_from(*_factor(p))
 
 
-def _exp(w: np.ndarray) -> np.ndarray:
-    """e^w for a stack of spectra, each within the exp overflow guard."""
-    big = np.abs(w).max(axis=-1)
+def _exp(w: np.ndarray, guard=True) -> np.ndarray:
+    """e^w for a stack of spectra, each where ``guard`` holds (one value per
+    spectrum, or one for all) within the exp overflow guard."""
+    big = np.where(guard, np.abs(w).max(axis=-1), 0.0)
     reject(big > EXP_OVERFLOW_GUARD, OverflowGuardError,
            lambda k: f"eigenvalue magnitude {big[k]:.3e} exceeds exp guard "
                      f"{EXP_OVERFLOW_GUARD}")
@@ -256,7 +257,7 @@ def json_numbers(value, what: str) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the {"re", "im"} wire format back to a complex matrix."""
+    """Parse the {"re", "im"} wire format back to one complex matrix."""
     try:
         re, im = obj["re"], obj["im"]
     except (LookupError, TypeError) as exc:
@@ -264,4 +265,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     re, im = json_numbers(re, "re"), json_numbers(im, "im")
     if re.shape != im.shape:
         raise DimensionError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
+    if re.ndim != 2:
+        raise WireFormatError(f"matrix has shape {re.shape}: expected one r x r matrix")
     return re + 1j * im

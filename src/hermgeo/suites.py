@@ -79,8 +79,7 @@ def _fiber_invariants(rng, samples: int) -> dict:
         d["phi"] = sampling._complex_normal(rng, 1, (r, r))[0]
         d["st"] = rng.uniform(0.0, 1.0, 2)
         # v10 for the roundtrip, u3, v3, w3 for the curvature identities,
-        # then the pair that Gram-Schmidt makes orthonormal for the
-        # sectional curvature
+        # then the pair that spans the plane of the sectional curvature
         d["x6"], d["u6"] = sampling._gaussians(rng, r, 6)
         draws.append((r, d))
 
@@ -140,7 +139,6 @@ def _fiber_invariants(rng, samples: int) -> dict:
                                                   + fiber._curvature(roots_h, w3, u3, v3))
 
         # nonpositive sectional curvature
-        uo, vo = fiber._orthonormalize(hsi, uo, vo, alpha)
         worst["sectional_max"] = fiber._sectional(hsi, uo, vo, alpha)
         found.append(worst)
     return _worst(found)

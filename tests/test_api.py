@@ -26,6 +26,7 @@ from hermgeo.errors import (
     NonFiniteError,
     NotPositiveDefiniteError,
     ParameterError,
+    WireFormatError,
 )
 
 # the weight-zero nullset model; a singular metric is a MetricSection on
@@ -33,10 +34,12 @@ from hermgeo.errors import (
 # the log-then-exp geodesic route, which the spectral frame replaced.
 # Then an alias of l2_inner, the per-segment distance that
 # section_distance(..., segment=) replaced, and the eigvalsh positivity
-# check whose decision the roots of a metric section now make
+# check whose decision the roots of a metric section now make.  Then the
+# sectional curvature's Gram-Schmidt re-run, which its one projection
+# kernel replaced
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
            "MeasureInconsistencyError", "_expm", "_logm", "flat_inner",
-           "_segment_distances", "posdef")
+           "_segment_distances", "posdef", "_orthonormalize")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -127,6 +130,10 @@ BAD_INPUTS = {
     "QuadratureMesh rank zero": (ParameterError, sections.QuadratureMesh, 0, [0], [1.0], [0.0]),
     "QuadratureMesh rank past the limit":
         (ParameterError, sections.QuadratureMesh, 65, [0], [1.0], [0.0]),
+    "hermitian_basis rank past the limit": (ParameterError, fiber.hermitian_basis, 65),
+    "matrix_from_json stacked matrices":
+        (WireFormatError, linalg.matrix_from_json, {"re": [[[1.0]], [[1.0]]],
+                                                    "im": [[[0.0]], [[0.0]]]}),
     "section_geodesic nan t": (ParameterError, sections.section_geodesic, H, H, np.nan),
     "section_geodesic inf t": (ParameterError, sections.section_geodesic, H, H, np.inf),
     "section_geodesic nan t at a point":
@@ -218,6 +225,7 @@ NAMED_ARGUMENTS = {
     "DiskMesh n_theta bool": "n_theta", "DiskMesh n_theta zero": "n_theta",
     "QuadratureMesh rank float": "rank", "QuadratureMesh rank zero": "rank",
     "QuadratureMesh rank past the limit": "rank", "section_distance segment negative": "segment",
+    "hermitian_basis rank past the limit": "r",
     "section_distance segment past the points": "segment",
     "geodesic_residual nan step": "step", "geodesic_residual inf step": "step",
     "section_geodesic nan t": "t", "section_geodesic inf t": "t",
@@ -388,6 +396,22 @@ def test_every_imported_name_is_used():
                    if imported not in used
                    and (name, imported) not in UNUSED_IMPORTS_ALLOWED]
     assert not unused
+
+
+def test_no_module_warns():
+    """The package reports through its results and typed HermGeoErrors,
+    which can be counted; no module imports ``warnings`` or calls
+    ``warnings.warn``."""
+    found = []
+    for path in sorted(Path(hermgeo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name == "warnings"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found.append((path.stem, "from warnings"))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("warnings.warn"):
+                found.append((path.stem, ast.unparse(node.func)))
+    assert not found
 
 
 # the modules that may factor a matrix: linalg, and fiber, whose entry

@@ -316,6 +316,30 @@ def test_stacked_guard_names_its_point():
         section_geodesic(h1, h2, 2.0)
 
 
+def test_endpoint_frame_needs_no_exp_guard_between_its_ends():
+    # log 1e305 = 702.3 is past the exp guard, yet every point at t in
+    # [0, 1] lies between the two ends; t outside [0, 1] and a velocity
+    # frame keep the guard.  No RuntimeWarning: the run treats one as an error
+    mesh = QuadratureMesh(rank=2, ids=[0], weights=[1.0], alphas=[0.0])
+    eye = np.eye(2, dtype=complex)
+    h1, h2 = MetricSection(mesh, eye[None]), MetricSection(mesh, 1e305 * eye[None])
+    assert section_distance(h1, h2) == pytest.approx(np.sqrt(2.0) * np.log(1e305), rel=1e-12)
+    end = section_geodesic(h1, h2, 1.0).values[0]
+    assert np.abs(end - 1e305 * eye).max() <= 1e-12 * 1e305
+    mid = section_geodesic(h1, h2, 0.5).values[0]
+    assert np.abs(mid - 10**152.5 * eye).max() <= 1e-12 * 10**152.5
+    out = io.StringIO()
+    write_geodesic_csv(h1, h2, 3, out)
+    assert len(out.getvalue().splitlines()) == 4
+    with pytest.raises(OverflowGuardError, match="^point id 0: eigenvalue magnitude"):
+        section_geodesic(h1, h2, 1.01)
+    g = fiber.FiberGeodesic(eye, np.log(1e305) * eye)
+    with pytest.raises(OverflowGuardError, match="^eigenvalue magnitude 7.023e"):
+        fiber.geodesic_eval(g, 1.0)
+    with pytest.raises(OverflowGuardError):
+        fiber.exp_differential_min_singular(eye, np.log(1e305) * eye)
+
+
 def _eigvalsh_sees_nonpositive(seed=0):
     """A rank-3 matrix near condition 1e16 that eigh, which the roots use,
     accepts but on which eigvalsh, which the relative spectrum uses, finds

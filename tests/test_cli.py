@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -315,10 +317,43 @@ def test_curvature_input_errors_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["curvature", str(tmp_path / "bad.json"), *args[1:]])
     write_matrix(tmp_path / "h.json", [[np.inf, 0], [0, 1]])
     assert_input_error(capsys, ["curvature", *args])
-    # Hermitian, so not refused for asymmetry: at this h the second
-    # vector's norm is about 1e-308
+    # Hermitian, so not refused for asymmetry; the pair (u, 2u) spans no plane
     write_matrix(tmp_path / "h.json", np.diag([1e308, 1.0]))
-    assert "asymmetry" not in assert_input_error(capsys, ["curvature", *args])
+    write_matrix(tmp_path / "v.json", 2 * np.diag([1, -1]) / np.sqrt(2))
+    err = assert_input_error(capsys, ["curvature", *args])
+    assert "asymmetry" not in err and "linearly dependent" in err
+    # at this h the second vector's norm is about 1e-154: no refusal of scale
+    write_matrix(tmp_path / "v.json", np.array([[0, 1], [1, 0]]) / np.sqrt(2))
+    assert main(["curvature", *args]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["sectional_curvature"] == pytest.approx(-0.25, abs=1e-12)
+
+
+def test_curvature_refuses_a_stacked_matrix_file(tmp_path, capsys):
+    # a matrix file holds one r x r matrix; each file here holds two
+    # copies of the orthonormal pair's matrix at I
+    pair = [np.eye(2), np.diag([1, -1]) / np.sqrt(2), np.array([[0, 1], [1, 0]]) / np.sqrt(2)]
+    args = []
+    for name, m in zip(("h", "u", "v"), pair):
+        write_matrix(tmp_path / f"{name}.json", np.stack([m, m]))
+        args.append(str(tmp_path / f"{name}.json"))
+    err = assert_input_error(capsys, ["curvature", *args])
+    assert "(2, 2, 2)" in err
+
+
+def test_geodesic_between_far_ends_writes_every_row(tmp_path, capsys):
+    # the exponent at t = 1 is log 1e305 = 702.3, past the exp guard, but
+    # every point lies between the two ends
+    mesh = QuadratureMesh(rank=2, ids=[0], weights=[1.0], alphas=[0.0])
+    f1, f2 = tmp_path / "h1.json", tmp_path / "h2.json"
+    save_section(MetricSection(mesh, np.eye(2, dtype=complex)[None]), str(f1))
+    save_section(MetricSection(mesh, 1e305 * np.eye(2, dtype=complex)[None]), str(f2))
+    assert main(["geodesic", str(f1), str(f2), "--steps", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+    assert [row[0] for row in rows] == ["0", "0.5", "1"]
+    assert float(rows[-1][2]) == pytest.approx(1e305, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["distance", "integrability"])

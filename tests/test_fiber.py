@@ -118,18 +118,56 @@ def test_sectional_curvature_examples():
     assert fiber.sectional_curvature(h, u, v, 0.2) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sectional_curvature_nonpositive_and_gs_fallback():
+def test_sectional_curvature_nonpositive_from_any_basis():
     rng = sampling.make_rng(28)
     for _ in range(100):
         r = int(rng.integers(2, 5))
         alpha = float(rng.uniform(-1.0 / r + 1e-3, 1.0))
         h = sampling.random_posdef(rng, r)
         u, v = sampling.random_orthonormal_pair(rng, h, alpha)
-        assert fiber.sectional_curvature(h, u, v, alpha) <= 1e-12
-    with pytest.warns(UserWarning):
-        fiber.sectional_curvature(I2, SZ, SX, 0.0)  # not normalized
+        k = fiber.sectional_curvature(h, u, v, alpha)
+        assert k <= 1e-12
+        assert fiber.sectional_curvature(h, 3.0 * u - v, u + v, alpha) \
+            == pytest.approx(k, rel=1e-12, abs=1e-14)
+    # not normalized, and no warning: the plane is the same
+    assert fiber.sectional_curvature(I2, SZ, SX, 0.0) == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(DegeneratePlaneError):
         fiber.sectional_curvature(I2, SZ, 2.0 * SZ, 0.0)
+
+
+SCALES = (1e-150, 1e-13, 1.0, 1e13, 1e150)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sectional_curvature_depends_only_on_the_plane(r):
+    # K(h, s1 (a u + b v), s2 (c u + d v)) = K(h, u, v) for every
+    # invertible [[a, b], [c, d]] and scales s1, s2, within roundoff that
+    # grows with the condition of the change of basis
+    rng = sampling.make_rng(40 + r)
+    for alpha in (0.0, 0.7, -0.9 / r):
+        for _ in range(4):
+            h = sampling.random_posdef(rng, r)
+            u, v = sampling.random_hermitians(rng, r, 2)
+            k = fiber.sectional_curvature(h, u, v, alpha)
+            m = rng.standard_normal((2, 2))
+            bound = 1e-13 * np.linalg.cond(m)
+            x, y = m[0, 0] * u + m[0, 1] * v, m[1, 0] * u + m[1, 1] * v
+            for s1 in SCALES:
+                for s2 in SCALES:
+                    assert fiber.sectional_curvature(h, s1 * x, s2 * y, alpha) \
+                        == pytest.approx(k, abs=bound), (alpha, s1, s2)
+            # a commuting pair spans a flat plane
+            d = np.diag(rng.uniform(0.5, 2.0, r)).astype(complex)
+            du, dv = (np.diag(rng.standard_normal(r)).astype(complex) for _ in range(2))
+            # dependent pairs: (u, 2u), and an orthonormal (uo, vo) with
+            # uo + 1e-13 vo, whose part orthogonal to uo is 1e-13 of it
+            uo, vo = fiber._gram_schmidt_pair(h, u, v, alpha)
+            for s1 in SCALES:
+                for s2 in SCALES:
+                    assert abs(fiber.sectional_curvature(d, s1 * du, s2 * dv, alpha)) < 1e-12
+                    for a, b in ((u, 2.0 * u), (uo, uo + 1e-13 * vo)):
+                        with pytest.raises(DegeneratePlaneError):
+                            fiber.sectional_curvature(h, s1 * a, s2 * b, alpha)
 
 
 def test_geodesic_eval():
@@ -236,14 +274,13 @@ def test_dimension_errors():
 EIGENSOLVES = {
     "relative_spectrum": 2, "fiber_distance": 2, "log_map": 2,
     "alpha_inner": 1, "spray": 1, "curvature_tensor": 1,
-    "sectional_curvature": 1, "sectional_curvature (Gram-Schmidt)": 1,
+    "sectional_curvature": 1, "sectional_curvature (any basis)": 1,
     "sqrtm_posdef": 1, "invsqrtm_posdef": 1, "logm_posdef": 1,
     "FiberGeodesic": 2, "geodesic_eval": 0, "_gram_schmidt_pair": 1,
     "exp_differential_min_singular": 2,
 }
 
 
-@pytest.mark.filterwarnings("ignore:input pair deviated")
 def test_fiber_cost_model(counts):
     rng = sampling.make_rng(31)
     h, q = sampling.random_posdef(rng, 3), sampling.random_posdef(rng, 3)
@@ -257,7 +294,7 @@ def test_fiber_cost_model(counts):
         "spray": lambda: fiber.spray(h, u, v),
         "curvature_tensor": lambda: fiber.curvature_tensor(h, u, v, q),
         "sectional_curvature": lambda: fiber.sectional_curvature(h, u, v, 0.3),
-        "sectional_curvature (Gram-Schmidt)":
+        "sectional_curvature (any basis)":
             lambda: fiber.sectional_curvature(h, u + v, v, 0.3),
         "sqrtm_posdef": lambda: linalg.sqrtm_posdef(h),
         "invsqrtm_posdef": lambda: linalg.invsqrtm_posdef(h),

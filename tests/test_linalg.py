@@ -224,8 +224,9 @@ ROOT_OPS = {
     "invsqrtm_posdef": linalg.invsqrtm_posdef,
     "alpha_inner": lambda h: fiber.alpha_inner(h, h, h, 0.5),
     "curvature_tensor": lambda h: fiber.curvature_tensor(h, h, h, h),
+    # the frame's arrays (h^{1/2}, U, lam), not its endpoint flag
     "FiberGeodesic":
-        lambda h: np.concatenate([x.ravel() for x in fiber.FiberGeodesic(h, h).frame]),
+        lambda h: np.concatenate([x.ravel() for x in fiber.FiberGeodesic(h, h).frame[:3]]),
 }
 
 

@@ -234,8 +234,8 @@ def test_sample_count_must_be_positive(suite, samples):
 # samples here, to keep the run short
 COST_CASES = {
     # fiber block, per rank 2-4: exp of h, p and q (3); the roots of h and
-    # p, factored once and used by the Jensen bound, the curvatures, the
-    # Gram-Schmidt pair and the sectional curvature (2); the spectrum of
+    # p, factored once and used by the Jensen bound, the curvatures and
+    # the sectional curvature (2); the spectrum of
     # p^-1 q from p's roots, which also gives d0 (1); that of q^-1 p, from
     # q's roots (2); the scaled and the congruent pair, 2 each (4); the
     # affinity geodesic's log map and frame from p's roots (2) and the
