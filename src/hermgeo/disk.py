@@ -316,9 +316,11 @@ def psh_check(u: GridFunction, radii) -> PshReport:
 
 def dual_section(sigma: MetricSection) -> MetricSection:
     """Pointwise dual metric: transpose of the inverse matrix, made
-    Hermitian (an inverse loses about cond * eps of its symmetry)."""
-    return MetricSection(sigma.mesh,
-                         linalg.hermitian_part(np.linalg.inv(sigma.values)).swapaxes(-1, -2))
+    Hermitian (an inverse loses about cond * eps of its symmetry); the
+    transpose of a Hermitian matrix is its conjugate.  The dual is
+    factored on first use."""
+    return MetricSection._derived(
+        sigma.mesh, np.conj(linalg.hermitian_part(np.linalg.inv(sigma.values))))
 
 
 def boundedness_bound(sigma: MetricSection, h0: MetricSection) -> float:

@@ -20,8 +20,8 @@ that takes that factorization: ``_alpha_inner``, ``_curvature`` and
 ``_distance`` a relative spectrum.  Section ops and the check suites call
 those kernels directly on stacks they validated and factored once.
 A geodesic is one spectral frame: its points and log map need no eigh.
-``linalg._whiten`` forms the middle factor; ``_frame`` scans it for
-non-finite entries before its eigh.
+``linalg._whiten`` forms the middle factor and refuses one that
+overflows.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
     (h^{1/2}, h^{-1/2}) and h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu
     for a velocity m, and lam = log mu for an endpoint m, whose positivity
     and condition this decides."""
-    mu, u = linalg._eigh(linalg._finite(linalg._whiten(roots[1], m)[0]))
+    mu, u = linalg._eigh(linalg._whiten(roots[1], m)[0])
     return roots[0], u, linalg._log(mu, m) if endpoint else mu, endpoint
 
 

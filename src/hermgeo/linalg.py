@@ -7,8 +7,9 @@ there is no need for Pade approximants or scaling-and-squaring.
 Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
 ``_checked``, skip validation: ``hermitian`` scans for non-finite
 entries, ``_eigh`` does not.  ``_whiten`` is the one congruence
-h^{-1/2} (.) h^{-1/2}, and ``_positive`` the one check that a spectrum,
-a matrix's own or a whitened one, is positive.
+h^{-1/2} (.) h^{-1/2}, and refuses a product that overflows; ``_positive``
+is the one check that a spectrum, a matrix's own or a whitened one, is
+positive.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
+def _finite(a: np.ndarray, detail: str = "matrix has a non-finite entry") -> np.ndarray:
     """Reject NaN/inf input or overflowed products (eigh returns garbage)."""
-    reject(~np.isfinite(a).all(axis=(-2, -1)), NonFiniteError,
-           lambda k: "matrix has a non-finite entry")
+    reject(~np.isfinite(a).all(axis=(-2, -1)), NonFiniteError, lambda k: detail)
     return a
 
 
@@ -197,8 +197,15 @@ def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix; result is positive definite."""
-    w, u = _eigh(hermitian(a))
-    return _recompose(u, _exp(w))
+    return _expm_factored(hermitian(a))[0]
+
+
+def _expm_factored(a: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(e^a, (e^w, u)) for a Hermitian stack a = u diag(w) u^dagger: the
+    exponential and the eigenpair of it that a's one eigh gives."""
+    w, u = _eigh(a)
+    ew = _exp(w)
+    return _recompose(u, ew), (ew, u)
 
 
 def logm_posdef(p: np.ndarray) -> np.ndarray:
@@ -219,13 +226,17 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
-    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian."""
-    return [hermitian_part(hsi @ v @ hsi) for v in vs]
+    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian.
+    A product beyond float64 (a relative spectrum of 1e313, say) raises
+    NonFiniteError for its matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [hermitian_part(hsi @ v @ hsi) for v in vs]
+    return [_finite(m, "whitened matrix overflows float64") for m in out]
 
 
 def _relative_spectrum(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``relative_spectrum`` from psi = p^{-1/2}, the root that decided p."""
-    lam = np.linalg.eigvalsh(_finite(_whiten(psi, q)[0]))
+    lam = np.linalg.eigvalsh(_whiten(psi, q)[0])
     _positive(lam, q)
     return lam
 

@@ -11,13 +11,17 @@ Meshes are value-identified by a content hash; every binary operation
 demands identical hashes, so silently mixing quadratures is impossible.
 Values on a mesh (metric and tangent sections, gauge transforms, scalar
 fields) share one base class: they are validated once, at construction,
-into fresh read-only (n, r, r) or (n,) arrays.  A metric section also
-holds the eigenpair (w, V) of the one eigendecomposition that decided its
-positivity, and builds its roots (h^{1/2}, h^{-1/2}) from that pair on
-first use; a section that is only ever the second argument of an op (the
-far end of a distance or a geodesic) never builds them.  The section ops
-whiten with the held roots and call the unvalidated linalg and fiber
-kernels on the stacks; none factors h again.
+into fresh read-only (n, r, r) or (n,) arrays.  A section an op computes
+from validated sections (a geodesic point, a gauge or conformal image)
+is built by the private ``_derived``, which only scans it for non-finite
+entries.  A metric section holds the eigenpair (w, V) of h: the public
+constructor's eigendecomposition, which decides positivity at once; one
+handed on by ``_derived``'s caller; or, for other derived sections, one
+taken on first use.  It builds its roots (h^{1/2}, h^{-1/2}) from that
+pair on first use.  A section that is only ever the second argument of
+an op (the far end of a distance or a geodesic) needs neither.  The
+section ops whiten with the held roots and call the unvalidated linalg
+and fiber kernels on the stacks; none factors h again.
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ class _MeshValues:
     the shape, then the kind's ``_validate`` under the point ids (linalg
     validators are looked up at each call; a metric section's sets its
     eigenpair); a fresh read-only array is kept.  A kind names its wire ``key``
-    (a scalar field has none) and whether its values are r x r matrices."""
+    (a scalar field has none) and whether its values are r x r matrices.
+    ``_derived`` builds a section of values computed from validated ones."""
 
     mesh: QuadratureMesh
     values: np.ndarray
@@ -193,23 +198,48 @@ class _MeshValues:
         checked.flags.writeable = False
         object.__setattr__(self, "values", checked)
 
+    @classmethod
+    def _derived(cls, mesh: QuadratureMesh, values: np.ndarray, eig=None):
+        """A section of exactly Hermitian (n, r, r) ``values`` that the
+        package computed and the caller hands over: they are only scanned
+        for non-finite entries, under the point ids, and kept read-only.
+        A metric section takes ``eig``, the eigenpair (w, V) of its values,
+        if given, and refuses a point whose w is not positive; without
+        one, it factors its values on first use of ``eig``."""
+        section = cls.__new__(cls)
+        object.__setattr__(section, "mesh", mesh)
+        with _at_points(mesh.ids):
+            linalg._finite(values)
+            if eig is not None:
+                linalg._positive(eig[0])
+                object.__setattr__(section, "eig", _read_only(eig))
+        values.flags.writeable = False
+        object.__setattr__(section, "values", values)
+        return section
+
 
 @dataclass(frozen=True)
 class MetricSection(_MeshValues):
     """A positive-definite h at each mesh point.
 
-    ``eig`` is the read-only eigenpair (w, V), h = V diag(w) V^dagger, of
-    the one eigendecomposition that decides positivity at construction;
-    ``roots``, the read-only (h^{1/2}, h^{-1/2}), is built from it on first
-    use, exactly as ``linalg._roots`` builds them, and then held."""
+    ``eig`` is the read-only eigenpair (w, V), h = V diag(w) V^dagger: of
+    the one eigendecomposition that decides positivity at construction,
+    of a derived section's handed-on pair, or of its values factored on
+    first use, an error then naming its point.  ``roots``, the read-only
+    (h^{1/2}, h^{-1/2}), is built from it on first use, exactly as
+    ``linalg._roots`` builds them, and then held."""
 
     key = "h"
-    eig: tuple = field(init=False, repr=False, compare=False)
 
     def _validate(self, values):
         h = linalg.hermitian(values)
         object.__setattr__(self, "eig", _read_only(linalg._factor(h)))
         return h
+
+    @functools.cached_property
+    def eig(self) -> tuple:
+        with _at_points(self.mesh.ids):
+            return _read_only(linalg._factor(self.values))
 
     @functools.cached_property
     def roots(self) -> tuple:
@@ -281,7 +311,8 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection, *, segment=
     or one per segment of a ``segment`` array (see ``_weighted_sum``)."""
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
-    inner = _alpha_inner(h.roots[1], v.values, w.values, mesh.alphas)
+    with _at_points(mesh.ids):
+        inner = _alpha_inner(h.roots[1], v.values, w.values, mesh.alphas)
     return _weighted_sum(mesh.weights, inner, segment=segment)
 
 
@@ -318,16 +349,19 @@ def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
         frame = _frame(h1.roots, h2.values, endpoint=True)
-        return MetricSection(mesh, _geodesic(h1.values, frame, t))
+        return MetricSection._derived(mesh, _geodesic(h1.values, frame, t))
 
 
 def conformal_scale(h: MetricSection, f: ScalarField) -> MetricSection:
-    """The section e^f h."""
+    """The section e^f h, with the eigenpair (e^f w, V) of h's (w, V)."""
     mesh = _same_mesh(h, f)
-    # an overflow is an inf that MetricSection rejects, naming the point
+    w, v = h.eig
+    # an overflow is an inf, an underflow a zero eigenvalue, that
+    # _derived rejects, naming the point
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.exp(f.values)[:, None, None] * h.values
-    return MetricSection(mesh, scaled)
+        ef = np.exp(f.values)
+        scaled, w = ef[:, None, None] * h.values, ef[:, None] * w
+    return MetricSection._derived(mesh, scaled, (w, v))
 
 
 def conformal_distance(h: MetricSection, f: ScalarField, g: ScalarField, *, segment=None):
@@ -351,14 +385,16 @@ def gauge_apply(phi: GaugeTransform, section):
     """
     mesh = _same_mesh(phi, section)
     p = phi.values
-    m = np.conj(p).swapaxes(-1, -2) @ section.values @ p
-    return type(section)(mesh, linalg.hermitian_part(m))
+    # an overflow is an inf that _derived rejects, naming the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = linalg.hermitian_part(np.conj(p).swapaxes(-1, -2) @ section.values @ p)
+    return type(section)._derived(mesh, m)
 
 
 def flat_distance(h0: MetricSection, h1: MetricSection, h2: MetricSection) -> float:
     """Flat distance ||h1 - h2|| measured in the frozen-base inner product."""
     mesh = _same_mesh(h1, h2)
-    diff = TangentSection(mesh, h1.values - h2.values)
+    diff = TangentSection._derived(mesh, h1.values - h2.values)
     return _root(l2_inner(h0, diff, diff))
 
 

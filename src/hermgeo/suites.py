@@ -161,8 +161,9 @@ def _section_invariants(rng, samples: int) -> dict:
     for r, g in _rank_groups(draws):
         mesh, segment = _joined_mesh(r, g)
         stacks = _joined_hermitians(g)
-        h, h2 = (sections.MetricSection(mesh, linalg.expm_hermitian(x)) for x in stacks[:2])
-        v, w = (sections.TangentSection(mesh, x) for x in stacks[2:])
+        h, h2 = (sections.MetricSection._derived(mesh, *linalg._expm_factored(x))
+                 for x in stacks[:2])
+        v, w = (sections.TangentSection._derived(mesh, x) for x in stacks[2:])
         f, g2 = (sections.ScalarField(mesh, x) for x in np.concatenate(g["fg"], axis=1))
         phi = sections.GaugeTransform(mesh, np.concatenate(g["phi"]))
         gh, gh2, gv, gw = (sections.gauge_apply(phi, x) for x in (h, h2, v, w))
@@ -211,19 +212,21 @@ def run_invariants(seed: int = 42, samples: int = 100) -> dict:
 
 
 def _diagonal(logs: np.ndarray) -> np.ndarray:
-    """Diagonal matrices with entries exp(logs), logs of shape (..., r)."""
-    return np.exp(logs)[..., None] * np.eye(logs.shape[-1])
+    """Complex diagonal matrices with entries logs, of shape (..., r)."""
+    return logs[..., None] * np.eye(logs.shape[-1], dtype=complex)
 
 
-def _triangle_slacks(draws, vertices):
+def _triangle_slacks(draws, logs):
     """Yield ``_cat0_slacks`` of the drawn triangles, one call per rank.
 
     A draw is a triangle's rank and fields: its mesh's weights and
-    alphas, the draws from which ``vertices`` makes a rank's three vertex
-    stacks, and optionally its ``st``.  A rank's triangles share one mesh."""
+    alphas, the draws from which ``logs`` makes the logs of a rank's three
+    vertex stacks, and optionally its ``st``.  A rank's triangles share
+    one mesh."""
     for rank, g in _rank_groups(draws):
         mesh, segment = _joined_mesh(rank, g)
-        p, q, r = (sections.MetricSection(mesh, v) for v in vertices(g))
+        p, q, r = (sections.MetricSection._derived(mesh, *linalg._expm_factored(x))
+                   for x in logs(g))
         st = np.array(g["st"]).T if "st" in g else ()
         yield _cat0_slacks(p, q, r, segment, *st)
 
@@ -254,8 +257,7 @@ def run_cat0(seed: int = 7, samples: int = 200) -> dict:
         flat.append((r, {"weights": weights, "alphas": alphas,
                          "logs": rng.uniform(-1, 1, (3, len(weights), r))}))
 
-    slacks = [x for pair in _triangle_slacks(
-        draws, lambda g: map(linalg.expm_hermitian, _joined_hermitians(g))) for x in pair]
+    slacks = [x for pair in _triangle_slacks(draws, _joined_hermitians) for x in pair]
     flat_slacks = [midpoint for midpoint, _ in _triangle_slacks(
         flat, lambda g: _diagonal(np.concatenate(g["logs"], axis=1)))]
     rep = {

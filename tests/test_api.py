@@ -416,13 +416,14 @@ def test_no_module_warns():
 
 # the modules that may factor a matrix: linalg, and fiber, whose entry
 # points take one base point per call.  A metric section factors its
-# values once, in its construction, and builds its roots from that
-# eigenpair on first use; every section op whitens with the roots it
-# holds.  The invariants suite factors each base stack of a rank once
+# values once, in its construction, or, if derived without an eigenpair,
+# on first use of ``eig``; it builds its roots from that eigenpair on
+# first use, and every section op whitens with the roots it holds.  The
+# invariants suite factors each base stack of a rank once
 FACTORING = {"_factor", "_roots_from", "_roots"}
 FACTORING_MODULES = {"linalg", "fiber"}
 FACTORING_SITES = {
-    "sections": {"MetricSection._validate", "MetricSection.roots"},
+    "sections": {"MetricSection._validate", "MetricSection.eig", "MetricSection.roots"},
     "suites": {"_fiber_invariants"},
 }
 
@@ -447,6 +448,24 @@ def test_only_linalg_fiber_and_section_construction_factor_roots():
     calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.") in FACTORING)
     sites = {m: c for m, c in calls.items() if c and m not in FACTORING_MODULES}
     assert sites == FACTORING_SITES
+
+
+# the public section constructors validate their input: the package calls
+# them only at its boundary, on values it did not compute.  These are the
+# wire read (which calls the kind a file names), disk's closed-form
+# sections and the samplers.  A section an op computes from validated
+# ones is built by ``_derived``
+PUBLIC_CONSTRUCTORS = {"MetricSection", "TangentSection", "kind"}
+CONSTRUCTION_SITES = {
+    "sections": {"section_from_json"},
+    "disk": {"raufi_section", "identity_reference"},
+    "sampling": {"random_metric_section", "random_tangent_section"},
+}
+
+
+def test_public_section_constructors_only_at_the_boundary():
+    calls = _callers(lambda call: ast.unparse(call.func).split(".")[-1] in PUBLIC_CONSTRUCTORS)
+    assert {m: c for m, c in calls.items() if c} == CONSTRUCTION_SITES
 
 
 def test_only_linalg_positive_and_the_oracle_refuse_indefinite_input():

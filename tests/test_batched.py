@@ -371,7 +371,7 @@ def test_section_ops_cost_model(counts, n):
     # per call, whatever the mesh size: a metric section's construction
     # validates it and factors it once; the first op that whitens by it
     # builds its roots from that eigenpair, and every op then reuses
-    # them; only the geodesic point, a computed result, is validated again
+    # them.  The geodesic point, a computed result, is not validated again
     mesh, p, q, _ = _case(2, n, 100 + n, "mild")
     counts.clear()
     h1 = MetricSection(mesh, p)
@@ -386,9 +386,17 @@ def test_section_ops_cost_model(counts, n):
     l2_inner(h1, v, w)
     assert counts == {}
     counts.clear()
-    # the endpoint frame, then the roots of the result
-    section_geodesic(h1, h2, 0.5)
-    assert counts == {"eig": 2, "hermitian": 1}
+    # the endpoint frame; the point factors itself only when it whitens
+    g = section_geodesic(h1, h2, 0.5)
+    assert counts == {"eig": 1}
+    # the point as a second argument: the spectrum only
+    counts.clear()
+    section_distance(h1, g)
+    assert counts == {"eig": 1}
+    # as a first argument: its eigenpair on first use, then its roots
+    counts.clear()
+    section_distance(g, h1)
+    assert counts == {"eig": 2, "roots": 1}
     # the endpoint frame, whatever the step count
     for steps in (2, 11):
         counts.clear()

@@ -356,6 +356,18 @@ def test_geodesic_between_far_ends_writes_every_row(tmp_path, capsys):
     assert float(rows[-1][2]) == pytest.approx(1e305, rel=1e-12)
 
 
+def test_overflowing_whitening_exits_2(tmp_path, capsys):
+    # a relative spectrum of 1e313 is beyond float64; one of 1e-313 is not
+    mesh = QuadratureMesh(rank=2, ids=[3], weights=[1.0], alphas=[0.0])
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_section(MetricSection(mesh, np.eye(2, dtype=complex)[None]), a)
+    save_section(MetricSection(mesh, 1e-313 * np.eye(2, dtype=complex)[None]), b)
+    assert main(["distance", a, b]) == 0
+    assert capsys.readouterr().out == "1019.23663198\n"
+    assert assert_input_error(capsys, ["distance", b, a]) == (
+        "error: point id 3: whitened matrix overflows float64")
+
+
 @pytest.mark.parametrize("command", ["distance", "integrability"])
 def test_overflowing_section_sums_exit_2(tmp_path, capsys, command):
     mesh = QuadratureMesh(rank=1, ids=[0, 1], weights=[1e308, 1e308], alphas=[0.0, 0.0])

@@ -3,7 +3,8 @@
 A suite draws every sample in seed order, then evaluates each property
 in one stacked call per rank.  The loops below are the per-sample form
 of the same sweeps: one sample drawn and evaluated at a time through the
-single-matrix API.  They are the declared test-side reference: every
+single-matrix API.  They build their metric sections by the suites'
+route, ``exp_section``.  They are the declared test-side reference: every
 report field must match them, at the default seeds, at a bench seed and
 at seeds whose verdict is a failure.  A cost model pins each suite's
 eigensolves, mesh constructions and sampling scaling steps, which must
@@ -17,6 +18,17 @@ from hermgeo import fiber, linalg, sampling, sections, suites
 from hermgeo.completion import _cat0_slacks, cat0_check, cat0_comparison_slack
 from hermgeo.errors import ParameterError
 from hermgeo.sections import MetricSection, QuadratureMesh, ScalarField, TangentSection
+
+
+def exp_section(mesh, logs):
+    """The metric section e^logs as the suites build it: the exponential
+    and the eigenpair of it that the eigh of logs gives, handed on."""
+    return MetricSection._derived(mesh, *linalg._expm_factored(logs))
+
+
+def random_exp_section(rng, mesh):
+    """``sampling.random_metric_section``'s draw, by ``exp_section``."""
+    return exp_section(mesh, sampling.random_hermitians(rng, mesh.rank, mesh.n_points))
 
 
 def reference_invariants(seed, samples):
@@ -108,8 +120,8 @@ def reference_section_invariants(rng, samples):
     for _ in range(max(10, samples // 5)):
         r = int(rng.integers(1, 4))
         mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 8)))
-        h = sampling.random_metric_section(rng, mesh)
-        h2 = sampling.random_metric_section(rng, mesh)
+        h = random_exp_section(rng, mesh)
+        h2 = random_exp_section(rng, mesh)
         v = sampling.random_tangent_section(rng, mesh)
         w = sampling.random_tangent_section(rng, mesh)
         phi = sampling.random_gauge(rng, mesh)
@@ -146,9 +158,9 @@ def reference_cat0(seed, samples):
         r = 2 if rng.uniform() < 0.5 else 3
         alpha = float(rng.choice([0.0, 1.0]))
         mesh = sampling.random_mesh(rng, r, int(rng.integers(1, 5)), alpha=alpha)
-        p = sampling.random_metric_section(rng, mesh)
-        q = sampling.random_metric_section(rng, mesh)
-        w = sampling.random_metric_section(rng, mesh)
+        p = random_exp_section(rng, mesh)
+        q = random_exp_section(rng, mesh)
+        w = random_exp_section(rng, mesh)
         min_slack = min(min_slack, cat0_check(p, q, w))
         s, t = rng.uniform(0.0, 1.0, 2)
         min_slack = min(min_slack, cat0_comparison_slack(p, q, w, s, t))
@@ -160,9 +172,9 @@ def reference_cat0(seed, samples):
                                     alpha=float(rng.uniform(-1.0 / r + 1e-3, 1.0)))
 
         def diag_section():
-            vals = np.stack([np.diag(np.exp(rng.uniform(-1, 1, r))).astype(complex)
+            logs = np.stack([np.diag(rng.uniform(-1, 1, r)).astype(complex)
                              for _ in range(mesh.n_points)])
-            return MetricSection(mesh, vals)
+            return exp_section(mesh, logs)
         slack = cat0_check(diag_section(), diag_section(), diag_section())
         worst_flat = max(worst_flat, abs(slack))
 
@@ -220,6 +232,30 @@ def test_suite_matches_per_sample_reference(suite, seed, samples, verdict):
         assert _close(rep[key], value), (key, rep[key], value)
 
 
+# the largest difference seen over these cases is 5.0e-15, in cat0's
+# min_slack at seed 7
+ROUTE_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("suite,seed,samples,verdict",
+                         [case for case in EQUIVALENCE_CASES if case[0] in ("invariants", "cat0")])
+def test_derived_sections_agree_with_the_constructor_route(monkeypatch, suite, seed,
+                                                           samples, verdict):
+    """The suites hand each exponential's eigenpair on to a derived
+    section; built instead by the public constructor, which factors each
+    section anew, every metric moves by at most ROUTE_BOUND."""
+    rep = suites.SUITES[suite](seed=seed, samples=samples)
+    monkeypatch.setattr(sections._MeshValues, "_derived", classmethod(
+        lambda cls, mesh, values, eig=None: cls(mesh, values)))
+    want = suites.SUITES[suite](seed=seed, samples=samples)
+    assert rep["passed"] is want["passed"] is verdict
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert abs(rep[key] - value) <= ROUTE_BOUND, (key, rep[key], value)
+        else:
+            assert rep[key] == value
+
+
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sample_count_must_be_positive(suite, samples):
@@ -241,21 +277,22 @@ COST_CASES = {
     # affinity geodesic's log map and frame from p's roots (2) and the
     # distance of its two points (2); the roundtrip's frame and log map
     # from h's roots (2): 18.  Section block, per rank 1-3, on one joined
-    # mesh each: exp of h and h2, the eigendecompositions that validate
-    # them and the gauge-moved h and h2 (which the two l2_inner bases
-    # reuse), the distance and theta from one spectrum, the gauge-moved
-    # and the conformal distances, and the validation of the two
-    # conformal scalings: 11.  Its 3 joined meshes are the suite's only
-    # ones.  Scaling: the fiber block's two draws per sample, the section
-    # block's one, each once per rank
-    "invariants": (42, (30, 60, 240), (3 * 18 + 3 * 11, 3, 3 * 2 + 3)),
-    # per rank: random triangles 3 vertices x (exp + the eigenpair that
-    # validates it), 5 distances x 1 and 3 geodesic points x 2 (endpoint
-    # frame, the point's eigenpair) make 17; flat ones 3 eigenpairs, 4
-    # distances x 1 and the midpoint's 2 make 9.  Each rank's random and
-    # flat triangles share one mesh each.
-    # Scaling: the random triangles' vertices, once per rank
-    "cat0": (7, (40, 120, 240), (2 * (17 + 9), 4, 2)),
+    # mesh each: exp of h and h2, which hands on their eigenpairs (2); the
+    # gauge-moved h, factored on first use by l2_inner, whose roots the
+    # gauge-moved distance reuses (1); the distance and theta from one
+    # spectrum, the gauge-moved and the conformal distances (3).  The
+    # gauge-moved h2 is only a second argument, and the conformal
+    # scalings take h's eigenpair: 6.  Its 3 joined meshes are the
+    # suite's only ones.  Scaling: the fiber block's two draws per sample,
+    # the section block's one, each once per rank
+    "invariants": (42, (30, 60, 240), (3 * 18 + 3 * 6, 3, 3 * 2 + 3)),
+    # per rank: random triangles 3 vertices x 1 (exp, which hands on the
+    # eigenpair), 5 distances x 1, 3 geodesic points' endpoint frames and
+    # the eigenpair of the s-point, the one geodesic point that is a first
+    # argument, make 12; flat ones 3 exps, 4 distances and the midpoint's
+    # frame make 8.  Each rank's random and flat triangles share one mesh
+    # each.  Scaling: the random triangles' vertices, once per rank
+    "cat0": (7, (40, 120, 240), (2 * (12 + 8), 4, 2)),
     # rank 2: exp of the p and q stack, their relative spectra and the
     # oracle's straight-line start, clamped to the cone; the oracle checks
     # p and q by Cholesky.  Scaling: one, of the whole p and q stack
