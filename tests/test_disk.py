@@ -353,30 +353,66 @@ def _psh_all_circles(u, radii):
     return float(gaps.max()), gaps.size, centers.size * len(radii) - gaps.size
 
 
-@pytest.mark.parametrize("n_r,n_theta,circles", [(400, 64, 600), (100, 32, 44)])
-def test_psh_check_interpolates_only_admissible_circles(monkeypatch, n_r, n_theta, circles):
+@pytest.mark.parametrize("n_r,n_theta,radii,centers,circles", [
+    pytest.param(400, 64, [0.05, 0.1], 360, 600, id="400-64-600"),
+    pytest.param(100, 32, [0.05, 0.1], 44, 44, id="100-32-44"),
+    # many blocks; at rho = 0.1 the inner rows of centres, whole blocks
+    # of them, are skipped
+    pytest.param(1000, 512, [0.05, 0.1], 7168, 12864, id="1000-512-12864"),
+    # exactly one full block of centres
+    pytest.param(72, 64, [0.05, 0.1], disk.PSH_BLOCK, 40, id="72-64-40"),
+    pytest.param(400, 64, [0.02, 0.05, 0.1], 360, 944, id="400-64-944-three-radii"),
+])
+def test_psh_check_interpolates_only_admissible_circles(monkeypatch, n_r, n_theta, radii,
+                                                        centers, circles):
     m = DiskMesh(n_r, n_theta)
+    n_blocks = -(-centers // disk.PSH_BLOCK)
     for scale in (1.0, 2.0):
         u = GridFunction.from_callable(m, lambda z: scale * np.log(np.abs(z) ** 2))
-        want = _psh_all_circles(u, [0.05, 0.1])
+        want = _psh_all_circles(u, radii)
         sizes = []
         bilinear = GridFunction._bilinear
         monkeypatch.setattr(GridFunction, "_bilinear",
                             lambda self, r, a: sizes.append(np.shape(r)) or bilinear(self, r, a))
-        rep = disk.psh_check(u, radii=[0.05, 0.1])
+        rep = disk.psh_check(u, radii=radii)
         monkeypatch.undo()
+        # the blocked report equals the one over all circles at once, bit for bit
         assert (rep.max_violation, rep.n_centers, rep.n_skipped) == want
         assert rep.n_centers == circles
-        # the centres once, then each radius's admissible circles
+        # the centres once, then each radius's admissible circles, one
+        # call per block of at most PSH_BLOCK centres
+        assert sizes[0] == (centers,)
+        assert len(sizes) == 1 + len(radii) * n_blocks
         assert sum(s[0] for s in sizes[1:]) == circles
-        assert all(s[1:] == (disk.PSH_ANGLES,) for s in sizes[1:])
+        assert all(s[0] <= disk.PSH_BLOCK and s[1:] == (disk.PSH_ANGLES,) for s in sizes[1:])
+    if n_r == 1000:
+        assert (0, disk.PSH_ANGLES) in sizes
 
 
-def test_psh_radius_too_large_all_skipped():
-    m = DiskMesh(50, 16)
-    u = GridFunction.from_callable(m, lambda z: np.abs(z) ** 2)
-    with pytest.raises(ValueError):
-        disk.psh_check(u, radii=[5.0])
+@pytest.mark.parametrize("mesh,radii", [
+    pytest.param(DiskMesh(50, 16), [5.0], id="radius-too-large"),
+    # the stride leaves one candidate centre, inside PSH_MIN_CENTER_RADIUS
+    pytest.param(DiskMesh(8, 8), [0.05, 0.1], id="no-centres"),
+])
+def test_psh_radius_too_large_all_skipped(mesh, radii):
+    u = GridFunction.from_callable(mesh, lambda z: np.abs(z) ** 2)
+    with pytest.raises(ParameterError, match=r"no admissible \(center, radius\) pair"):
+        disk.psh_check(u, radii=radii)
+
+
+def test_psh_check_memory_is_bounded_by_the_block():
+    # every circle of every centre at once would peak at 64 MiB here;
+    # one block of circles at a time peaks near 1 MiB
+    m = DiskMesh(1000, 512)
+    u = GridFunction.from_callable(m, lambda z: np.log(np.abs(z) ** 2))
+    tracemalloc.start()
+    try:
+        rep = disk.psh_check(u, radii=[0.05, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_centers == 12864
+    assert peak < 8 * 2**20
 
 
 def test_grid_function_keeps_a_read_only_copy():
