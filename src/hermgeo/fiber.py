@@ -12,16 +12,17 @@ inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
 so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix.  It validates its arguments once,
-factors its base point once (the eigendecomposition that gives the roots
-h^{1/2}, h^{-1/2} decides positivity), then calls an unvalidated kernel
-that takes that factorization: ``_alpha_inner``, ``_curvature`` and
-``_sectional`` take the roots or h^{-1/2}, ``_project`` a whitened pair,
-``_frame``, ``_geodesic`` and ``_log_map`` a geodesic's frame, and
-``_distance`` a relative spectrum.  Section ops and the check suites call
-those kernels directly on stacks they validated and factored once.
-A geodesic is one spectral frame: its points and log map need no eigh.
-``linalg._whiten`` forms the middle factor and refuses one that
-overflows.
+factors its base point once (the eigendecomposition that decides
+positivity), then calls an unvalidated kernel that takes that
+factorization: ``_alpha_inner``, ``_curvature`` and ``_sectional`` take
+the roots h^{1/2}, h^{-1/2} built from it or h^{-1/2}, ``_project`` a
+whitened pair, ``_frame``, ``_geodesic`` and ``_log_map`` a geodesic's
+frame, and ``_distance`` a relative spectrum, which
+``linalg._relative_spectrum`` takes from the eigenpair itself, with no
+root.  Section ops and the check suites call those kernels directly on
+stacks they validated and factored once.  A geodesic is one spectral
+frame: its points and log map need no eigh.  ``linalg._whiten`` forms
+the middle factor and refuses one that overflows.
 """
 
 from __future__ import annotations

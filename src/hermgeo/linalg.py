@@ -6,10 +6,14 @@ go through the Hermitian eigendecomposition: the matrices are normal, so
 there is no need for Pade approximants or scaling-and-squaring.
 Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
 ``_checked``, skip validation: ``hermitian`` scans for non-finite
-entries, ``_eigh`` does not.  ``_whiten`` is the one congruence
-h^{-1/2} (.) h^{-1/2}, and refuses a product that overflows; ``_positive``
-is the one check that a spectrum, a matrix's own or a whitened one, is
-positive.
+entries, ``_eigh`` does not.  ``_eigh`` and ``_eigvalsh`` are the
+package's eigensolvers; on rank 1 they return LAPACK's answer without
+calling it.  ``_factor``'s eigendecomposition decides that p is positive
+definite, and its eigenpair gives the roots and the relative spectrum.
+``_whiten`` is the one congruence h^{-1/2} (.) h^{-1/2}; it and the
+relative spectrum's diagonal scaling refuse a product that overflows.
+``_positive`` is the one check that a spectrum, a matrix's own or a
+relative one, is positive.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ RANK_LIMIT = 64
 ASYMMETRY_TOL = 1e-9
 EXP_OVERFLOW_GUARD = 700.0
 COND_GUARD = 1e14
+OVERFLOW_DETAIL = "whitened matrix overflows float64"
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -106,19 +111,40 @@ def _broadcast(*shapes: tuple, what: str = "batch shapes") -> tuple:
             f"{what} {', '.join(map(str, shapes))} do not broadcast") from None
 
 
+def _rank1(a: np.ndarray) -> bool:
+    """Whether a is a float64 or complex128 stack of 1 x 1 matrices, whose
+    eigenpair LAPACK gives as (the real entry, 1) for any entry."""
+    return a.shape[-1] == 1 and a.dtype in (np.float64, np.complex128)
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a); on rank 1 its answer without the LAPACK call."""
+    if _rank1(a):
+        return a[..., 0].real.copy(), np.ones_like(a)
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigensolver failed on matrix with Frobenius norm "
-            f"{np.linalg.norm(a):.3e}: {exc}"
-        ) from exc
+        raise _unconverged(a, exc) from exc
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a); on rank 1 its answer without the LAPACK call."""
+    if _rank1(a):
+        return a[..., 0].real.copy()
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise _unconverged(a, exc) from exc
+
+
+def _unconverged(a: np.ndarray, exc: Exception) -> EigenConvergenceError:
+    return EigenConvergenceError(
+        f"eigensolver failed on matrix with Frobenius norm {np.linalg.norm(a):.3e}: {exc}")
 
 
 def _positive(w: np.ndarray, q: np.ndarray | None = None) -> None:
     """Reject a stack whose ascending eigenvalues ``w`` reach zero.  Given
-    ``q``, whose whitened spectrum ``w`` is, the first such point is beyond
+    ``q``, whose relative spectrum ``w`` is, the first such point is beyond
     float64 resolution (IllConditionedError) if q's own eigh, the one that
     ``_factor`` takes, finds q positive definite."""
     bad = w[..., 0] <= 0
@@ -217,12 +243,14 @@ def logm_posdef(p: np.ndarray) -> np.ndarray:
 def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Eigenvalues of p^{-1} q, ascending and all positive.
 
-    Computed through the symmetrized product p^{-1/2} q p^{-1/2}, which
-    has the same spectrum and stays Hermitian under roundoff.  The roots
-    decide that p is positive definite, the spectrum that q is.
+    Computed in p's eigenbasis, p = V diag(w) V^dagger, as the spectrum of
+    the Hermitian D^{-1/2} (V^dagger q V) D^{-1/2}, D = diag(w): a diagonal
+    scaling keeps the small relative eigenvalues that a dense root p^{-1/2}
+    would mix with the large ones.  p's eigendecomposition decides that p
+    is positive definite, the spectrum that q is.
     """
     (p, q), _, _ = _checked(p=p, q=q)
-    return _relative_spectrum(_roots(p)[1], q)
+    return _relative_spectrum(_factor(p), q)
 
 
 def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
@@ -231,12 +259,20 @@ def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
     NonFiniteError for its matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = [hermitian_part(hsi @ v @ hsi) for v in vs]
-    return [_finite(m, "whitened matrix overflows float64") for m in out]
+    return [_finite(m, OVERFLOW_DETAIL) for m in out]
 
 
-def _relative_spectrum(psi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``relative_spectrum`` from psi = p^{-1/2}, the root that decided p."""
-    lam = np.linalg.eigvalsh(_whiten(psi, q)[0])
+def _relative_spectrum(eig: tuple, q: np.ndarray) -> np.ndarray:
+    """``relative_spectrum`` from eig = (w, V), the eigenpair that decided
+    p; a scaled matrix beyond float64 raises as ``_whiten``'s products do.
+    Each entry is scaled as d_i m_ij d_j, d = w^{-1/2}: the product
+    d_i d_j alone would overflow for a subnormal w_i."""
+    w, v = eig
+    d = 1.0 / np.sqrt(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = hermitian_part(d[..., :, None] * (np.conj(v).swapaxes(-1, -2) @ q @ v)
+                           * d[..., None, :])
+    lam = _eigvalsh(_finite(m, OVERFLOW_DETAIL))
     _positive(lam, q)
     return lam
 

@@ -16,11 +16,13 @@ from validated sections (a geodesic point, a gauge or conformal image)
 is built by the private ``_derived``, which only scans it for non-finite
 entries.  A metric section holds the eigenpair (w, V) of h: the public
 constructor's eigendecomposition, which decides positivity at once; one
-handed on by ``_derived``'s caller; or, for other derived sections, one
-taken on first use.  It builds its roots (h^{1/2}, h^{-1/2}) from that
-pair on first use.  A section that is only ever the second argument of
-an op (the far end of a distance or a geodesic) needs neither.  The
-section ops whiten with the held roots and call the unvalidated linalg
+handed on by ``_derived``'s caller or taken there (a gauge image's); or,
+for other derived sections, one taken on first use.  The distances take
+the relative spectrum from that pair, by a diagonal scaling in h's
+eigenbasis; the inner product and the geodesics whiten with the roots
+(h^{1/2}, h^{-1/2}), built from the pair on first use.  A section that is
+only ever the second argument of an op (the far end of a distance or a
+geodesic) needs neither.  The section ops call the unvalidated linalg
 and fiber kernels on the stacks; none factors h again.
 """
 
@@ -199,19 +201,24 @@ class _MeshValues:
         object.__setattr__(self, "values", checked)
 
     @classmethod
-    def _derived(cls, mesh: QuadratureMesh, values: np.ndarray, eig=None):
+    def _derived(cls, mesh: QuadratureMesh, values: np.ndarray, eig=None,
+                 factor: bool = False):
         """A section of exactly Hermitian (n, r, r) ``values`` that the
         package computed and the caller hands over: they are only scanned
         for non-finite entries, under the point ids, and kept read-only.
         A metric section takes ``eig``, the eigenpair (w, V) of its values,
-        if given, and refuses a point whose w is not positive; without
-        one, it factors its values on first use of ``eig``."""
+        if given, and refuses a point whose w is not positive; given
+        ``factor``, it factors its values here, after the scan, as the
+        public constructor does; otherwise on first use of ``eig``."""
         section = cls.__new__(cls)
         object.__setattr__(section, "mesh", mesh)
         with _at_points(mesh.ids):
             linalg._finite(values)
-            if eig is not None:
+            if factor:
+                eig = linalg._factor(values)
+            elif eig is not None:
                 linalg._positive(eig[0])
+            if eig is not None:
                 object.__setattr__(section, "eig", _read_only(eig))
         values.flags.writeable = False
         object.__setattr__(section, "values", values)
@@ -224,10 +231,12 @@ class MetricSection(_MeshValues):
 
     ``eig`` is the read-only eigenpair (w, V), h = V diag(w) V^dagger: of
     the one eigendecomposition that decides positivity at construction,
-    of a derived section's handed-on pair, or of its values factored on
-    first use, an error then naming its point.  ``roots``, the read-only
-    (h^{1/2}, h^{-1/2}), is built from it on first use, exactly as
-    ``linalg._roots`` builds them, and then held."""
+    of a derived section's handed-on or factored pair, or of its values
+    factored on first use, an error then naming its point.  The relative
+    spectra of the distances are taken from it.  ``roots``, the read-only
+    (h^{1/2}, h^{-1/2}) that the inner product and the geodesics whiten
+    with, is built from it on first use, exactly as ``linalg._roots``
+    builds them, and then held."""
 
     key = "h"
 
@@ -321,7 +330,7 @@ def _relative_spectra(h1: MetricSection, h2: MetricSection):
     point, (n, r); an error names its point id."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        return mesh, linalg._relative_spectrum(h1.roots[1], h2.values)
+        return mesh, linalg._relative_spectrum(h1.eig, h2.values)
 
 
 def _fiber_distances(h1: MetricSection, h2: MetricSection):
@@ -381,14 +390,16 @@ def gauge_apply(phi: GaugeTransform, section):
 
     Applies to both metric and tangent sections; the observable contract
     is invariance of inner products and distances, which is
-    convention-free.
+    convention-free.  A metric image's own eigendecomposition decides its
+    positivity: a congruence by a near-singular Phi can round it to a
+    singular matrix.
     """
     mesh = _same_mesh(phi, section)
     p = phi.values
     # an overflow is an inf that _derived rejects, naming the point
     with np.errstate(over="ignore", invalid="ignore"):
         m = linalg.hermitian_part(np.conj(p).swapaxes(-1, -2) @ section.values @ p)
-    return type(section)._derived(mesh, m)
+    return type(section)._derived(mesh, m, factor=isinstance(section, MetricSection))
 
 
 def flat_distance(h0: MetricSection, h1: MetricSection, h2: MetricSection) -> float:

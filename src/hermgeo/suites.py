@@ -92,8 +92,9 @@ def _fiber_invariants(rng, samples: int) -> dict:
         v10, u3, v3, w3, uo, vo = sampling._hermitians(
             g["x6"], g["u6"], [4.0, 1.0, 1.0, 1.0, 1.0, 1.0]).swapaxes(0, 1)
         # the base stacks, factored once: every property below at h or
-        # from p calls a kernel on these roots
-        roots_h, roots_p = linalg._roots(h), linalg._roots(p)
+        # from p calls a kernel on these roots or on p's eigenpair
+        eig_p = linalg._factor(p)
+        roots_h, roots_p = linalg._roots(h), linalg._roots_from(*eig_p)
         hsi = roots_h[1]
         worst = {}
 
@@ -103,8 +104,8 @@ def _fiber_invariants(rng, samples: int) -> dict:
                                      - (1.0 / r + alpha) * fiber._trace(vw)**2)
 
         # distance symmetry via reciprocal spectra, and scaling invariance
-        s1 = linalg._relative_spectrum(roots_p[1], q)
-        s2 = linalg._relative_spectrum(linalg._roots(q)[1], p)
+        s1 = linalg._relative_spectrum(eig_p, q)
+        s2 = linalg._relative_spectrum(linalg._factor(q), p)
         c = g["c"][:, None, None]
         scaled = linalg.relative_spectrum(c * p, c * q)
         worst["reciprocal_spectrum_max_err"] = np.maximum(

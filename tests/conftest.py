@@ -8,9 +8,10 @@ from hermgeo import linalg, sampling, sections
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves, linalg.hermitian validations, roots built from
-    an eigenpair, mesh constructions and the sampler's scaling steps while
-    a test runs."""
+    """Count eigensolves (numpy's eigh and eigvalsh, that is LAPACK calls,
+    which linalg's eigensolvers skip on rank 1), linalg.hermitian
+    validations, roots built from an eigenpair, mesh constructions and the
+    sampler's scaling steps while a test runs."""
     seen = collections.Counter()
 
     def counted(key, fn):

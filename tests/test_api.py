@@ -416,14 +416,17 @@ def test_no_module_warns():
 
 # the modules that may factor a matrix: linalg, and fiber, whose entry
 # points take one base point per call.  A metric section factors its
-# values once, in its construction, or, if derived without an eigenpair,
-# on first use of ``eig``; it builds its roots from that eigenpair on
-# first use, and every section op whitens with the roots it holds.  The
-# invariants suite factors each base stack of a rank once
+# values once: in its construction; in ``_derived``, for a gauge image,
+# whose own eigendecomposition decides its positivity; or, if derived
+# without an eigenpair, on first use of ``eig``.  The distances take the
+# relative spectrum from that eigenpair; it builds its roots from it on
+# first use, for the ops that whiten.  The invariants suite factors each
+# base stack of a rank once
 FACTORING = {"_factor", "_roots_from", "_roots"}
 FACTORING_MODULES = {"linalg", "fiber"}
 FACTORING_SITES = {
-    "sections": {"MetricSection._validate", "MetricSection.eig", "MetricSection.roots"},
+    "sections": {"MetricSection._validate", "MetricSection.eig", "MetricSection.roots",
+                 "_MeshValues._derived"},
     "suites": {"_fiber_invariants"},
 }
 
@@ -482,11 +485,12 @@ EIGENSOLVERS = {f"np.linalg.{name}" for name in ("eigh", "eigvalsh", "eig", "eig
 
 
 def test_only_linalg_and_the_oracle_clamp_call_an_eigensolver():
-    """Every spectrum goes through linalg's eigh or the relative spectrum's
-    eigvalsh; the oracle's start clamp, an independent route, has its own."""
+    """Every spectrum goes through linalg's eigensolver pair, ``_eigh`` and
+    ``_eigvalsh``; the oracle's start clamp, an independent route, has its
+    own."""
     sites = {m: c for m, c in _callers(
         lambda call: ast.unparse(call.func) in EIGENSOLVERS).items() if c}
-    assert sites == {"linalg": {"_eigh", "_relative_spectrum"}, "oracle": {"_clamp_posdef"}}
+    assert sites == {"linalg": {"_eigh", "_eigvalsh"}, "oracle": {"_clamp_posdef"}}
 
 
 def test_fiber_invariants_validates_each_stack_once():

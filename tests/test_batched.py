@@ -369,22 +369,24 @@ def test_relative_spectrum_error_names_its_point(op):
 @pytest.mark.parametrize("n", SIZES)
 def test_section_ops_cost_model(counts, n):
     # per call, whatever the mesh size: a metric section's construction
-    # validates it and factors it once; the first op that whitens by it
-    # builds its roots from that eigenpair, and every op then reuses
-    # them.  The geodesic point, a computed result, is not validated again
+    # validates it and factors it once; a distance takes its spectrum from
+    # that eigenpair, with no root; the first op that whitens by it builds
+    # its roots from the eigenpair, and every op then reuses them.  The
+    # geodesic point, a computed result, is not validated again
     mesh, p, q, _ = _case(2, n, 100 + n, "mild")
     counts.clear()
     h1 = MetricSection(mesh, p)
     assert counts == {"eig": 1, "hermitian": 1}
     h2 = MetricSection(mesh, q)
     counts.clear()
-    # h1's roots, built here; h2, the far end, builds none
+    # the spectrum from h1's eigenpair; h2, the far end, builds nothing
     section_distance(h1, h2)
-    assert counts == {"eig": 1, "roots": 1}
+    assert counts == {"eig": 1}
     v, w = TangentSection(mesh, q), TangentSection(mesh, p)
     counts.clear()
+    # h1's roots, built here
     l2_inner(h1, v, w)
-    assert counts == {}
+    assert counts == {"roots": 1}
     counts.clear()
     # the endpoint frame; the point factors itself only when it whitens
     g = section_geodesic(h1, h2, 0.5)
@@ -393,10 +395,10 @@ def test_section_ops_cost_model(counts, n):
     counts.clear()
     section_distance(h1, g)
     assert counts == {"eig": 1}
-    # as a first argument: its eigenpair on first use, then its roots
+    # as a first argument: its eigenpair on first use, then the spectrum
     counts.clear()
     section_distance(g, h1)
-    assert counts == {"eig": 2, "roots": 1}
+    assert counts == {"eig": 2}
     # the endpoint frame, whatever the step count
     for steps in (2, 11):
         counts.clear()

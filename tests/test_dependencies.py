@@ -54,3 +54,13 @@ def test_third_party_imports_are_declared():
         if module not in sys.stdlib_module_names and module not in local
         and not {_normalize(d) for d in distributions.get(module, [module])} & declared]
     assert not undeclared
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """The package's runtime needs numpy alone: mpmath, hypothesis and
+    pytest stay test-only, and importing hermgeo loads nothing more."""
+    found = [f"{path.relative_to(ROOT)}:{line} imports {module}"
+             for path in sorted((ROOT / "src" / "hermgeo").glob("*.py"))
+             for module, line in _imports(path)
+             if module != "numpy" and module not in sys.stdlib_module_names]
+    assert not found

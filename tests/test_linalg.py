@@ -1,3 +1,6 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from hermgeo.sections import (
     MetricSection,
     QuadratureMesh,
     TangentSection,
+    _relative_spectra,
     l2_inner,
     section_distance,
     section_geodesic,
@@ -196,6 +200,15 @@ def test_overflowed_relative_spectrum_rejected():
             op(np.diag([1e-200, 1.0]), np.diag([1e200, 1.0]))
 
 
+def test_relative_spectrum_of_a_base_with_a_subnormal_eigenvalue():
+    # p^{-1} q = diag(1e-305, 1e5) is representable although 1/w_0 = 1e310
+    # is not: the scaling never forms the product of two factors
+    p, q = np.diag([1e-310, 1.0]), 1e-305 * np.eye(2)
+    assert np.allclose(linalg.relative_spectrum(p, q), [1e-305, 1e5], rtol=1e-12, atol=0)
+    assert fiber.fiber_distance(p, q, 0.0) == pytest.approx(
+        np.hypot(305.0, 5.0) * np.log(10.0), rel=1e-12)
+
+
 def test_roots_reject_nonpositive_eigenvalue():
     with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
         linalg._roots(np.diag([-1e-17, 1.0]).astype(complex))
@@ -246,7 +259,7 @@ def test_near_singular_input_raises_or_stays_finite():
         for name, op in ROOT_OPS.items():
             assert np.isfinite(op(stack[accepted])).all(), name
         # off the rejected draws, the spectrum of p^{-1} spans up to 1e17
-        # and its own positivity check may fire; on them the roots fail first
+        # and its own positivity check may fire; on them p's eigh fails first
         ops = [*ROOT_OPS.values(), lambda p: linalg.relative_spectrum(p, np.eye(len(p)))]
         for p in stack[~accepted]:
             for op in ops:
@@ -294,6 +307,61 @@ def _wide_pairs(n=60, seed=113, spread=13.0):
     return np.array(mats[0::2]), np.array(mats[1::2])
 
 
+@functools.cache
+def _reference(spread=13.0):
+    """The Hermitian parts of ``_wide_pairs(spread=spread)``, the matrices
+    every op takes, and the ascending spectrum of p^{-1} q of each pair in
+    40 digits, from the Cholesky factor L of p: the eigenvalues of
+    L^{-1} q L^{-dagger}, the stored matrices taken as exact."""
+    p, q = (linalg.hermitian(m) for m in _wide_pairs(spread=spread))
+    spectra = []
+    with mpmath.workdps(40):
+        for pk, qk in zip(p, q):
+            li = mpmath.cholesky(mpmath.matrix(pk.tolist())) ** -1
+            m = li * mpmath.matrix(qk.tolist()) * li.transpose_conj()
+            mu = mpmath.eighe((m + m.transpose_conj()) / 2, eigvals_only=True)
+            spectra.append(sorted(float(x) for x in mu))
+    return p, q, np.array(spectra)
+
+
+def _roots_route(p, q):
+    """The relative spectrum by the route this package took before: the
+    eigenvalues of p^{-1/2} q p^{-1/2}, whitened by the recomposed root."""
+    w, u = np.linalg.eigh(p)
+    psi = linalg.hermitian_part((u / np.sqrt(w)[..., None, :]) @ np.conj(u).swapaxes(-1, -2))
+    return np.linalg.eigvalsh(linalg.hermitian_part(psi @ q @ psi))
+
+
+def _rel_err(lam, want):
+    """The largest relative error over the eigenvalues of each spectrum."""
+    return (np.abs(lam - want) / want).max(axis=-1)
+
+
+# per log-spread s of the 60 _wide_pairs: the bounds on the largest and
+# the median relative spectrum error of the eigenbasis route.  Measured:
+# s = 3: 5.4e-14 and 5.7e-15; s = 6: 1.0e-11 and 2.4e-13; s = 9: 2.3e-9
+# and 2.2e-11; s = 13: 8.1e-6 and 5.5e-9.  The roots route's, over the
+# pairs it answers, are 4.8e-13 and 1.5e-14; 9.4e-9 and 1.3e-11; 9.0e-5
+# and 1.1e-8; 8.7 and 4.2e-5, and it refuses 6 pairs at s = 13
+SPECTRUM_BOUNDS = {3.0: (2e-13, 2e-14), 6.0: (4e-11, 1e-12), 9.0: (1e-8, 1e-10),
+                   13.0: (3e-5, 3e-8)}
+
+
+@pytest.mark.parametrize("spread", sorted(SPECTRUM_BOUNDS))
+def test_relative_spectrum_matches_a_40_digit_reference(spread):
+    # a diagonal scaling in p's eigenbasis keeps the relative accuracy that
+    # the recomposed root p^{-1/2} loses to the mixing of p's scales
+    p, q, want = _reference(spread)
+    err = _rel_err(linalg.relative_spectrum(p, q), want)
+    top, mid = SPECTRUM_BOUNDS[spread]
+    assert err.max() <= top and np.median(err) <= mid
+    old = _roots_route(p, q)
+    answered = old[:, 0] > 0
+    old_err = _rel_err(old[answered], want[answered])
+    assert err[answered].max() <= old_err.max()
+    assert np.median(err[answered]) <= np.median(old_err)
+
+
 WIDE_PAIR_OPS = {
     "relative_spectrum": linalg.relative_spectrum,
     "fiber_distance": lambda p, q: fiber.fiber_distance(p, q, 0.0),
@@ -301,22 +369,38 @@ WIDE_PAIR_OPS = {
 }
 
 
+def _reference_value(name, want):
+    """What an op of WIDE_PAIR_OPS returns on exact arithmetic, from the
+    reference spectra; None for the log map."""
+    return {"relative_spectrum": want,
+            "fiber_distance": np.sqrt((np.log(want) ** 2).sum(axis=-1))}.get(name)
+
+
 @pytest.mark.parametrize("name", sorted(WIDE_PAIR_OPS))
 def test_positive_definite_pairs_are_never_called_indefinite(name):
-    # pair 12's whitened spectrum reaches -1.559e-08 in eigvalsh (-4.560e-09
-    # in the log map's eigh) although q's smallest eigenvalue is 2.8e-05:
-    # the pair is beyond float64 resolution, not indefinite
+    # pair 12's spectrum, whitened by the roots, reaches -1.559e-08 in
+    # eigvalsh (-4.560e-09 in the log map's eigh) although q's smallest
+    # eigenvalue is 2.8e-05; the spectra, taken in p's eigenbasis, are all
+    # positive and within SPECTRUM_BOUNDS of the reference.  The log map
+    # keeps the roots and judges pair 12 beyond float64 resolution
     op = WIDE_PAIR_OPS[name]
-    p, q = _wide_pairs()
-    refused = []
-    for k in range(len(p)):
-        try:
-            assert np.isfinite(op(p[k], q[k])).all()
-        except IllConditionedError:
-            refused.append(k)
-    assert 12 in refused
-    with pytest.raises(IllConditionedError, match="^at index 12: relative spectrum reaches"):
-        op(p, q)
+    p, q, want = _reference()
+    reference = _reference_value(name, want)
+    if reference is None:
+        refused = []
+        for k in range(len(p)):
+            try:
+                assert np.isfinite(op(p[k], q[k])).all()
+            except IllConditionedError:
+                refused.append(k)
+        assert 12 in refused
+        with pytest.raises(IllConditionedError, match="^at index 12: relative spectrum reaches"):
+            op(p, q)
+    else:
+        top = SPECTRUM_BOUNDS[13.0][0]
+        for got in (op(p, q), np.array([op(p[k], q[k]) for k in range(len(p))])):
+            assert np.all(got > 0)
+            assert np.all(np.abs(got - reference) <= top * reference)
     with pytest.raises(NotPositiveDefiniteError, match="^smallest eigenvalue -5.000e-01 <= 0$"):
         op(np.eye(2), np.diag([1.0, -0.5]))
     # a stack is judged at its first nonpositive point
@@ -324,19 +408,56 @@ def test_positive_definite_pairs_are_never_called_indefinite(name):
         op(np.stack([np.eye(4), p[12]]), np.stack([np.diag([1.0, 1.0, 1.0, -0.5]), q[12]]))
 
 
+def _wide_sections():
+    p, q, want = _reference()
+    mesh = QuadratureMesh(rank=4, ids=np.arange(60), weights=np.ones(60), alphas=np.zeros(60))
+    return MetricSection(mesh, p), MetricSection(mesh, q), want
+
+
 @pytest.mark.parametrize("op", [
-    section_distance,
     lambda h1, h2: section_geodesic(h1, h2, 0.5),
     lambda h1, h2: write_geodesic_csv(h1, h2, 3, _RefuseWrites()),
-], ids=["section_distance", "section_geodesic", "write_geodesic_csv"])
+], ids=["section_geodesic", "write_geodesic_csv"])
 def test_sections_of_wide_pairs_are_refused_as_ill_conditioned(op):
     # both constructions decide that their matrices are positive definite;
-    # no op on the pair contradicts them
-    p, q = _wide_pairs()
-    mesh = QuadratureMesh(rank=4, ids=np.arange(60), weights=np.ones(60), alphas=np.zeros(60))
-    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    # the geodesic frames, whitened by the roots, judge pair 12 beyond
+    # float64 resolution, and nothing contradicts the constructions
+    h1, h2, _ = _wide_sections()
     with pytest.raises(IllConditionedError, match="^point id 12: relative spectrum reaches"):
         op(h1, h2)
+
+
+def test_section_distance_of_wide_pairs_matches_the_reference():
+    # the spectra from h1's eigenpair: every pair answered, none refused
+    h1, h2, want = _wide_sections()
+    top = SPECTRUM_BOUNDS[13.0][0]
+    lam = _relative_spectra(h1, h2)[1]
+    assert np.all(lam > 0) and np.all(np.abs(lam - want) <= top * want)
+    d = np.sqrt((np.log(want) ** 2).sum(axis=-1))
+    assert section_distance(h1, h2) == pytest.approx(np.sqrt((d**2).sum()), rel=top)
+
+
+RANK1_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e-300, -1e-300, 1e300, -1e300,
+                 1.0, -2.5]
+
+
+@pytest.mark.parametrize("shape", [(7, 1, 1), (3, 7, 1, 1), (0, 1, 1), (1, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_rank1_eigensolvers_return_what_lapack_returns(shape, dtype):
+    # the LAPACK call is skipped on rank 1, its answer kept bit for bit,
+    # the sign of a zero included
+    rng = np.random.default_rng(17)
+    for draw in range(20):
+        if draw % 2:
+            re, im = rng.choice(RANK1_ENTRIES, (2, *shape))
+        else:
+            re, im = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-300, 300, (2, *shape))
+        a = (re + 1j * im if dtype is np.complex128 else re).astype(dtype)
+        for got, want in zip((*linalg._eigh(a), linalg._eigvalsh(a)),
+                             (*np.linalg.eigh(a), np.linalg.eigvalsh(a))):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class _RefuseWrites:

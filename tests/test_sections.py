@@ -226,22 +226,45 @@ def test_overflowing_gauge_names_its_point():
             gauge_apply(phi, section)
 
 
-def test_derived_section_refuses_an_indefinite_point_at_first_use():
-    # Phi^dagger h Phi has eigenvalues of about 2 and 1e-29, which eigh
-    # resolves to 0: the public constructor refuses it, a derived section
-    # at its first factorization, with the same error
+def _singular_gauge_image():
+    """A mesh with point id 9, h = diag(1, 1e-6) there, Phi = [[1, 1],
+    [1, 1 + 5e-12]] and the Hermitian Phi^dagger h Phi as rounded: four
+    equal entries, whose eigenvalues eigh resolves to 0 and 2.000002."""
     mesh = QuadratureMesh(rank=2, ids=[9], weights=[1.0], alphas=[0.0])
     h = MetricSection(mesh, np.diag([1.0, 1e-6])[None])
     phi = sections.GaugeTransform(mesh, np.array([[[1.0, 1.0], [1.0, 1.0 + 5e-12]]]))
+    image = linalg.hermitian_part(np.conj(phi.values).swapaxes(-1, -2) @ h.values @ phi.values)
+    return mesh, h, phi, image
+
+
+SINGULAR_MESSAGE = r"^point id 9: smallest eigenvalue 0\.000e\+00 <= 0$"
+
+
+def test_derived_section_refuses_an_indefinite_point_at_first_use():
+    # the public constructor refuses the singular image; a section derived
+    # from it without an eigenpair, as a geodesic point is, at its first
+    # factorization, with the same error
+    mesh, h, _, image = _singular_gauge_image()
     v = TangentSection(mesh, np.eye(2)[None])
-    message = r"^point id 9: smallest eigenvalue 0\.000e\+00 <= 0$"
-    with pytest.raises(NotPositiveDefiniteError, match=message):
-        MetricSection(mesh, gauge_apply(phi, h).values)
+    with pytest.raises(NotPositiveDefiniteError, match=SINGULAR_MESSAGE):
+        MetricSection(mesh, image)
     for first_use in (lambda g: g.roots, lambda g: l2_inner(g, v, v),
                       lambda g: section_distance(g, h)):
-        moved = gauge_apply(phi, h)
-        with pytest.raises(NotPositiveDefiniteError, match=message):
+        moved = MetricSection._derived(mesh, image.copy())
+        with pytest.raises(NotPositiveDefiniteError, match=SINGULAR_MESSAGE):
             first_use(moved)
+
+
+def test_gauge_image_of_a_metric_is_refused_when_singular():
+    # the image's own eigh decides its positivity, as the public
+    # constructor's does: no op may measure a distance to a singular point
+    mesh, h, phi, image = _singular_gauge_image()
+    assert np.all(image == image[0, 0, 0])
+    with pytest.raises(NotPositiveDefiniteError, match=SINGULAR_MESSAGE):
+        gauge_apply(phi, h)
+    # a tangent image is not a metric: it is only scanned
+    v = TangentSection(mesh, np.diag([1.0, 1e-6])[None])
+    assert np.array_equal(gauge_apply(phi, v).values, image)
 
 
 # the largest ratios seen over ranks 2-4, nine seeds each, are 27 for the
@@ -489,9 +512,14 @@ def test_metric_section_builds_its_roots_once_on_first_use(counts):
     w, v = h1.eig
     np.testing.assert_allclose((v * w[:, None, :]) @ np.conj(v).swapaxes(-1, -2),
                                h1.values, rtol=0, atol=1e-12)
-    # h2, only ever the far end of a distance, never builds its roots
+    # a distance takes its spectrum from h1's eigenpair and builds no roots
     d = section_distance(h1, h2)
     assert section_distance(h1, h2) == d
+    assert counts["roots"] == 0
+    # the inner product builds h1's; h2, only ever the far end, builds none
+    v = TangentSection(mesh, vals[5:])
+    l2_inner(h1, v, v)
+    l2_inner(h1, v, v)
     assert counts["roots"] == 1
     # h1's are held, and bit for bit the roots linalg factors anew
     roots = h1.roots

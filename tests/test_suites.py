@@ -246,7 +246,7 @@ def test_derived_sections_agree_with_the_constructor_route(monkeypatch, suite, s
     section anew, every metric moves by at most ROUTE_BOUND."""
     rep = suites.SUITES[suite](seed=seed, samples=samples)
     monkeypatch.setattr(sections._MeshValues, "_derived", classmethod(
-        lambda cls, mesh, values, eig=None: cls(mesh, values)))
+        lambda cls, mesh, values, eig=None, factor=False: cls(mesh, values)))
     want = suites.SUITES[suite](seed=seed, samples=samples)
     assert rep["passed"] is want["passed"] is verdict
     for key, value in want.items():
@@ -264,28 +264,28 @@ def test_sample_count_must_be_positive(suite, samples):
 
 
 # per suite: a seed, three sample counts at which every rank the suite
-# draws occurs, and the eigensolves, mesh constructions and sampling
-# scaling steps (``sampling._hermitians``) of one run, the same at each
-# count: one stacked evaluation per rank.  The oracle descends at most 3
-# samples here, to keep the run short
+# draws occurs, and the eigensolver (LAPACK) calls, mesh constructions and
+# sampling scaling steps (``sampling._hermitians``) of one run, the same at
+# each count: one stacked evaluation per rank.  A rank-1 stack makes no
+# LAPACK call.  The oracle descends at most 3 samples here, to keep the
+# run short
 COST_CASES = {
-    # fiber block, per rank 2-4: exp of h, p and q (3); the roots of h and
-    # p, factored once and used by the Jensen bound, the curvatures and
-    # the sectional curvature (2); the spectrum of
-    # p^-1 q from p's roots, which also gives d0 (1); that of q^-1 p, from
-    # q's roots (2); the scaled and the congruent pair, 2 each (4); the
+    # fiber block, per rank 2-4: exp of h, p and q (3); h and p factored
+    # once, p's eigenpair giving both its roots and the spectrum of p^-1 q,
+    # which also gives d0 (2); h's roots serve the Jensen bound, the
+    # curvatures and the sectional curvature; that of q^-1 p, from q's
+    # eigenpair (2); the scaled and the congruent pair, 2 each (4); the
     # affinity geodesic's log map and frame from p's roots (2) and the
     # distance of its two points (2); the roundtrip's frame and log map
-    # from h's roots (2): 18.  Section block, per rank 1-3, on one joined
-    # mesh each: exp of h and h2, which hands on their eigenpairs (2); the
-    # gauge-moved h, factored on first use by l2_inner, whose roots the
-    # gauge-moved distance reuses (1); the distance and theta from one
+    # from h's roots (2): 18.  Section block, per rank 2-3 (rank 1 makes
+    # no LAPACK call), on one joined mesh each: exp of h and h2, which
+    # hands on their eigenpairs (2); the gauge-moved h and h2, each
+    # factored by gauge_apply (2); the distance and theta from one
     # spectrum, the gauge-moved and the conformal distances (3).  The
-    # gauge-moved h2 is only a second argument, and the conformal
-    # scalings take h's eigenpair: 6.  Its 3 joined meshes are the
-    # suite's only ones.  Scaling: the fiber block's two draws per sample,
-    # the section block's one, each once per rank
-    "invariants": (42, (30, 60, 240), (3 * 18 + 3 * 6, 3, 3 * 2 + 3)),
+    # conformal scalings take h's eigenpair: 7.  Its 3 joined meshes are
+    # the suite's only ones.  Scaling: the fiber block's two draws per
+    # sample, the section block's one, each once per rank
+    "invariants": (42, (30, 60, 240), (3 * 18 + 2 * 7, 3, 3 * 2 + 3)),
     # per rank: random triangles 3 vertices x 1 (exp, which hands on the
     # eigenpair), 5 distances x 1, 3 geodesic points' endpoint frames and
     # the eigenpair of the s-point, the one geodesic point that is a first
