@@ -12,17 +12,15 @@ inverse times a matrix: they go through the congruence
 h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
 so Hermiticity survives roundoff.  Every function also takes (..., r, r)
 stacks, with alpha one value per matrix.  It validates its arguments once,
-factors its base point once (the eigendecomposition that decides
-positivity), then calls an unvalidated kernel that takes that
-factorization: ``_alpha_inner``, ``_curvature`` and ``_sectional`` take
-the roots h^{1/2}, h^{-1/2} built from it or h^{-1/2}, ``_project`` a
-whitened pair, ``_frame``, ``_geodesic`` and ``_log_map`` a geodesic's
-frame, and ``_distance`` a relative spectrum, which
-``linalg._relative_spectrum`` takes from the eigenpair itself, with no
-root.  Section ops and the check suites call those kernels directly on
-stacks they validated and factored once.  A geodesic is one spectral
-frame: its points and log map need no eigh.  ``linalg._whiten`` forms
-the middle factor and refuses one that overflows.
+factors its base point once into its eigenpair (the eigendecomposition
+that decides positivity), then calls an unvalidated kernel that takes
+the eigenpair: ``_alpha_inner``, ``_curvature``, ``_sectional``,
+``_frame`` and ``_log_map``.  ``linalg._whiten`` forms the middle factor
+by a diagonal scaling in the eigenbasis; ``_project`` takes a whitened
+pair, ``_geodesic`` a frame and ``_distance`` a relative spectrum.  Only
+a frame builds the dense roots, from the eigenpair; a geodesic is one
+frame, whose points and log map need no eigh.  Section ops and the check
+suites call the kernels on stacks they validated and factored once.
 """
 
 from __future__ import annotations
@@ -81,12 +79,12 @@ def _checked(alpha, **mats):
 def alpha_inner(h: np.ndarray, v: np.ndarray, w: np.ndarray, alpha):
     """The invariant inner product of tangent vectors v, w at the point h."""
     (h, v, w), alpha = _checked(alpha, h=h, v=v, w=w)
-    return _alpha_inner(linalg._roots(h)[1], v, w, alpha)
+    return _alpha_inner(linalg._factor(h), v, w, alpha)
 
 
-def _alpha_inner(hsi, v, w, alpha):
-    """``alpha_inner`` at the point whose h^{-1/2} is hsi."""
-    return _inner(*linalg._whiten(hsi, v, w), alpha)
+def _alpha_inner(eig, v, w, alpha):
+    """``alpha_inner`` at the point whose eigenpair is eig."""
+    return _inner(*linalg._whiten(eig, v, w), alpha)
 
 
 def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -95,8 +93,8 @@ def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     Independent of alpha: one spray serves the whole metric family.
     """
     (h, v, w), _, _ = linalg._checked(h=h, v=v, w=w)
-    hsi = linalg._roots(h)[1]
-    return linalg.hermitian_part(v @ hsi @ hsi @ w)
+    spec, basis = linalg._factor(h)
+    return linalg.hermitian_part(v @ linalg._recompose(basis, 1.0 / spec) @ w)
 
 
 def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -108,22 +106,23 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     -h^{1/2} [[U', V'], W'] h^{1/2} / 4 in whitened coordinates.
     """
     (h, u, v, w), _, _ = linalg._checked(h=h, u=u, v=v, w=w)
-    return _curvature(linalg._roots(h), u, v, w)
+    return _curvature(linalg._factor(h), u, v, w)
 
 
-def _curvature(roots, u, v, w):
-    """``curvature_tensor`` at the point whose roots are (h^{1/2}, h^{-1/2})."""
-    hs, hsi = roots
-    up, vp, wp = linalg._whiten(hsi, u, v, w)
+def _curvature(eig, u, v, w):
+    """``curvature_tensor`` at the point whose eigenpair eig = (w, V) maps
+    whitened forms back by B (.) B^dagger, B = V diag(w^{1/2}) = h^{1/2} V."""
+    up, vp, wp = linalg._whiten(eig, u, v, w)
     k = up @ vp - vp @ up
     dbl = k @ wp - wp @ k
-    return linalg.hermitian_part(-0.25 * (hs @ dbl @ hs))
+    b = eig[1] * np.sqrt(eig[0])[..., None, :]
+    return linalg.hermitian_part(-0.25 * (b @ dbl @ np.conj(b).swapaxes(-1, -2)))
 
 
 def _gram_schmidt_pair(h, u, v, alpha):
     """Orthonormalize (u, v), Hermitian, for the inner product at the
-    Hermitian h; the roots of h decide that it is positive definite."""
-    c, nu, nw = _project(*linalg._whiten(linalg._roots(h)[1], u, v), alpha)
+    Hermitian h; its eigendecomposition decides that it is positive definite."""
+    c, nu, nw = _project(*linalg._whiten(linalg._factor(h), u, v), alpha)
     return u / nu, (v - c * u) / nw
 
 
@@ -154,12 +153,12 @@ def sectional_curvature(h: np.ndarray, u: np.ndarray, v: np.ndarray, alpha):
     to 1e150.
     """
     (h, u, v), alpha = _checked(alpha, h=h, u=u, v=v)
-    return _sectional(linalg._roots(h)[1], u, v, alpha)
+    return _sectional(linalg._factor(h), u, v, alpha)
 
 
-def _sectional(hsi, u, v, alpha):
-    """``sectional_curvature`` at the point whose h^{-1/2} is hsi."""
-    up, vp = linalg._whiten(hsi, u, v)
+def _sectional(eig, u, v, alpha):
+    """``sectional_curvature`` at the point whose eigenpair is eig."""
+    up, vp = linalg._whiten(eig, u, v)
     c, nu, nw = _project(up, vp, alpha)
     up, wp = up / nu, (vp - c * up) / nw
     k = up @ wp - wp @ up
@@ -179,19 +178,24 @@ class FiberGeodesic:
         (h, v), _, _ = linalg._checked(start=self.start, velocity=self.velocity)
         object.__setattr__(self, "start", h)
         object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "frame", _frame(linalg._roots(h), v))
+        object.__setattr__(self, "frame", _frame(linalg._factor(h), v))
 
     def __call__(self, t) -> np.ndarray:
         return geodesic_eval(self, t)
 
 
-def _frame(roots, m: np.ndarray, endpoint: bool = False) -> tuple:
-    """The geodesic frame (h^{1/2}, U, lam, endpoint) from roots =
-    (h^{1/2}, h^{-1/2}) and h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu
-    for a velocity m, and lam = log mu for an endpoint m, whose positivity
-    and condition this decides."""
-    mu, u = linalg._eigh(linalg._whiten(roots[1], m)[0])
-    return roots[0], u, linalg._log(mu, m) if endpoint else mu, endpoint
+def _frame(eig, m: np.ndarray, endpoint: bool = False) -> tuple:
+    """The geodesic frame (h^{1/2}, U, lam, endpoint) at the point whose
+    eigenpair is eig, from the roots h^{1/2}, h^{-1/2} it gives and
+    h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu for a velocity m, and
+    lam = log mu for an endpoint m, whose positivity and condition this
+    decides.  This dense whitening, not ``linalg._whiten``, keeps the
+    exp/log roundtrip's rounding; it refuses a product that overflows."""
+    hs, hsi = linalg._roots_from(*eig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mw = linalg.hermitian_part(hsi @ m @ hsi)
+    mu, u = linalg._eigh(linalg._finite(mw, linalg.OVERFLOW_DETAIL))
+    return hs, u, linalg._log(mu, m) if endpoint else mu, endpoint
 
 
 def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
@@ -239,15 +243,16 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The unique Hermitian A with geodesic_eval({p, A}, 1) = q.
 
     Realized as p^{1/2} U diag(lam) U^dagger p^{1/2} in the endpoint frame
-    of q; the roots decide that p is positive definite, the frame that q is.
+    of q; p's eigendecomposition decides that p is positive definite, the
+    frame that q is.
     """
     (p, q), _, _ = linalg._checked(p=p, q=q)
-    return _log_map(linalg._roots(p), q)
+    return _log_map(linalg._factor(p), q)
 
 
-def _log_map(roots, q: np.ndarray) -> np.ndarray:
-    """``log_map`` from the point whose roots are (p^{1/2}, p^{-1/2})."""
-    ps, u, lam, _ = _frame(roots, q, endpoint=True)
+def _log_map(eig, q: np.ndarray) -> np.ndarray:
+    """``log_map`` from the point whose eigenpair is eig."""
+    ps, u, lam, _ = _frame(eig, q, endpoint=True)
     return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
 
 
@@ -305,7 +310,7 @@ def exp_differential_min_singular(h: np.ndarray, v: np.ndarray):
     (h, v), r, _ = linalg._checked(h=h, v=v)
     basis = hermitian_basis(r)
     steps, h, v = EXP_FD_STEP * basis, h[..., None, :, :], v[..., None, :, :]
-    frame = _frame(linalg._roots(h), np.stack([v + steps, v - steps]))
+    frame = _frame(linalg._factor(h), np.stack([v + steps, v - steps]))
     plus, minus = _geodesic(h, frame, 1.0)
     # jac[i, j]: coordinate i of the derivative along basis direction j
     jac = _trace(basis[:, None] @ ((plus - minus) / (2 * EXP_FD_STEP))[..., None, :, :, :])

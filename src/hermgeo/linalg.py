@@ -9,11 +9,12 @@ Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
 entries, ``_eigh`` does not.  ``_eigh`` and ``_eigvalsh`` are the
 package's eigensolvers; on rank 1 they return LAPACK's answer without
 calling it.  ``_factor``'s eigendecomposition decides that p is positive
-definite, and its eigenpair gives the roots and the relative spectrum.
-``_whiten`` is the one congruence h^{-1/2} (.) h^{-1/2}; it and the
-relative spectrum's diagonal scaling refuse a product that overflows.
-``_positive`` is the one check that a spectrum, a matrix's own or a
-relative one, is positive.
+definite; its eigenpair is a base point's one factorization.  ``_whiten``,
+the one congruence h^{-1/2} (.) h^{-1/2}, scales in that eigenbasis and
+refuses a product that overflows; a relative spectrum is the spectrum of
+a whitened matrix.  Only the matrix roots and a geodesic's frame build
+dense roots, by ``_roots_from``.  ``_positive`` is the one check that a
+spectrum, a matrix's own or a relative one, is positive.
 """
 
 from __future__ import annotations
@@ -176,12 +177,6 @@ def _roots_from(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _recompose(u, s), _recompose(u, 1.0 / s)
 
 
-def _roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p^{1/2}, p^{-1/2}) from one eigendecomposition, which also decides
-    that p is positive definite."""
-    return _roots_from(*_factor(p))
-
-
 def _exp(w: np.ndarray, guard=True) -> np.ndarray:
     """e^w for a stack of spectra, each where ``guard`` holds (one value per
     spectrum, or one for all) within the exp overflow guard."""
@@ -213,12 +208,12 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-definite Hermitian matrix."""
-    return _roots(hermitian(p, "p"))[0]
+    return _roots_from(*_factor(hermitian(p, "p")))[0]
 
 
 def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive-definite matrix."""
-    return _roots(hermitian(p, "p"))[1]
+    return _roots_from(*_factor(hermitian(p, "p")))[1]
 
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:
@@ -253,26 +248,25 @@ def relative_spectrum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _relative_spectrum(_factor(p), q)
 
 
-def _whiten(hsi: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
-    """Return hsi v hsi for each v; with hsi = h^{-1/2} each is Hermitian.
-    A product beyond float64 (a relative spectrum of 1e313, say) raises
-    NonFiniteError for its matrix."""
+def _whiten(eig: tuple, *vs: np.ndarray) -> list[np.ndarray]:
+    """Each v whitened at h: D^{-1/2} (V^dagger v V) D^{-1/2} from h's
+    eigenpair eig = (w, V), D = diag(w), that is V^dagger (h^{-1/2} v
+    h^{-1/2}) V.  Each entry is scaled as d_i m_ij d_j, d = w^{-1/2}: d_i d_j
+    alone would overflow for a subnormal w_i.  A product beyond float64 (a
+    relative spectrum of 1e313, say) raises NonFiniteError for its matrix."""
+    w, u = eig
+    d = 1.0 / np.sqrt(w)
+    uh = np.conj(u).swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = [hermitian_part(hsi @ v @ hsi) for v in vs]
+        out = [hermitian_part(d[..., :, None] * (uh @ v @ u) * d[..., None, :])
+               for v in vs]
     return [_finite(m, OVERFLOW_DETAIL) for m in out]
 
 
 def _relative_spectrum(eig: tuple, q: np.ndarray) -> np.ndarray:
     """``relative_spectrum`` from eig = (w, V), the eigenpair that decided
-    p; a scaled matrix beyond float64 raises as ``_whiten``'s products do.
-    Each entry is scaled as d_i m_ij d_j, d = w^{-1/2}: the product
-    d_i d_j alone would overflow for a subnormal w_i."""
-    w, v = eig
-    d = 1.0 / np.sqrt(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = hermitian_part(d[..., :, None] * (np.conj(v).swapaxes(-1, -2) @ q @ v)
-                           * d[..., None, :])
-    lam = _eigvalsh(_finite(m, OVERFLOW_DETAIL))
+    p: the spectrum of q whitened at p."""
+    lam = _eigvalsh(_whiten(eig, q)[0])
     _positive(lam, q)
     return lam
 

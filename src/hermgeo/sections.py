@@ -14,16 +14,15 @@ fields) share one base class: they are validated once, at construction,
 into fresh read-only (n, r, r) or (n,) arrays.  A section an op computes
 from validated sections (a geodesic point, a gauge or conformal image)
 is built by the private ``_derived``, which only scans it for non-finite
-entries.  A metric section holds the eigenpair (w, V) of h: the public
-constructor's eigendecomposition, which decides positivity at once; one
-handed on by ``_derived``'s caller or taken there (a gauge image's); or,
-for other derived sections, one taken on first use.  The distances take
-the relative spectrum from that pair, by a diagonal scaling in h's
-eigenbasis; the inner product and the geodesics whiten with the roots
-(h^{1/2}, h^{-1/2}), built from the pair on first use.  A section that is
+entries.  A metric section holds one factorization, the eigenpair
+(w, V) of h: the public constructor's eigendecomposition, which decides
+positivity at once; one handed on by ``_derived``'s caller or taken
+there (a gauge image's); or, for other derived sections, one taken on
+first use.  Every op at h takes that pair; a geodesic's frame builds the
+roots (h^{1/2}, h^{-1/2}) it needs from it, per call.  A section that is
 only ever the second argument of an op (the far end of a distance or a
-geodesic) needs neither.  The section ops call the unvalidated linalg
-and fiber kernels on the stacks; none factors h again.
+geodesic) needs none.  The section ops call the unvalidated linalg and
+fiber kernels on the stacks; none factors h again.
 """
 
 from __future__ import annotations
@@ -232,11 +231,9 @@ class MetricSection(_MeshValues):
     ``eig`` is the read-only eigenpair (w, V), h = V diag(w) V^dagger: of
     the one eigendecomposition that decides positivity at construction,
     of a derived section's handed-on or factored pair, or of its values
-    factored on first use, an error then naming its point.  The relative
-    spectra of the distances are taken from it.  ``roots``, the read-only
-    (h^{1/2}, h^{-1/2}) that the inner product and the geodesics whiten
-    with, is built from it on first use, exactly as ``linalg._roots``
-    builds them, and then held."""
+    factored on first use, an error then naming its point.  It is the
+    section's one factorization: every op at h takes it, and a geodesic's
+    frame builds the roots it needs from it."""
 
     key = "h"
 
@@ -249,10 +246,6 @@ class MetricSection(_MeshValues):
     def eig(self) -> tuple:
         with _at_points(self.mesh.ids):
             return _read_only(linalg._factor(self.values))
-
-    @functools.cached_property
-    def roots(self) -> tuple:
-        return _read_only(linalg._roots_from(*self.eig))
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -321,7 +314,7 @@ def l2_inner(h: MetricSection, v: TangentSection, w: TangentSection, *, segment=
     mesh = _same_mesh(h, v)
     _same_mesh(h, w)
     with _at_points(mesh.ids):
-        inner = _alpha_inner(h.roots[1], v.values, w.values, mesh.alphas)
+        inner = _alpha_inner(h.eig, v.values, w.values, mesh.alphas)
     return _weighted_sum(mesh.weights, inner, segment=segment)
 
 
@@ -357,7 +350,7 @@ def section_geodesic(h1: MetricSection, h2: MetricSection, t) -> MetricSection:
     or one per point."""
     mesh = _same_mesh(h1, h2)
     with _at_points(mesh.ids):
-        frame = _frame(h1.roots, h2.values, endpoint=True)
+        frame = _frame(h1.eig, h2.values, endpoint=True)
         return MetricSection._derived(mesh, _geodesic(h1.values, frame, t))
 
 
@@ -510,7 +503,7 @@ def write_geodesic_csv(h1: MetricSection, h2: MetricSection, steps: int,
     cells[:, 1] = mesh.ids.tolist()
     with _at_points(mesh.ids):
         # the frame refuses a pair before anything is written
-        frame = _frame(h1.roots, h2.values, endpoint=True)
+        frame = _frame(h1.eig, h2.values, endpoint=True)
         stream.write(",".join(header) + "\r\n")
         for k in range(steps):
             t = k / (steps - 1)

@@ -92,14 +92,12 @@ def _fiber_invariants(rng, samples: int) -> dict:
         v10, u3, v3, w3, uo, vo = sampling._hermitians(
             g["x6"], g["u6"], [4.0, 1.0, 1.0, 1.0, 1.0, 1.0]).swapaxes(0, 1)
         # the base stacks, factored once: every property below at h or
-        # from p calls a kernel on these roots or on p's eigenpair
-        eig_p = linalg._factor(p)
-        roots_h, roots_p = linalg._roots(h), linalg._roots_from(*eig_p)
-        hsi = roots_h[1]
+        # from p calls a kernel on these eigenpairs
+        eig_h, eig_p = linalg._factor(h), linalg._factor(p)
         worst = {}
 
         # Jensen positivity bound
-        vw, = linalg._whiten(hsi, v)
+        vw, = linalg._whiten(eig_h, v)
         worst["jensen_min_slack"] = (fiber._inner(vw, vw, alpha)
                                      - (1.0 / r + alpha) * fiber._trace(vw)**2)
 
@@ -121,26 +119,26 @@ def _fiber_invariants(rng, samples: int) -> dict:
 
         # geodesic affinity
         s, t = np.sort(g["st"], axis=-1).T
-        frame = fiber._frame(roots_p, fiber._log_map(roots_p, q))
+        frame = fiber._frame(eig_p, fiber._log_map(eig_p, q))
         dst = fiber._distance(linalg.relative_spectrum(fiber._geodesic(p, frame, s),
                                                        fiber._geodesic(p, frame, t)), alpha)
         worst["affinity_max_rel_err"] = (np.abs(dst - (t - s) * d0)
                                          / np.maximum(d0, 1e-12))
 
         # exp/log roundtrip
-        end = fiber._geodesic(h, fiber._frame(roots_h, v10), 1.0)
-        worst["roundtrip_max_rel_err"] = (linalg._norm(fiber._log_map(roots_h, end) - v10)
+        end = fiber._geodesic(h, fiber._frame(eig_h, v10), 1.0)
+        worst["roundtrip_max_rel_err"] = (linalg._norm(fiber._log_map(eig_h, end) - v10)
                                           / np.maximum(linalg._norm(v10), 1e-12))
 
         # curvature identities
-        r_uv = fiber._curvature(roots_h, u3, v3, w3)
-        r_vu = fiber._curvature(roots_h, v3, u3, w3)
+        r_uv = fiber._curvature(eig_h, u3, v3, w3)
+        r_vu = fiber._curvature(eig_h, v3, u3, w3)
         worst["curvature_antisym_max_resid"] = linalg._norm(r_uv + r_vu)
-        worst["bianchi_max_resid"] = linalg._norm(r_uv + fiber._curvature(roots_h, v3, w3, u3)
-                                                  + fiber._curvature(roots_h, w3, u3, v3))
+        worst["bianchi_max_resid"] = linalg._norm(r_uv + fiber._curvature(eig_h, v3, w3, u3)
+                                                  + fiber._curvature(eig_h, w3, u3, v3))
 
         # nonpositive sectional curvature
-        worst["sectional_max"] = fiber._sectional(hsi, uo, vo, alpha)
+        worst["sectional_max"] = fiber._sectional(eig_h, uo, vo, alpha)
         found.append(worst)
     return _worst(found)
 

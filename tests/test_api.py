@@ -36,10 +36,12 @@ from hermgeo.errors import (
 # section_distance(..., segment=) replaced, and the eigvalsh positivity
 # check whose decision the roots of a metric section now make.  Then the
 # sectional curvature's Gram-Schmidt re-run, which its one projection
-# kernel replaced
+# kernel replaced.  Then the dense roots of a base point as a factorization
+# of their own, which the eigenpair replaced: ``linalg._roots`` and
+# ``MetricSection.roots``
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
            "MeasureInconsistencyError", "_expm", "_logm", "flat_inner",
-           "_segment_distances", "posdef", "_orthonormalize")
+           "_segment_distances", "posdef", "_orthonormalize", "_roots", "roots")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -48,9 +50,9 @@ def test_exports_resolve_and_removed_names_stay_gone():
         assert not missing, (module.__name__, missing)
     modules = [hermgeo] + [importlib.import_module(f"hermgeo.{info.name}")
                            for info in pkgutil.iter_modules(hermgeo.__path__)]
-    for module in modules:
-        stale = [name for name in REMOVED if hasattr(module, name)]
-        assert not stale, (module.__name__, stale)
+    for owner in modules + [sections.MetricSection]:
+        stale = [name for name in REMOVED if hasattr(owner, name)]
+        assert not stale, (owner.__name__, stale)
     # linalg._log is the spectrum-level guard; fiber's log map kernel is gone
     assert not hasattr(fiber, "_log")
 
@@ -418,15 +420,13 @@ def test_no_module_warns():
 # points take one base point per call.  A metric section factors its
 # values once: in its construction; in ``_derived``, for a gauge image,
 # whose own eigendecomposition decides its positivity; or, if derived
-# without an eigenpair, on first use of ``eig``.  The distances take the
-# relative spectrum from that eigenpair; it builds its roots from it on
-# first use, for the ops that whiten.  The invariants suite factors each
-# base stack of a rank once
-FACTORING = {"_factor", "_roots_from", "_roots"}
+# without an eigenpair, on first use of ``eig``.  Every op at the section
+# takes that eigenpair.  The invariants suite factors each base stack of
+# a rank once
+FACTORING = {"_factor", "_roots_from"}
 FACTORING_MODULES = {"linalg", "fiber"}
 FACTORING_SITES = {
-    "sections": {"MetricSection._validate", "MetricSection.eig", "MetricSection.roots",
-                 "_MeshValues._derived"},
+    "sections": {"MetricSection._validate", "MetricSection.eig", "_MeshValues._derived"},
     "suites": {"_fiber_invariants"},
 }
 
@@ -447,10 +447,20 @@ def _callers(matches):
 
 
 def test_only_linalg_fiber_and_section_construction_factor_roots():
-    # linalg._factor, _roots_from or _roots, or those names inside linalg
+    # linalg._factor or _roots_from, or those names inside linalg
     calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.") in FACTORING)
     sites = {m: c for m, c in calls.items() if c and m not in FACTORING_MODULES}
     assert sites == FACTORING_SITES
+
+
+def test_only_frames_and_matrix_roots_build_dense_roots():
+    """A base point carries one factorization, its eigenpair, and every
+    kernel takes it.  The dense roots h^{1/2}, h^{-1/2} are built from it
+    only by a geodesic's frame and by the two public matrix roots."""
+    calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.")
+                     == "_roots_from")
+    assert {m: c for m, c in calls.items() if c} == {
+        "fiber": {"_frame"}, "linalg": {"sqrtm_posdef", "invsqrtm_posdef"}}
 
 
 # the public section constructors validate their input: the package calls

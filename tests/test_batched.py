@@ -10,7 +10,8 @@ unvalidated kernels on their validated stacks: a cost model pins their
 eigensolve and validation counts per call, and a fuzz drives them past
 every guard.  The geodesic's endpoint frame is gated against the
 log-then-exp route it replaced, kept here in plain numpy, and against a
-40-digit mpmath reference.
+40-digit mpmath reference; every frame is pinned bit for bit to the
+dense-roots route, also kept here in plain numpy.
 """
 
 import csv
@@ -144,7 +145,7 @@ def test_l2_inner_matches_point_loop(rank, n, regime):
 def test_section_geodesic_matches_point_loop(rank, n, regime, t):
     mesh, p, q, _ = _case(rank, n, 30 * rank + n, regime)
     want = np.stack([fiber._geodesic(
-        p[i], fiber._frame(linalg._roots(p[i]), q[i], endpoint=True), t) for i in range(n)])
+        p[i], fiber._frame(linalg._factor(p[i]), q[i], endpoint=True), t) for i in range(n)])
     got = section_geodesic(MetricSection(mesh, p), MetricSection(mesh, q), t)
     _assert_stack(got.values, want)
 
@@ -163,6 +164,11 @@ def _old_route(p, q, t):
 
 def _hermitian_part(a):
     return (a + _dagger(a)) / 2
+
+
+def _roots(h):
+    """(h^{1/2}, h^{-1/2}) from h's eigenpair, as a geodesic's frame builds them."""
+    return linalg._roots_from(*linalg._factor(h))
 
 
 ROUTE_TIMES = (0.25, 0.5, 0.75)
@@ -196,7 +202,7 @@ def test_frame_route_no_further_from_reference(rank, regime):
     # from there in 40 digits.
     mesh, p, q, _ = _case(rank, 4, 120 + rank, regime)
     h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
-    hs, hsi = linalg._roots(p)
+    hs, hsi = _roots(p)
     m = linalg.hermitian_part(hsi @ q @ hsi)
     errors = {"frame": [], "old": []}
     for t in ROUTE_TIMES:
@@ -206,6 +212,37 @@ def test_frame_route_no_further_from_reference(rank, regime):
                            ("old", _old_route(p, q, t))):
             errors[route].append(np.abs(got - want).max(axis=(-2, -1)) / scale)
     assert np.max(errors["frame"]) <= np.max(errors["old"])
+
+
+def _roots_route_frame(h, m):
+    """The geodesic frame (h^{1/2}, U, mu) from h along m by the roots
+    route, in plain numpy: the roots of h's eigh, m whitened by them as
+    dense products, and the eigh of that, U diag(mu) U^dagger."""
+    w, u = np.linalg.eigh(h)
+    hs, hsi = _from_spectrum(u, np.sqrt(w)), _from_spectrum(u, 1.0 / np.sqrt(w))
+    mu, u = np.linalg.eigh(_hermitian_part(hsi @ m @ hsi))
+    return hs, u, mu
+
+
+@pytest.mark.parametrize("regime", ["ill", "guard"])
+@pytest.mark.parametrize("rank", RANKS)
+def test_frames_are_bit_identical_to_the_roots_route(rank, regime):
+    # the other kernels whiten in the base's eigenbasis; a frame keeps the
+    # roots route bit for bit, since any change to its rounding moves the
+    # exp/log roundtrip past its 1e-8 gate at some seeds
+    mesh, p, q, _ = _case(rank, 50, 130 + rank, regime)
+    h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
+    hs, u, mu = _roots_route_frame(h1.values, h2.values)
+    lam = np.log(mu)
+    a = fiber.log_map(h1.values, h2.values)
+    assert np.array_equal(a, _hermitian_part(hs @ _from_spectrum(u, lam) @ hs))
+    for t in ROUTE_TIMES:
+        assert np.array_equal(section_geodesic(h1, h2, t).values,
+                              _hermitian_part(hs @ _from_spectrum(u, np.exp(t * lam)) @ hs))
+    # the velocity frame of the log map
+    hs, u, mu = _roots_route_frame(h1.values, a)
+    assert np.array_equal(fiber.geodesic_eval(fiber.FiberGeodesic(h1.values, a), 0.5),
+                          _hermitian_part(hs @ _from_spectrum(u, np.exp(0.5 * mu)) @ hs))
 
 
 @cases
@@ -369,28 +406,30 @@ def test_relative_spectrum_error_names_its_point(op):
 @pytest.mark.parametrize("n", SIZES)
 def test_section_ops_cost_model(counts, n):
     # per call, whatever the mesh size: a metric section's construction
-    # validates it and factors it once; a distance takes its spectrum from
-    # that eigenpair, with no root; the first op that whitens by it builds
-    # its roots from the eigenpair, and every op then reuses them.  The
-    # geodesic point, a computed result, is not validated again
+    # validates it and factors it once; a distance and the inner product
+    # take that eigenpair, with no root; a geodesic's frame builds its own
+    # roots from the eigenpair, once per call.  The geodesic point, a
+    # computed result, is not validated again
     mesh, p, q, _ = _case(2, n, 100 + n, "mild")
     counts.clear()
     h1 = MetricSection(mesh, p)
     assert counts == {"eig": 1, "hermitian": 1}
     h2 = MetricSection(mesh, q)
     counts.clear()
-    # the spectrum from h1's eigenpair; h2, the far end, builds nothing
+    # the spectrum from h1's eigenpair, with no root; h2, the far end,
+    # builds nothing
     section_distance(h1, h2)
     assert counts == {"eig": 1}
     v, w = TangentSection(mesh, q), TangentSection(mesh, p)
     counts.clear()
-    # h1's roots, built here
+    # whitened in h1's eigenbasis: nothing to solve or build
     l2_inner(h1, v, w)
-    assert counts == {"roots": 1}
+    assert counts == {}
     counts.clear()
-    # the endpoint frame; the point factors itself only when it whitens
+    # the endpoint frame and its roots; the point factors itself only when
+    # it is a base
     g = section_geodesic(h1, h2, 0.5)
-    assert counts == {"eig": 1}
+    assert counts == {"eig": 1, "roots": 1}
     # the point as a second argument: the spectrum only
     counts.clear()
     section_distance(h1, g)
@@ -399,11 +438,11 @@ def test_section_ops_cost_model(counts, n):
     counts.clear()
     section_distance(g, h1)
     assert counts == {"eig": 2}
-    # the endpoint frame, whatever the step count
+    # the endpoint frame and its roots, whatever the step count
     for steps in (2, 11):
         counts.clear()
         write_geodesic_csv(h1, h2, steps, io.StringIO())
-        assert counts == {"eig": 1}
+        assert counts == {"eig": 1, "roots": 1}
 
 
 def test_raufi_integrability_cost_model(counts):

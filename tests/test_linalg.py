@@ -209,9 +209,9 @@ def test_relative_spectrum_of_a_base_with_a_subnormal_eigenvalue():
         np.hypot(305.0, 5.0) * np.log(10.0), rel=1e-12)
 
 
-def test_roots_reject_nonpositive_eigenvalue():
+def test_factor_rejects_nonpositive_eigenvalue():
     with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
-        linalg._roots(np.diag([-1e-17, 1.0]).astype(complex))
+        linalg._factor(np.diag([-1e-17, 1.0]).astype(complex))
 
 
 def _near_singular_draws(n=20000, seed=0):

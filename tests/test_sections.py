@@ -248,8 +248,8 @@ def test_derived_section_refuses_an_indefinite_point_at_first_use():
     v = TangentSection(mesh, np.eye(2)[None])
     with pytest.raises(NotPositiveDefiniteError, match=SINGULAR_MESSAGE):
         MetricSection(mesh, image)
-    for first_use in (lambda g: g.roots, lambda g: l2_inner(g, v, v),
-                      lambda g: section_distance(g, h)):
+    for first_use in (lambda g: g.eig, lambda g: l2_inner(g, v, v),
+                      lambda g: section_distance(g, h), lambda g: section_geodesic(g, h, 0.5)):
         moved = MetricSection._derived(mesh, image.copy())
         with pytest.raises(NotPositiveDefiniteError, match=SINGULAR_MESSAGE):
             first_use(moved)
@@ -490,9 +490,9 @@ def test_validated_stacks_are_read_only_copies(cls):
     mesh = QuadratureMesh(rank=2, ids=ids, weights=weights, alphas=alphas)
     vals = np.stack([STACK_MAKERS[cls](rng, 2) for _ in range(2)])
     section = cls(mesh, vals)
-    # a metric section's eigenpair and roots as well
+    # a metric section's eigenpair as well
     for stored in (section.values, mesh.ids, mesh.weights, mesh.alphas,
-                   *getattr(section, "eig", ()), *getattr(section, "roots", ())):
+                   *getattr(section, "eig", ())):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = stored[1]
     for given in (vals, ids, weights, alphas):
@@ -501,28 +501,11 @@ def test_validated_stacks_are_read_only_copies(cls):
     assert not np.array_equal(section.values[0], section.values[1])
 
 
-def test_metric_section_builds_its_roots_once_on_first_use(counts):
+def test_metric_section_eigenpair_reconstructs_its_values():
+    # the section's one factorization: every op at h takes it
     rng = sampling.make_rng(6)
     mesh = sampling.random_mesh(rng, 3, 5)
-    vals = [sampling.random_posdef(rng, 3) for _ in range(10)]
-    counts.clear()
-    h1, h2 = MetricSection(mesh, vals[:5]), MetricSection(mesh, vals[5:])
-    # construction factors each section once and builds no roots
-    assert (counts["eig"], counts["roots"]) == (2, 0)
-    w, v = h1.eig
+    h = MetricSection(mesh, [sampling.random_posdef(rng, 3) for _ in range(5)])
+    w, v = h.eig
     np.testing.assert_allclose((v * w[:, None, :]) @ np.conj(v).swapaxes(-1, -2),
-                               h1.values, rtol=0, atol=1e-12)
-    # a distance takes its spectrum from h1's eigenpair and builds no roots
-    d = section_distance(h1, h2)
-    assert section_distance(h1, h2) == d
-    assert counts["roots"] == 0
-    # the inner product builds h1's; h2, only ever the far end, builds none
-    v = TangentSection(mesh, vals[5:])
-    l2_inner(h1, v, v)
-    l2_inner(h1, v, v)
-    assert counts["roots"] == 1
-    # h1's are held, and bit for bit the roots linalg factors anew
-    roots = h1.roots
-    assert h1.roots is roots and counts["roots"] == 1
-    for held, fresh in zip(roots, linalg._roots(h1.values)):
-        assert held.tobytes() == fresh.tobytes()
+                               h.values, rtol=0, atol=1e-12)

@@ -28,7 +28,6 @@ import hermgeo
 from hermgeo import linalg, sampling, sections
 from hermgeo.cli import main
 from hermgeo.errors import HermGeoError, ParameterError, WireFormatError
-from hermgeo.fiber import _frame
 from hermgeo.sections import (
     GaugeTransform,
     MetricSection,
@@ -38,8 +37,19 @@ from hermgeo.sections import (
 )
 
 
+def roots_frame(h, q):
+    """The endpoint frame from h to q by the roots route, which the frame
+    keeps bit for bit: the roots (h^{1/2}, h^{-1/2}) built from h's
+    eigenpair, q whitened by them as dense products, and the log of the
+    spectrum of that."""
+    hs, hsi = linalg._roots_from(*linalg._factor(h))
+    mu, u = np.linalg.eigh(linalg.hermitian_part(hsi @ q @ hsi))
+    return hs, u, np.log(mu), True
+
+
 def reference_csv(h1, h2, steps, stream):
-    """The per-entry csv.writer trace that write_geodesic_csv replaced."""
+    """The per-entry csv.writer trace that write_geodesic_csv replaced, on
+    the roots route's frame."""
     mesh = sections._same_mesh(h1, h2)
     r = mesh.rank
     header = ["t", "point_id"]
@@ -48,7 +58,7 @@ def reference_csv(h1, h2, steps, stream):
             header += [f"re_{i}{j}", f"im_{i}{j}"]
     writer = csv.writer(stream)
     writer.writerow(header)
-    frame = _frame(linalg._roots(h1.values), h2.values, endpoint=True)
+    frame = roots_frame(h1.values, h2.values)
     for k in range(steps):
         t = k / (steps - 1)
         m = sections._geodesic(h1.values, frame, t)
