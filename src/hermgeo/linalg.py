@@ -12,9 +12,10 @@ calling it.  ``_factor``'s eigendecomposition decides that p is positive
 definite; its eigenpair is a base point's one factorization.  ``_whiten``,
 the one congruence h^{-1/2} (.) h^{-1/2}, scales in that eigenbasis and
 refuses a product that overflows; a relative spectrum is the spectrum of
-a whitened matrix.  Only the matrix roots and a geodesic's frame build
-dense roots, by ``_roots_from``.  ``_positive`` is the one check that a
-spectrum, a matrix's own or a relative one, is positive.
+a whitened matrix.  Only a geodesic's frame builds both dense roots, by
+``_roots_from``; each matrix root recomposes its own alone.  ``_positive``
+is the one check that a spectrum, a matrix's own or a relative one, is
+positive.
 """
 
 from __future__ import annotations
@@ -208,12 +209,14 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-definite Hermitian matrix."""
-    return _roots_from(*_factor(hermitian(p, "p")))[0]
+    w, u = _factor(hermitian(p, "p"))
+    return _recompose(u, np.sqrt(w))
 
 
 def invsqrtm_posdef(p: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive-definite matrix."""
-    return _roots_from(*_factor(hermitian(p, "p")))[1]
+    w, u = _factor(hermitian(p, "p"))
+    return _recompose(u, 1.0 / np.sqrt(w))
 
 
 def expm_hermitian(a: np.ndarray) -> np.ndarray:

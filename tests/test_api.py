@@ -456,11 +456,11 @@ def test_only_linalg_fiber_and_section_construction_factor_roots():
 def test_only_frames_and_matrix_roots_build_dense_roots():
     """A base point carries one factorization, its eigenpair, and every
     kernel takes it.  The dense roots h^{1/2}, h^{-1/2} are built from it
-    only by a geodesic's frame and by the two public matrix roots."""
+    only by a geodesic's frame; each public matrix root recomposes its own
+    root alone."""
     calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.")
                      == "_roots_from")
-    assert {m: c for m, c in calls.items() if c} == {
-        "fiber": {"_frame"}, "linalg": {"sqrtm_posdef", "invsqrtm_posdef"}}
+    assert {m: c for m, c in calls.items() if c} == {"fiber": {"_frame"}}
 
 
 # the public section constructors validate their input: the package calls

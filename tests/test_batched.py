@@ -10,18 +10,19 @@ unvalidated kernels on their validated stacks: a cost model pins their
 eigensolve and validation counts per call, and a fuzz drives them past
 every guard.  The geodesic's endpoint frame is gated against the
 log-then-exp route it replaced, kept here in plain numpy, and against a
-40-digit mpmath reference; every frame is pinned bit for bit to the
-dense-roots route, also kept here in plain numpy.
+40-digit reference; every frame is pinned bit for bit to the dense-roots
+route, both from ``tests/reference.py``.
 """
 
 import csv
 import io
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from reference import (from_spectrum, hermitian_part, mp_apply, mp_eigh, mp_inverse, power,
+                       roots, roots_frame)
 
 from hermgeo import disk, fiber, linalg
 from hermgeo.completion import integrability_report
@@ -53,23 +54,13 @@ RANKS = (1, 2, 4, 8)
 SIZES = (1, 50)
 
 
-def _dagger(a):
-    return np.conj(a).swapaxes(-1, -2)
-
-
-def _from_spectrum(u, w):
-    m = (u * w[..., None, :]) @ _dagger(u)
-    return (m + _dagger(m)) / 2
-
-
 def _unitary(rng, n, r):
     g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
     return np.linalg.qr(g)[0]
 
 
-def _hermitian(rng, n, r, scale=1.0):
-    g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    return scale * (g + _dagger(g)) / 2
+def _hermitian(rng, n, r):
+    return hermitian_part(rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r)))
 
 
 # (largest condition number of p, centre of the log-spectrum of S)
@@ -92,12 +83,12 @@ def _case(rank, n, seed, regime):
     x[:, 0], x[:, -1] = -0.5, 0.5
     logs = spread[:, None] * x
     u = _unitary(rng, n, rank)
-    p = _from_spectrum(u, np.exp(logs))
-    p_half = _from_spectrum(u, np.exp(logs / 2))
+    p = from_spectrum(u, np.exp(logs))
+    p_half = from_spectrum(u, np.exp(logs / 2))
     s = centre + rng.uniform(-5.0, 5.0, (n, rank))
-    e = _from_spectrum(_unitary(rng, n, rank), np.exp(s))
+    e = from_spectrum(_unitary(rng, n, rank), np.exp(s))
     q = p_half @ e @ p_half
-    q = (q + _dagger(q)) / 2
+    q = hermitian_part(q)
     mesh = QuadratureMesh(rank=rank, ids=np.arange(n),
                           weights=rng.uniform(0.1, 2.0, n),
                           alphas=rng.uniform(-1.0 / rank + 0.01, 1.0, n))
@@ -154,21 +145,11 @@ def _old_route(p, q, t):
     """The geodesic route the endpoint frame replaced, in plain numpy: the
     log map a = p^{1/2} log(p^{-1/2} q p^{-1/2}) p^{1/2}, whitened again
     and exponentiated at t, p^{1/2} exp(t p^{-1/2} a p^{-1/2}) p^{1/2}."""
-    w, u = np.linalg.eigh(p)
-    ps, psi = _from_spectrum(u, np.sqrt(w)), _from_spectrum(u, 1.0 / np.sqrt(w))
-    w, u = np.linalg.eigh(_hermitian_part(psi @ q @ psi))
-    a = _hermitian_part(ps @ _from_spectrum(u, np.log(w)) @ ps)
-    w, u = np.linalg.eigh(t * _hermitian_part(psi @ a @ psi))
-    return _hermitian_part(ps @ _from_spectrum(u, np.exp(w)) @ ps)
-
-
-def _hermitian_part(a):
-    return (a + _dagger(a)) / 2
-
-
-def _roots(h):
-    """(h^{1/2}, h^{-1/2}) from h's eigenpair, as a geodesic's frame builds them."""
-    return linalg._roots_from(*linalg._factor(h))
+    ps, psi = roots(p)
+    w, u = np.linalg.eigh(hermitian_part(psi @ q @ psi))
+    a = hermitian_part(ps @ from_spectrum(u, np.log(w)) @ ps)
+    w, u = np.linalg.eigh(t * hermitian_part(psi @ a @ psi))
+    return hermitian_part(ps @ from_spectrum(u, np.exp(w)) @ ps)
 
 
 ROUTE_TIMES = (0.25, 0.5, 0.75)
@@ -182,15 +163,6 @@ def test_frame_route_matches_old_route(rank):
         _assert_stack(section_geodesic(h1, h2, t).values, _old_route(p, q, t))
 
 
-def _mp_geodesic(hs, m, t):
-    """hs m^t hs in 40 digits, from the float64 matrices hs and m."""
-    with mpmath.workdps(40):
-        mu, u = mpmath.eighe(mpmath.matrix(m.tolist()))
-        hs = mpmath.matrix(hs.tolist())
-        g = hs * u * mpmath.diag([x ** mpmath.mpf(t) for x in mu]) * u.transpose_conj() * hs
-        return np.array(g.tolist(), dtype=complex)
-
-
 @pytest.mark.parametrize("regime", ["ill", "guard"])
 @pytest.mark.parametrize("rank", [2, 4])
 def test_frame_route_no_further_from_reference(rank, regime):
@@ -202,26 +174,16 @@ def test_frame_route_no_further_from_reference(rank, regime):
     # from there in 40 digits.
     mesh, p, q, _ = _case(rank, 4, 120 + rank, regime)
     h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
-    hs, hsi = _roots(p)
-    m = linalg.hermitian_part(hsi @ q @ hsi)
+    hs, hsi = roots(p)
+    m = hermitian_part(hsi @ q @ hsi)
     errors = {"frame": [], "old": []}
     for t in ROUTE_TIMES:
-        want = np.stack([_mp_geodesic(hs[i], m[i], t) for i in range(len(p))])
+        want = np.stack([mp_apply(hs[i], *mp_eigh(m[i]), power(t)) for i in range(len(p))])
         scale = np.abs(want).max(axis=(-2, -1))
         for route, got in (("frame", section_geodesic(h1, h2, t).values),
                            ("old", _old_route(p, q, t))):
             errors[route].append(np.abs(got - want).max(axis=(-2, -1)) / scale)
     assert np.max(errors["frame"]) <= np.max(errors["old"])
-
-
-def _roots_route_frame(h, m):
-    """The geodesic frame (h^{1/2}, U, mu) from h along m by the roots
-    route, in plain numpy: the roots of h's eigh, m whitened by them as
-    dense products, and the eigh of that, U diag(mu) U^dagger."""
-    w, u = np.linalg.eigh(h)
-    hs, hsi = _from_spectrum(u, np.sqrt(w)), _from_spectrum(u, 1.0 / np.sqrt(w))
-    mu, u = np.linalg.eigh(_hermitian_part(hsi @ m @ hsi))
-    return hs, u, mu
 
 
 @pytest.mark.parametrize("regime", ["ill", "guard"])
@@ -232,17 +194,17 @@ def test_frames_are_bit_identical_to_the_roots_route(rank, regime):
     # exp/log roundtrip past its 1e-8 gate at some seeds
     mesh, p, q, _ = _case(rank, 50, 130 + rank, regime)
     h1, h2 = MetricSection(mesh, p), MetricSection(mesh, q)
-    hs, u, mu = _roots_route_frame(h1.values, h2.values)
+    hs, u, mu = roots_frame(h1.values, h2.values)
     lam = np.log(mu)
     a = fiber.log_map(h1.values, h2.values)
-    assert np.array_equal(a, _hermitian_part(hs @ _from_spectrum(u, lam) @ hs))
+    assert np.array_equal(a, hermitian_part(hs @ from_spectrum(u, lam) @ hs))
     for t in ROUTE_TIMES:
         assert np.array_equal(section_geodesic(h1, h2, t).values,
-                              _hermitian_part(hs @ _from_spectrum(u, np.exp(t * lam)) @ hs))
+                              hermitian_part(hs @ from_spectrum(u, np.exp(t * lam)) @ hs))
     # the velocity frame of the log map
-    hs, u, mu = _roots_route_frame(h1.values, a)
+    hs, u, mu = roots_frame(h1.values, a)
     assert np.array_equal(fiber.geodesic_eval(fiber.FiberGeodesic(h1.values, a), 0.5),
-                          _hermitian_part(hs @ _from_spectrum(u, np.exp(0.5 * mu)) @ hs))
+                          hermitian_part(hs @ from_spectrum(u, np.exp(0.5 * mu)) @ hs))
 
 
 @cases
@@ -274,12 +236,6 @@ def test_integrability_and_boundedness_match_point_loop(rank, n, regime):
     _assert_scalar(disk.boundedness_bound(sigma, MetricSection(mesh, p)), top, top)
 
 
-def _mp_inverse(p):
-    """The inverse of the float64 matrix p in 40 digits."""
-    with mpmath.workdps(40):
-        return np.array(mpmath.inverse(mpmath.matrix(p.tolist())).tolist(), dtype=complex)
-
-
 @cases
 def test_dual_section_matches_point_loop(rank, n, regime):
     mesh, p, _, _ = _case(rank, n, 60 * rank + n, regime)
@@ -291,7 +247,7 @@ def test_dual_section_matches_point_loop(rank, n, regime):
     # an inverse loses about cond * eps (1e-4 here), which swamps the
     # 1e-12 gate: the dual is gated against a 40-digit inverse instead,
     # no further from it than plain numpy's
-    want = np.stack([_mp_inverse(p[i]).T for i in range(n)])
+    want = np.stack([mp_inverse(p[i]).T for i in range(n)])
     scale = np.abs(want).max(axis=(-2, -1))
 
     def error(x):
@@ -385,7 +341,7 @@ def _eigvalsh_sees_nonpositive(seed=0):
     rng = np.random.default_rng(seed)
     while True:
         w = np.array([10.0 ** rng.uniform(-17.5, -15.5), *rng.uniform(0.5, 2.0, 2)])
-        p = _from_spectrum(_unitary(rng, 1, 3)[0], w)
+        p = from_spectrum(_unitary(rng, 1, 3)[0], w)
         if np.linalg.eigh(p)[0][0] > 0 >= np.linalg.eigvalsh(p)[0]:
             return p
 
@@ -473,7 +429,7 @@ def _metric_pair(draw):
         x = np.sort(rng.uniform(-0.5, 0.5, (n, rank)), axis=-1)
         if rank > 1:
             x[:, 0], x[:, -1] = -0.5, 0.5
-        stacks.append(_from_spectrum(_unitary(rng, n, rank), np.exp(centre + spread * x)))
+        stacks.append(from_spectrum(_unitary(rng, n, rank), np.exp(centre + spread * x)))
     return mesh, stacks[0], stacks[1]
 
 

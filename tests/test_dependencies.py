@@ -64,3 +64,12 @@ def test_package_imports_only_numpy_and_the_standard_library():
              for module, line in _imports(path)
              if module != "numpy" and module not in sys.stdlib_module_names]
     assert not found
+
+
+def test_references_stay_independent_of_the_package():
+    """tests/reference.py imports no hermgeo name, and no other test module imports mpmath."""
+    assert "mpmath" in dict(_imports(ROOT / "tests" / "reference.py"))
+    found = [f"{path.relative_to(ROOT)}:{line} imports {module}"
+             for path in sorted((ROOT / "tests").glob("*.py")) for module, line in _imports(path)
+             if module == ("hermgeo" if path.stem == "reference" else "mpmath")]
+    assert not found

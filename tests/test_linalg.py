@@ -1,8 +1,9 @@
-import functools
+"""The linear algebra kernel, and an accuracy table of the ops built on it;
+the references (wide pairs, roots route, 40 digits) are tests/reference.py's."""
 
-import mpmath
 import numpy as np
 import pytest
+import reference
 
 from hermgeo import fiber, linalg
 from hermgeo.errors import (
@@ -83,7 +84,7 @@ def test_eig_trace_det_consistency():
     for _ in range(20):
         r = int(rng.integers(2, 7))
         a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        a = (a + a.conj().T) / 2
+        a = reference.hermitian_part(a)
         w, _ = linalg.eig_hermitian(a)
         assert abs(w.sum() - np.trace(a).real) <= 1e-10 * max(1, abs(w).sum())
         det = np.linalg.det(a).real
@@ -112,7 +113,7 @@ def test_expm():
 def test_expm_series_oracle():
     rng = np.random.Generator(np.random.Philox(12))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = (a + a.conj().T) / 2
+    a = reference.hermitian_part(a)
     series = np.eye(3, dtype=complex)
     term = np.eye(3, dtype=complex)
     for k in range(1, 40):
@@ -142,7 +143,7 @@ def test_exp_log_roundtrip():
     for _ in range(20):
         r = int(rng.integers(2, 6))
         a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        a = (a + a.conj().T) / 2
+        a = reference.hermitian_part(a)
         a *= min(1.0, 50.0 / np.linalg.norm(a))
         back = linalg.logm_posdef(linalg.expm_hermitian(a))
         assert np.linalg.norm(back - a) / max(np.linalg.norm(a), 1) < 1e-9
@@ -164,9 +165,9 @@ def test_relative_spectrum_det_and_reciprocity():
     rng = np.random.Generator(np.random.Philox(14))
     for _ in range(20):
         r = int(rng.integers(2, 5))
-        p = linalg.expm_hermitian((lambda m: (m + m.conj().T) / 2)(
+        p = linalg.expm_hermitian(reference.hermitian_part(
             rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))))
-        q = linalg.expm_hermitian((lambda m: (m + m.conj().T) / 2)(
+        q = linalg.expm_hermitian(reference.hermitian_part(
             rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))))
         lam = linalg.relative_spectrum(p, q)
         ratio = np.linalg.det(q).real / np.linalg.det(p).real
@@ -227,7 +228,7 @@ def _near_singular_draws(n=20000, seed=0):
         u = np.linalg.qr(g)[0]
         w = rng.uniform(0.5, 2.0, (k, r))
         w[:, 0] = 10.0 ** rng.uniform(-17.5, -15.5, k)
-        stacks.append(linalg.hermitian_part((u * w[:, None, :]) @ np.conj(u).swapaxes(-1, -2)))
+        stacks.append(reference.from_spectrum(u, w))
     return stacks
 
 
@@ -295,98 +296,165 @@ def test_near_singular_sections_raise_at_construction_or_stay_finite():
     assert accepted > 10000
 
 
-def _wide_pairs(n=60, seed=113, spread=13.0):
-    """n rank-4 pairs (p, q), drawn one matrix after the other, each with
-    Haar eigenvectors and log-eigenvalues uniform in +-spread, so that
-    some relative spectra span more than float64 resolves."""
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(2 * n):
-        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        mats.append((u * np.exp(rng.uniform(-spread, spread, 4))) @ np.conj(u).T)
-    return np.array(mats[0::2]), np.array(mats[1::2])
-
-
-@functools.cache
-def _reference(spread=13.0):
-    """The Hermitian parts of ``_wide_pairs(spread=spread)``, the matrices
-    every op takes, and the ascending spectrum of p^{-1} q of each pair in
-    40 digits, from the Cholesky factor L of p: the eigenvalues of
-    L^{-1} q L^{-dagger}, the stored matrices taken as exact."""
-    p, q = (linalg.hermitian(m) for m in _wide_pairs(spread=spread))
-    spectra = []
-    with mpmath.workdps(40):
-        for pk, qk in zip(p, q):
-            li = mpmath.cholesky(mpmath.matrix(pk.tolist())) ** -1
-            m = li * mpmath.matrix(qk.tolist()) * li.transpose_conj()
-            mu = mpmath.eighe((m + m.transpose_conj()) / 2, eigvals_only=True)
-            spectra.append(sorted(float(x) for x in mu))
-    return p, q, np.array(spectra)
-
-
-def _roots_route(p, q):
-    """The relative spectrum by the route this package took before: the
-    eigenvalues of p^{-1/2} q p^{-1/2}, whitened by the recomposed root."""
-    w, u = np.linalg.eigh(p)
-    psi = linalg.hermitian_part((u / np.sqrt(w)[..., None, :]) @ np.conj(u).swapaxes(-1, -2))
-    return np.linalg.eigvalsh(linalg.hermitian_part(psi @ q @ psi))
-
-
 def _rel_err(lam, want):
     """The largest relative error over the eigenvalues of each spectrum."""
     return (np.abs(lam - want) / want).max(axis=-1)
 
 
-# per log-spread s of the 60 _wide_pairs: the bounds on the largest and
-# the median relative spectrum error of the eigenbasis route.  Measured:
-# s = 3: 5.4e-14 and 5.7e-15; s = 6: 1.0e-11 and 2.4e-13; s = 9: 2.3e-9
-# and 2.2e-11; s = 13: 8.1e-6 and 5.5e-9.  The roots route's, over the
-# pairs it answers, are 4.8e-13 and 1.5e-14; 9.4e-9 and 1.3e-11; 9.0e-5
-# and 1.1e-8; 8.7 and 4.2e-5, and it refuses 6 pairs at s = 13
-SPECTRUM_BOUNDS = {3.0: (2e-13, 2e-14), 6.0: (4e-11, 1e-12), 9.0: (1e-8, 1e-10),
-                   13.0: (3e-5, 3e-8)}
+SPREADS = (3.0, 6.0, 9.0, 13.0)
+# exp at h and the eigenvalues need a 40-digit eigh of their own per pair,
+# so they take the first pairs only, and the table adds under 2 s to
+# tier-1; the other ops take all 60, which share wide_reference's eigh
+OWN_EIGH_PAIRS = {"exp_at_h": 6, "eigenvalues": 10}
 
 
-@pytest.mark.parametrize("spread", sorted(SPECTRUM_BOUNDS))
+def _geodesic_point(p, q):
+    """The midpoint of the geodesic from p to q, by the endpoint frame that
+    section_geodesic and the CSV take."""
+    return fiber._geodesic(p, fiber._frame(linalg._factor(p), q, endpoint=True), 0.5)
+
+
+def _exp_case(p, q, frame):
+    """The reference log map v, rounded to float64, and exp at p of v."""
+    v = reference.hermitian_part(reference.mp_apply(*frame, reference.log))
+    l, (m,) = reference.mp_whiten(p, v)
+    return v, reference.mp_apply(l, *reference.mp_eigh(m), reference.exp)
+
+
+# op: (the package's op on (p, x); per pair, the input x and the 40-digit
+# answer, from the pair and its reference frame (L, mu, U))
+ACCURACY_OPS = {
+    "relative_spectrum": (linalg.relative_spectrum,
+                          lambda p, q, f: (q, reference.floats(f[1]))),
+    "fiber_distance": (lambda p, q: fiber.fiber_distance(p, q, 0.0),
+                       lambda p, q, f: (q, reference.mp_distance(f[1]))),
+    "log_map": (fiber.log_map, lambda p, q, f: (q, reference.mp_apply(*f, reference.log))),
+    "geodesic_point": (_geodesic_point,
+                       lambda p, q, f: (q, reference.mp_apply(*f, reference.power(0.5)))),
+    "exp_at_h": (lambda p, v: fiber.geodesic_eval(fiber.FiberGeodesic(p, v), 1.0), _exp_case),
+    "eigenvalues": (lambda p, q: linalg.eig_hermitian(q)[0],
+                    lambda p, q, f: (q, reference.floats(reference.mp_eigh(q)[0]))),
+}
+
+# ACCURACY_BOUNDS[op][rank][s] = (largest error, median error, refused
+# pairs) over the wide pairs of that rank and log-spread s.  Each error
+# bound is three times the one measured, rounded up to one digit; the
+# refusals are those measured.  The rank-4 relative spectrum row is the
+# one its eigenbasis route has kept since it replaced the roots route
+# (test_relative_spectrum_matches_a_40_digit_reference).  The frames of
+# the log map, the geodesic point and exp at h whiten by the dense roots:
+# theirs are the largest errors (1.4e-3 for the geodesic point at rank 3,
+# s = 9), and the log map and the geodesic point refuse 1, 13 and 26
+# pairs at ranks 2, 3 and 4, s = 13
+ACCURACY_BOUNDS = {
+    "relative_spectrum": {
+        2: {3.0: (6e-14, 2e-15, 0), 6.0: (8e-12, 8e-15, 0),
+            9.0: (2e-9, 2e-13, 0), 13.0: (6e-6, 2e-12, 0)},
+        3: {3.0: (2e-13, 1e-14, 0), 6.0: (5e-11, 3e-13, 0),
+            9.0: (8e-9, 1e-11, 0), 13.0: (3e-5, 2e-9, 0)},
+        4: {3.0: (2e-13, 2e-14, 0), 6.0: (4e-11, 1e-12, 0),
+            9.0: (1e-8, 1e-10, 0), 13.0: (3e-5, 3e-8, 0)},
+    },
+    "fiber_distance": {
+        2: {3.0: (2e-14, 6e-16, 0), 6.0: (7e-13, 7e-16, 0),
+            9.0: (5e-11, 5e-15, 0), 13.0: (3e-7, 9e-14, 0)},
+        3: {3.0: (4e-14, 2e-15, 0), 6.0: (4e-12, 2e-14, 0),
+            9.0: (4e-10, 4e-13, 0), 13.0: (5e-7, 5e-11, 0)},
+        4: {3.0: (3e-14, 2e-15, 0), 6.0: (2e-12, 4e-14, 0),
+            9.0: (4e-10, 2e-12, 0), 13.0: (4e-7, 4e-10, 0)},
+    },
+    "log_map": {
+        2: {3.0: (1e-13, 3e-15, 0), 6.0: (2e-11, 7e-15, 0),
+            9.0: (2e-7, 2e-13, 0), 13.0: (2e-3, 1e-11, 1)},
+        3: {3.0: (4e-13, 2e-14, 0), 6.0: (2e-8, 2e-12, 0),
+            9.0: (3e-3, 6e-10, 0), 13.0: (6e-4, 5e-8, 13)},
+        4: {3.0: (5e-13, 3e-14, 0), 6.0: (3e-9, 7e-12, 0),
+            9.0: (2e-5, 1e-8, 0), 13.0: (5e-4, 3e-7, 26)},
+    },
+    "geodesic_point": {
+        2: {3.0: (5e-14, 3e-15, 0), 6.0: (7e-12, 6e-15, 0),
+            9.0: (4e-7, 2e-13, 0), 13.0: (3e-5, 6e-12, 1)},
+        3: {3.0: (3e-13, 8e-15, 0), 6.0: (3e-8, 2e-12, 0),
+            9.0: (5e-3, 5e-10, 0), 13.0: (3e-4, 2e-8, 13)},
+        4: {3.0: (7e-13, 2e-14, 0), 6.0: (2e-9, 5e-12, 0),
+            9.0: (4e-5, 8e-9, 0), 13.0: (2e-3, 2e-7, 26)},
+    },
+    "exp_at_h": {
+        2: {3.0: (7e-14, 2e-14, 0), 6.0: (2e-11, 3e-13, 0),
+            9.0: (2e-8, 9e-12, 0), 13.0: (2e-4, 2e-8, 0)},
+        3: {3.0: (3e-14, 2e-14, 0), 6.0: (9e-12, 2e-12, 0),
+            9.0: (2e-9, 9e-11, 0), 13.0: (1e-5, 3e-8, 0)},
+        4: {3.0: (9e-14, 2e-14, 0), 6.0: (2e-11, 7e-13, 0),
+            9.0: (5e-8, 3e-11, 0), 13.0: (2e-4, 2e-8, 0)},
+    },
+    "eigenvalues": {
+        2: {3.0: (6e-14, 8e-16, 0), 6.0: (9e-12, 4e-15, 0),
+            9.0: (1e-9, 3e-14, 0), 13.0: (6e-7, 4e-14, 0)},
+        3: {3.0: (4e-14, 5e-15, 0), 6.0: (4e-11, 2e-13, 0),
+            9.0: (3e-8, 7e-12, 0), 13.0: (1e-5, 3e-10, 0)},
+        4: {3.0: (9e-14, 4e-15, 0), 6.0: (2e-11, 3e-13, 0),
+            9.0: (3e-9, 1e-11, 0), 13.0: (2e-6, 3e-10, 0)},
+    },
+}
+
+
+def _accuracy_err(got, want):
+    """The relative Frobenius error of a matrix; the largest entry-relative
+    error of a spectrum or a distance."""
+    if np.ndim(want) == 2:
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+    return np.max(np.abs(got - want) / want)
+
+
+@pytest.mark.parametrize("spread", SPREADS)
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("op", sorted(ACCURACY_OPS))
+def test_accuracy_against_a_40_digit_reference(op, rank, spread):
+    # on the wide pairs of each rank and log-spread: the largest and the
+    # median error over the pairs the op answers, and the number of pairs
+    # it judges beyond float64 resolution
+    fn, case = ACCURACY_OPS[op]
+    p, q, _, frames = reference.wide_reference(rank, spread)
+    errors, refused = [], 0
+    for k in range(OWN_EIGH_PAIRS.get(op, len(p))):
+        x, want = case(p[k], q[k], frames[k])
+        try:
+            errors.append(_accuracy_err(fn(p[k], x), want))
+        except IllConditionedError:
+            refused += 1
+    top, mid, most = ACCURACY_BOUNDS[op][rank][spread]
+    assert max(errors) <= top and np.median(errors) <= mid and refused <= most
+
+
+@pytest.mark.parametrize("spread", SPREADS)
 def test_relative_spectrum_matches_a_40_digit_reference(spread):
     # a diagonal scaling in p's eigenbasis keeps the relative accuracy that
     # the recomposed root p^{-1/2} loses to the mixing of p's scales
-    p, q, want = _reference(spread)
+    p, q, want, _ = reference.wide_reference(4, spread)
     err = _rel_err(linalg.relative_spectrum(p, q), want)
-    top, mid = SPECTRUM_BOUNDS[spread]
+    top, mid, _ = ACCURACY_BOUNDS["relative_spectrum"][4][spread]
     assert err.max() <= top and np.median(err) <= mid
-    old = _roots_route(p, q)
+    # the route this package took before: the eigenvalues of
+    # p^{-1/2} q p^{-1/2}, whitened by the recomposed root: errs up to 8.9e-5
+    # at s = 9 and 8.7 at s = 13, where it refuses 6 pairs
+    psi = reference.roots(p)[1]
+    old = np.linalg.eigvalsh(reference.hermitian_part(psi @ q @ psi))
     answered = old[:, 0] > 0
     old_err = _rel_err(old[answered], want[answered])
     assert err[answered].max() <= old_err.max()
     assert np.median(err[answered]) <= np.median(old_err)
 
 
-WIDE_PAIR_OPS = {
-    "relative_spectrum": linalg.relative_spectrum,
-    "fiber_distance": lambda p, q: fiber.fiber_distance(p, q, 0.0),
-    "log_map": fiber.log_map,
-}
-
-
-def _reference_value(name, want):
-    """What an op of WIDE_PAIR_OPS returns on exact arithmetic, from the
-    reference spectra; None for the log map."""
-    return {"relative_spectrum": want,
-            "fiber_distance": np.sqrt((np.log(want) ** 2).sum(axis=-1))}.get(name)
-
-
-@pytest.mark.parametrize("name", sorted(WIDE_PAIR_OPS))
+@pytest.mark.parametrize("name", ["fiber_distance", "log_map", "relative_spectrum"])
 def test_positive_definite_pairs_are_never_called_indefinite(name):
     # pair 12's spectrum, whitened by the roots, reaches -1.559e-08 in
     # eigvalsh (-4.560e-09 in the log map's eigh) although q's smallest
     # eigenvalue is 2.8e-05; the spectra, taken in p's eigenbasis, are all
-    # positive and within SPECTRUM_BOUNDS of the reference.  The log map
+    # positive and within the rank-4 bounds of the reference.  The log map
     # keeps the roots and judges pair 12 beyond float64 resolution
-    op = WIDE_PAIR_OPS[name]
-    p, q, want = _reference()
-    reference = _reference_value(name, want)
-    if reference is None:
+    op, case = ACCURACY_OPS[name]
+    p, q, _, frames = reference.wide_reference(4, 13.0)
+    if name == "log_map":
         refused = []
         for k in range(len(p)):
             try:
@@ -397,10 +465,11 @@ def test_positive_definite_pairs_are_never_called_indefinite(name):
         with pytest.raises(IllConditionedError, match="^at index 12: relative spectrum reaches"):
             op(p, q)
     else:
-        top = SPECTRUM_BOUNDS[13.0][0]
+        top = ACCURACY_BOUNDS["relative_spectrum"][4][13.0][0]
+        want = np.array([case(p[k], q[k], frames[k])[1] for k in range(len(p))])
         for got in (op(p, q), np.array([op(p[k], q[k]) for k in range(len(p))])):
             assert np.all(got > 0)
-            assert np.all(np.abs(got - reference) <= top * reference)
+            assert np.all(np.abs(got - want) <= top * want)
     with pytest.raises(NotPositiveDefiniteError, match="^smallest eigenvalue -5.000e-01 <= 0$"):
         op(np.eye(2), np.diag([1.0, -0.5]))
     # a stack is judged at its first nonpositive point
@@ -409,9 +478,9 @@ def test_positive_definite_pairs_are_never_called_indefinite(name):
 
 
 def _wide_sections():
-    p, q, want = _reference()
+    p, q, want, frames = reference.wide_reference(4, 13.0)
     mesh = QuadratureMesh(rank=4, ids=np.arange(60), weights=np.ones(60), alphas=np.zeros(60))
-    return MetricSection(mesh, p), MetricSection(mesh, q), want
+    return MetricSection(mesh, p), MetricSection(mesh, q), want, frames
 
 
 @pytest.mark.parametrize("op", [
@@ -422,18 +491,18 @@ def test_sections_of_wide_pairs_are_refused_as_ill_conditioned(op):
     # both constructions decide that their matrices are positive definite;
     # the geodesic frames, whitened by the roots, judge pair 12 beyond
     # float64 resolution, and nothing contradicts the constructions
-    h1, h2, _ = _wide_sections()
+    h1, h2, _, _ = _wide_sections()
     with pytest.raises(IllConditionedError, match="^point id 12: relative spectrum reaches"):
         op(h1, h2)
 
 
 def test_section_distance_of_wide_pairs_matches_the_reference():
     # the spectra from h1's eigenpair: every pair answered, none refused
-    h1, h2, want = _wide_sections()
-    top = SPECTRUM_BOUNDS[13.0][0]
+    h1, h2, want, frames = _wide_sections()
+    top = ACCURACY_BOUNDS["relative_spectrum"][4][13.0][0]
     lam = _relative_spectra(h1, h2)[1]
     assert np.all(lam > 0) and np.all(np.abs(lam - want) <= top * want)
-    d = np.sqrt((np.log(want) ** 2).sum(axis=-1))
+    d = np.array([reference.mp_distance(mu) for _, mu, _ in frames])
     assert section_distance(h1, h2) == pytest.approx(np.sqrt((d**2).sum()), rel=top)
 
 

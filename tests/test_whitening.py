@@ -4,16 +4,17 @@ dense-roots route they replaced.
 ``linalg._whiten`` takes the eigenpair h = V diag(w) V^dagger that decided
 h and scales V^dagger v V by D^{-1/2} = diag(w)^{-1/2} on both sides.  The
 route it replaced recomposed the dense root h^{-1/2} and formed
-h^{-1/2} v h^{-1/2}; it is kept here in plain numpy as the reference.  On
-seeded stacks of ranks 2-4 whose log-spectra spread from 3 up to the
-condition guard, each moved kernel agrees with it within ``AGREEMENT``
-times cond(h) eps, on a scale stated per kernel.  Against a 40-digit
-inner product, the two routes' largest and median errors agree.
+h^{-1/2} v h^{-1/2}; it is kept here in plain numpy as the reference, on
+the roots of ``tests/reference.py``.  On seeded stacks of ranks 2-4 whose
+log-spectra spread from 3 up to the condition guard, each moved kernel
+agrees with it within ``AGREEMENT`` times cond(h) eps, on a scale stated
+per kernel.  Against the 40-digit inner product of ``tests/reference.py``,
+the two routes' largest and median errors agree.
 """
 
-import mpmath
 import numpy as np
 import pytest
+from reference import from_spectrum, hermitian_part, mp_inner, roots
 
 from hermgeo import fiber, linalg
 from hermgeo.sections import MetricSection, QuadratureMesh, TangentSection, l2_inner
@@ -29,14 +30,6 @@ SPREADS = (3.0, 6.0, 9.0, 13.0, 0.99 * np.log(linalg.COND_GUARD) / 2)
 AGREEMENT = 16.0
 
 
-def _dagger(a):
-    return np.conj(a).swapaxes(-1, -2)
-
-
-def _hermitian_part(a):
-    return (a + _dagger(a)) / 2
-
-
 def _trace(a):
     return np.trace(a, axis1=-2, axis2=-1).real
 
@@ -49,17 +42,10 @@ def _draw(rank, spread, n, seed):
     u = np.linalg.qr(g)[0]
     logs = rng.uniform(-spread, spread, (n, rank))
     logs[0, 0], logs[0, -1] = -spread, spread
-    h = _hermitian_part((u * np.exp(logs)[..., None, :]) @ _dagger(u))
+    h = from_spectrum(u, np.exp(logs))
     g = rng.standard_normal((4, n, rank, rank)) + 1j * rng.standard_normal((4, n, rank, rank))
     alpha = rng.uniform(-1.0 / rank + 0.01, 1.0, n)
-    return h, _hermitian_part(g), alpha
-
-
-def _roots(h):
-    """(h^{1/2}, h^{-1/2}), recomposed from h's eigh."""
-    w, u = np.linalg.eigh(h)
-    s = np.sqrt(w)[..., None, :]
-    return _hermitian_part((u * s) @ _dagger(u)), _hermitian_part((u / s) @ _dagger(u))
+    return h, hermitian_part(g), alpha
 
 
 def _inner(vw, ww, alpha):
@@ -67,20 +53,20 @@ def _inner(vw, ww, alpha):
 
 
 def _roots_inner(h, v, w, alpha):
-    hsi = _roots(h)[1]
-    return _inner(_hermitian_part(hsi @ v @ hsi), _hermitian_part(hsi @ w @ hsi), alpha)
+    hsi = roots(h)[1]
+    return _inner(hermitian_part(hsi @ v @ hsi), hermitian_part(hsi @ w @ hsi), alpha)
 
 
 def _roots_curvature(h, u, v, w):
-    hs, hsi = _roots(h)
-    up, vp, wp = (_hermitian_part(hsi @ x @ hsi) for x in (u, v, w))
+    hs, hsi = roots(h)
+    up, vp, wp = (hermitian_part(hsi @ x @ hsi) for x in (u, v, w))
     k = up @ vp - vp @ up
-    return _hermitian_part(-0.25 * (hs @ (k @ wp - wp @ k) @ hs))
+    return hermitian_part(-0.25 * (hs @ (k @ wp - wp @ k) @ hs))
 
 
 def _roots_sectional(h, u, v, alpha):
-    hsi = _roots(h)[1]
-    up, vp = _hermitian_part(hsi @ u @ hsi), _hermitian_part(hsi @ v @ hsi)
+    hsi = roots(h)[1]
+    up, vp = hermitian_part(hsi @ u @ hsi), hermitian_part(hsi @ v @ hsi)
     uu = _inner(up, up, alpha)
     wp = vp - (_inner(up, vp, alpha) / uu)[..., None, None] * up
     up = up / np.sqrt(uu)[..., None, None]
@@ -90,8 +76,8 @@ def _roots_sectional(h, u, v, alpha):
 
 
 def _roots_spray(h, v, w):
-    hsi = _roots(h)[1]
-    return _hermitian_part(v @ hsi @ hsi @ w)
+    hsi = roots(h)[1]
+    return hermitian_part(v @ hsi @ hsi @ w)
 
 
 def _norm(a):
@@ -130,23 +116,6 @@ def test_eigenbasis_kernels_agree_with_the_roots_route(rank, spread):
     assert np.all(_norm(got - _roots_spray(h, v, w)) <= bound * _norm(v) * _norm(w) / lam[:, 0])
 
 
-def _mp_inner(h, v, w, alpha):
-    """alpha_inner of each triple in 40 digits, the stored float64
-    matrices taken as exact, and its Cauchy-Schwarz scale
-    (tr (h^{-1}v)^2 tr (h^{-1}w)^2)^{1/2}."""
-    out = []
-    with mpmath.workdps(40):
-        for hk, vk, wk, ak in zip(h, v, w, alpha):
-            hi = mpmath.inverse(mpmath.matrix(hk.tolist()))
-            x, y = hi * mpmath.matrix(vk.tolist()), hi * mpmath.matrix(wk.tolist())
-
-            def tr(m):
-                return sum(m[i, i] for i in range(m.rows)).real
-            out.append((float(tr(x * y) + ak * tr(x) * tr(y)),
-                        float(mpmath.sqrt(tr(x * x) * tr(y * y)))))
-    return np.array(out).T
-
-
 # the two routes share h's eigendecomposition, whose rounding sets the
 # error; they part only in the last digits, so the eigenbasis route's max
 # and median may exceed the roots route's by at most this factor.  The
@@ -159,7 +128,7 @@ MP_FACTOR = 1.1
 @pytest.mark.parametrize("spread", SPREADS[:4])
 def test_alpha_inner_matches_a_40_digit_reference(spread):
     h, (_, v, w, _), alpha = _draw(4, spread, 60, 113)
-    want, scale = _mp_inner(h, v, w, alpha)
+    want, scale = np.array([mp_inner(*x) for x in zip(h, v, w, alpha)]).T
     err = np.abs(fiber.alpha_inner(h, v, w, alpha) - want) / scale
     old = np.abs(_roots_inner(h, v, w, alpha) - want) / scale
     assert err.max() <= MP_FACTOR * old.max()

@@ -7,7 +7,7 @@ per-entry code they replaced.
 bytes and the parsed stacks and mesh hashes must be equal to it, not
 close.  A fuzz feeds the wire read arbitrary JSON and mutated sections:
 the answer is a section or a HermGeoError, never another exception or a
-non-finite value.
+non-finite value.  The roots route's frame comes from ``tests/reference.py``.
 """
 
 import contextlib
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from reference import roots_frame
 
 import hermgeo
 from hermgeo import linalg, sampling, sections
@@ -37,19 +38,10 @@ from hermgeo.sections import (
 )
 
 
-def roots_frame(h, q):
-    """The endpoint frame from h to q by the roots route, which the frame
-    keeps bit for bit: the roots (h^{1/2}, h^{-1/2}) built from h's
-    eigenpair, q whitened by them as dense products, and the log of the
-    spectrum of that."""
-    hs, hsi = linalg._roots_from(*linalg._factor(h))
-    mu, u = np.linalg.eigh(linalg.hermitian_part(hsi @ q @ hsi))
-    return hs, u, np.log(mu), True
-
-
 def reference_csv(h1, h2, steps, stream):
     """The per-entry csv.writer trace that write_geodesic_csv replaced, on
-    the roots route's frame."""
+    the endpoint frame of the roots route, which the frame keeps bit for
+    bit."""
     mesh = sections._same_mesh(h1, h2)
     r = mesh.rank
     header = ["t", "point_id"]
@@ -58,7 +50,8 @@ def reference_csv(h1, h2, steps, stream):
             header += [f"re_{i}{j}", f"im_{i}{j}"]
     writer = csv.writer(stream)
     writer.writerow(header)
-    frame = roots_frame(h1.values, h2.values)
+    hs, u, mu = roots_frame(h1.values, h2.values)
+    frame = hs, u, np.log(mu), True
     for k in range(steps):
         t = k / (steps - 1)
         m = sections._geodesic(h1.values, frame, t)
