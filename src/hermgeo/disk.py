@@ -98,23 +98,38 @@ class DiskMesh:
                               alphas=np.full(n, check_alpha(alpha, rank, (n,))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values at disk cell centers, shaped (n_r, n_theta)."""
+    """Real values at disk cell centers, shaped (n_r, n_theta).
+
+    The values are held once, in a seam-padded buffer of shape
+    (n_r + 1, n_theta + 2): each row starts with its last angle and ends
+    with its first, and row 0 repeats the last row (the row the bilinear
+    kernel reads at n_r = 1), so every corner the kernel reads sits at a
+    fixed offset from one flat index.  ``values`` is the read-only
+    (n_r, n_theta) view of the buffer's interior.  Equality is identity,
+    as for any object holding an array.
+    """
 
     mesh: DiskMesh
     values: np.ndarray
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = check_floats(self.values, "values").copy()  # frozen below
+        values = check_floats(self.values, "values")
         if values.shape != (self.mesh.n_r, self.mesh.n_theta):
             raise DimensionError(
                 f"values shape {values.shape} != "
                 f"({self.mesh.n_r}, {self.mesh.n_theta})")
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("grid function has non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        padded = np.empty((self.mesh.n_r + 1, self.mesh.n_theta + 2))
+        padded[1:, 1:-1] = values
+        padded[1:, 0], padded[1:, -1] = values[:, -1], values[:, 0]
+        padded[0] = padded[-1]
+        padded.flags.writeable = False
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "values", padded[1:, 1:-1])
 
     @classmethod
     def from_callable(cls, mesh: DiskMesh, fn) -> "GridFunction":
@@ -130,34 +145,46 @@ class GridFunction:
 
     def interpolate(self, z) -> np.ndarray:
         """Bilinear interpolation in (r, theta) with angular wraparound, at
-        points z of the closed unit disk.  A non-finite z raises
-        NonFiniteError, a z with |z| > 1 ParameterError."""
+        points z of the closed unit disk, of z's shape (a float for a
+        scalar z).  A non-finite z raises NonFiniteError, a z with |z| > 1
+        ParameterError."""
         z = check_floats(z, "z", complex)
         reject(~np.isfinite(z), NonFiniteError, lambda k: f"z={z[k]}: not finite")
         r = np.abs(z)
         reject(r > 1.0, ParameterError, lambda k: f"z={z[k]}: off the closed unit disk")
-        return self._bilinear(r, np.angle(z))
+        # the kernel consumes its inputs: fresh 1-d arrays, a scalar's too
+        out = self._bilinear(np.ravel(r), np.ravel(np.arctan2(z.imag, z.real)))
+        return out.reshape(z.shape)[()]
 
     def _bilinear(self, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        """The interpolation at polar coordinates r = |z|, ang = angle(z)."""
+        """The interpolation at polar coordinates r = |z| and ang = angle(z)
+        in [-pi, pi], arrays of one shape, which it overwrites."""
         mesh = self.mesh
-        # ang lies in [-pi, pi]: as np.mod(ang, 2 pi), bit for bit, -0.0 too
-        th = ang + 2 * np.pi * (ang < 0)
-        fi = r / mesh.dr - 0.5
-        i0 = np.clip(np.floor(fi).astype(int), 0, mesh.n_r - 2)
-        ti = fi - i0
-        fj = th / mesh.dtheta - 0.5
-        j0 = np.floor(fj).astype(int)
-        tj = fj - j0
-        # j0 lies in -1 .. n_theta - 1; wrap it and j0 + 1 into the grid
-        n = mesh.n_theta
-        j0 += n * (j0 < 0)
-        j1 = j0 + 1 - n * (j0 == n - 1)
-        # flat gathers; at n_r = 1, i0 = -1 and row -1 is row 0
-        v = self.values.ravel()
-        k0, k1 = i0 * n + j0, i0 * n + j1
-        return ((1 - ti) * (1 - tj) * v[k0] + (1 - ti) * tj * v[k1]
-                + ti * (1 - tj) * v[k0 + n] + ti * tj * v[k1 + n])
+        # ang + 2 pi where ang < 0, so fj is np.mod(ang, 2 pi)'s, bit for bit
+        np.add(ang, 2 * np.pi, out=ang, where=ang < 0)
+        fj = np.subtract(np.divide(ang, mesh.dtheta, out=ang), 0.5, out=ang)
+        fi = np.subtract(np.divide(r, mesh.dr, out=r), 0.5, out=r)
+        # the clipped floors, as floats: i0 is -1 at n_r = 1 and j0 lies in
+        # -1 .. n_theta - 1, so the corner (i0, j0) is padded (i0 + 1, j0 + 1)
+        i0 = np.minimum(np.maximum(np.floor(fi), 0), mesh.n_r - 2)
+        j0 = np.floor(fj)
+        ti, tj = np.subtract(fi, i0, out=fi), np.subtract(fj, j0, out=fj)
+        # that corner as one flat index k; the other three corners are k in
+        # the flat buffer shifted by one column, one row, and both
+        width = mesh.n_theta + 2
+        i0 *= width
+        i0 += j0
+        i0 += width + 1
+        k = i0.astype(np.intp)
+        v = self._padded.ravel()
+        si, sj = 1 - ti, 1 - tj
+        out, part = si * sj, np.empty_like(si)
+        out *= v[k]
+        for a, b, shift in ((si, tj, 1), (ti, sj, width), (ti, tj, width + 1)):
+            np.multiply(a, b, out=part)
+            part *= v[shift:][k]
+            out += part
+        return out
 
 
 def raufi_matrix(z) -> np.ndarray:
@@ -290,9 +317,9 @@ def psh_check(u: GridFunction, radii) -> PshReport:
 
     The circles of each radius are evaluated over blocks of PSH_BLOCK
     centres, so their temporaries are O(PSH_BLOCK * PSH_ANGLES) whatever
-    the mesh size; what still grows with the mesh is the interpolation
-    at the centres themselves.  Each circle's mean is taken along its
-    own row, so the report does not depend on the block size.
+    the mesh size; the centres, one in PSH_CENTER_STRIDE**2 cells, are
+    interpolated once, in one call.  Each circle's mean is taken along
+    its own row, so the report does not depend on the block size.
     """
     mesh = u.mesh
     radii = check_floats(radii, "radii")
@@ -303,17 +330,24 @@ def psh_check(u: GridFunction, radii) -> PshReport:
     centers = sel[np.abs(sel) >= PSH_MIN_CENTER_RADIUS]
     angles = np.exp(2j * np.pi * (np.arange(PSH_ANGLES) + 0.5) / PSH_ANGLES)
     inner_cut = max(mesh.radii[0], 40.0 / mesh.n_r)
-    center_vals = u.interpolate(centers)
+    # cell centres: finite and on the disk, so the kernel takes them as they
+    # are; it consumes the two fresh arrays passed in
+    center_vals = u._bilinear(np.abs(centers), np.arctan2(centers.imag, centers.real))
     gaps = [np.empty(0)]  # with no centres, no block runs
     for rho in radii:
+        offsets = rho * angles
         for start in range(0, centers.size, PSH_BLOCK):
             block = slice(start, start + PSH_BLOCK)
-            circles = centers[block, None] + rho * angles
+            circles = centers[block, None] + offsets
             rr = np.abs(circles)
-            used = (rr.min(axis=-1) >= inner_cut) & (rr.max(axis=-1) <= mesh.radii[-1])
-            # the kernel takes the moduli the mask already needed
-            arc = u._bilinear(rr[used], np.angle(circles[used]))
-            gaps.append(center_vals[block][used] - arc.mean(axis=-1))
+            used = ((rr >= inner_cut) & (rr <= mesh.radii[-1])).all(axis=-1)
+            vals = center_vals[block]
+            if not used.all():
+                circles, rr, vals = circles[used], rr[used], vals[used]
+            # the kernel takes the moduli the mask already needed and consumes
+            # them, with the angles: neither is read after this call
+            arc = u._bilinear(rr, np.arctan2(circles.imag, circles.real))
+            gaps.append(vals - arc.sum(axis=-1) / PSH_ANGLES)
     gaps = np.concatenate(gaps)
     if gaps.size == 0:
         raise ParameterError("no admissible (center, radius) pair: shrink the "

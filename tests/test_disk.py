@@ -243,7 +243,8 @@ def _edge_points(m):
     return np.concatenate([np.array(z), polar[np.abs(polar) <= 1.0]])
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(1, 1), (2, 3), (120, 5), (400, 64)])
+@pytest.mark.parametrize("n_r,n_theta", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1), (120, 5),
+                                         (400, 64)])
 def test_interpolate_is_bit_identical_to_the_reference_route(n_r, n_theta):
     m = DiskMesh(n_r, n_theta)
     rng = np.random.default_rng(n_r * 1000 + n_theta)
@@ -389,6 +390,27 @@ def test_psh_check_interpolates_only_admissible_circles(monkeypatch, n_r, n_thet
         assert (0, disk.PSH_ANGLES) in sizes
 
 
+def test_psh_check_is_bit_identical_off_log_profiles():
+    # a profile with no radial symmetry: every corner weight and every
+    # gathered value counts in the report's bits
+    m = DiskMesh(200, 64)
+    u = GridFunction.from_callable(m, lambda z: np.sin(3 * z.real) * np.cos(2 * z.imag))
+    radii = [0.02, 0.05, 0.1]
+    rep = disk.psh_check(u, radii)
+    assert (rep.max_violation, rep.n_centers, rep.n_skipped) == _psh_all_circles(u, radii)
+    assert 0 < rep.n_skipped < rep.n_centers
+
+
+def test_psh_check_is_bit_identical_when_every_circle_is_admissible():
+    # no block is compacted, so the kernel consumes psh_check's own moduli
+    # and angles: a reused input would show in the report's bits
+    m = DiskMesh(447, 64)
+    u = GridFunction.from_callable(m, lambda z: np.sin(3 * z.real) * np.cos(2 * z.imag))
+    rep = disk.psh_check(u, [0.01])
+    assert (rep.max_violation, rep.n_centers, rep.n_skipped) == _psh_all_circles(u, [0.01])
+    assert rep.n_skipped == 0 and rep.n_centers > disk.PSH_BLOCK
+
+
 @pytest.mark.parametrize("mesh,radii", [
     pytest.param(DiskMesh(50, 16), [5.0], id="radius-too-large"),
     # the stride leaves one candidate centre, inside PSH_MIN_CENTER_RADIUS
@@ -415,6 +437,23 @@ def test_psh_check_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20
 
 
+def test_interpolate_keeps_shapes():
+    u = GridFunction(DiskMesh(3, 4), np.arange(12.0).reshape(3, 4))
+    got = u.interpolate(0.5j)
+    assert type(got) is np.float64
+    assert u.interpolate(np.empty((0, 3), complex)).shape == (0, 3)
+    assert u.interpolate([[0.5, 0.25j]]).shape == (1, 2)
+
+
+@pytest.mark.parametrize("z,big", [(1e306, False), (5.0, True), ([0.5, 5.0, 2.0j], True)])
+def test_interpolate_refuses_points_off_the_disk_before_the_kernel(z, big):
+    # the kernel would extrapolate from such points and overflow on the way
+    values = np.full((400, 64), 1e306 if big else 1.0)
+    u = GridFunction(DiskMesh(400, 64), values)
+    with np.errstate(all="raise"), pytest.raises(ParameterError, match="off the closed unit disk"):
+        u.interpolate(z)
+
+
 def test_grid_function_keeps_a_read_only_copy():
     given = np.array([[1.0, 2.0]])
     u = GridFunction(DiskMesh(1, 2), given)
@@ -422,3 +461,30 @@ def test_grid_function_keeps_a_read_only_copy():
     assert u.values.tolist() == [[1.0, 2.0]]
     with pytest.raises(ValueError, match="read-only"):
         u.values[0, 0] = np.inf
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+@pytest.mark.parametrize("n_theta", [1, 2, 64])
+def test_grid_function_buffer_seams(n_r, n_theta):
+    given = np.random.default_rng(n_r * 100 + n_theta).standard_normal((n_r, n_theta))
+    u = GridFunction(DiskMesh(n_r, n_theta), given)
+    assert u.values.shape == (n_r, n_theta)
+    assert u.values.tobytes() == given.tobytes()
+    assert not u.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[-1, -1] = 0.0
+    # each row wrapped by its last and first angle; row 0 repeats the last row
+    padded = u._padded
+    assert padded.shape == (n_r + 1, n_theta + 2)
+    wrapped = np.concatenate([given[:, -1:], given, given[:, :1]], axis=1)
+    assert padded[1:].tobytes() == wrapped.tobytes()
+    assert padded[0].tobytes() == wrapped[-1].tobytes()
+
+
+def test_grid_function_compares_by_identity():
+    m = DiskMesh(2, 3)
+    u, v = GridFunction(m, np.ones((2, 3))), GridFunction(m, np.ones((2, 3)))
+    assert u == u and u != v
+    assert hash(u) == hash(u)
+    assert len({u, v, u}) == 2
+    assert "_padded" not in repr(u)
