@@ -94,11 +94,7 @@ def cmd_example(args) -> int:
     else:
         report, key, scale = disk.line_bundle_norms(mesh), "psh_phi", 1.0
     u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2) * scale)
-    psh = disk.psh_check(u, radii=[0.05, 0.1])
-    report[key] = {
-        "max_violation": psh.max_violation, "passed": psh.passed,
-        "n_centers": psh.n_centers, "n_skipped": psh.n_skipped,
-    }
+    report[key] = asdict(disk.psh_check(u, radii=[0.05, 0.1]))
     _emit(args, report)
     return 0
 

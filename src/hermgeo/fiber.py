@@ -165,23 +165,20 @@ def _sectional(eig, u, v, alpha):
     return -0.25 * np.linalg.norm(k, axis=(-2, -1)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberGeodesic:
     """Geodesic t -> H^{1/2} exp(t H^{-1/2} A H^{-1/2}) H^{1/2}; ``frame``
     is its spectral frame (see ``_frame``), factored once at construction."""
 
     start: np.ndarray
     velocity: np.ndarray
-    frame: tuple = field(init=False, repr=False, compare=False)
+    frame: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         (h, v), _, _ = linalg._checked(start=self.start, velocity=self.velocity)
         object.__setattr__(self, "start", h)
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "frame", _frame(linalg._factor(h), v))
-
-    def __call__(self, t) -> np.ndarray:
-        return geodesic_eval(self, t)
 
 
 def _frame(eig, m: np.ndarray, endpoint: bool = False) -> tuple:

@@ -46,8 +46,11 @@ OVERFLOW_DETAIL = "whitened matrix overflows float64"
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2 of each matrix of a stack."""
-    return (a + np.conj(a).swapaxes(-1, -2)) / 2
+    """(A + A^dagger)/2 of each matrix of a stack, summed by halves: that
+    cannot overflow, and halving is exact, so it is the same bar subnormals."""
+    h = a * 0.5
+    h += np.conj(h.swapaxes(-1, -2))
+    return h
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -82,10 +85,7 @@ def hermitian(a, name: str = "a") -> np.ndarray:
     scale = np.maximum(1.0, np.abs(_finite(a)).max(axis=(-2, -1)))
     reject(np.isinf(scale), NonFiniteError,
            lambda k: "matrix has an entry whose modulus overflows")
-    # the sum of two entries can overflow, the sum of their halves cannot;
-    # halving is exact, so this equals (A + A^dagger)/2 bar subnormals
-    half = a / 2
-    h = half + np.conj(half).swapaxes(-1, -2)
+    h = hermitian_part(a)
     skew = np.abs(a - h).max(axis=(-2, -1))
     reject(skew > ASYMMETRY_TOL * scale, NotHermitianError,
            lambda k: f"asymmetry {skew[k]:.3e} exceeds "

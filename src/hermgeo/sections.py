@@ -7,10 +7,11 @@ matrix to every point.  The L2 inner product, the section distance
 the gauge action, conformal identities, the L1-style lower-bound metric
 and the flat reference structure all live here.
 
-Meshes are value-identified by a content hash; every binary operation
-demands identical hashes, so silently mixing quadratures is impossible.
-Values on a mesh (metric and tangent sections, gauge transforms, scalar
-fields) share one base class: they are validated once, at construction,
+Meshes are equal, and hash alike, by content: their rank and a hash of
+their points.  Every binary operation demands equal meshes, so silently
+mixing quadratures is impossible.  Values on a mesh (metric and tangent
+sections, gauge transforms, scalar fields) are equal only by identity
+and share one base class: they are validated once, at construction,
 into fresh read-only (n, r, r) or (n,) arrays.  A section an op computes
 from validated sections (a geodesic point, a gauge or conformal image)
 is built by the private ``_derived``, which only scans it for non-finite
@@ -79,9 +80,10 @@ class QuadratureMesh:
     """
 
     rank: int
-    ids: np.ndarray
-    weights: np.ndarray
-    alphas: np.ndarray
+    # held in the content hash, so equality and the hash use that alone
+    ids: np.ndarray = field(compare=False)
+    weights: np.ndarray = field(compare=False)
+    alphas: np.ndarray = field(compare=False)
     content_hash: str = field(init=False)
 
     def __post_init__(self):
@@ -149,7 +151,7 @@ def _int64_ids(ids) -> np.ndarray:
 
 
 def _same_mesh(a, b):
-    if a.mesh.content_hash != b.mesh.content_hash:
+    if a.mesh != b.mesh:
         raise MeshMismatchError("sections built over different meshes")
     return a.mesh
 
@@ -168,7 +170,7 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MeshValues:
     """Values at the points of a mesh, validated once, at construction:
     the shape, then the kind's ``_validate`` under the point ids (linalg
@@ -224,7 +226,6 @@ class _MeshValues:
         return section
 
 
-@dataclass(frozen=True)
 class MetricSection(_MeshValues):
     """A positive-definite h at each mesh point.
 

@@ -72,6 +72,12 @@ def test_spray_examples():
         np.diag([4.0, 2.0]))
 
 
+def test_spray_near_the_float_limit():
+    # v @ v holds 1.44e308 on the diagonal; its Hermitian part stays finite
+    v = np.array([[0.0, 1.2e154], [1.2e154, 0.0]], dtype=complex)
+    assert np.array_equal(fiber.spray(np.eye(2), v, v), np.eye(2) * 1.2e154**2)
+
+
 def test_spray_symmetric_bilinear():
     rng = sampling.make_rng(25)
     h = sampling.random_posdef(rng, 3)

@@ -50,6 +50,24 @@ def test_hermitian_entries_near_the_float_limit():
         linalg.hermitian([[1.0, z], [np.conj(z), 1.0]])
 
 
+def test_hermitian_part_sums_halves_near_the_float_limit():
+    # the two entries' sum overflows, the sum of their halves does not
+    a = np.array([[1.0, 1.7e308], [1.7e308, 1.0]], dtype=complex)
+    assert np.array_equal(linalg.hermitian_part(a), a)
+    assert np.array_equal(linalg.hermitian(a), a)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+def test_hermitian_part_is_the_half_sum_bit_for_bit(r, scale):
+    rng = np.random.default_rng(r)
+    a = scale * (rng.standard_normal((6, r, r)) + 1j * rng.standard_normal((6, r, r)))
+    got = linalg.hermitian_part(a)
+    assert got.tobytes() == ((a + np.conj(a).swapaxes(-1, -2)) / 2).tobytes()
+    # oracle._dots views a Hermitian part as floats, which needs this layout
+    assert got.flags.c_contiguous
+
+
 def test_posdef_rejects_indefinite():
     # the roots decide positivity, for linalg and a metric section alike
     mesh = QuadratureMesh(rank=2, ids=[5], weights=[1.0], alphas=[0.0])

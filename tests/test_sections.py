@@ -79,6 +79,33 @@ def test_mesh_mismatch_raises():
         section_distance(h1, h2)
 
 
+def test_meshes_are_equal_by_content():
+    args = {"rank": 2, "ids": [0, 1, 2], "weights": [1.0, 2.0, 3.0],
+            "alphas": [0.0, 0.1, 0.2]}
+    perm = [2, 0, 1]
+    m1 = QuadratureMesh(**args)
+    m2 = QuadratureMesh(2, *(np.asarray(args[k])[perm] for k in ("ids", "weights", "alphas")))
+    assert m1 == m2 and hash(m1) == hash(m2) and len({m1, m2}) == 1
+    m3 = QuadratureMesh(**{**args, "weights": [1.0, 2.0, 3.5]})
+    assert m1 != m3
+    h1, h2, h3 = (const_section(m, np.eye(2)) for m in (m1, m2, m3))
+    assert section_distance(h1, h2) == 0.0
+    with pytest.raises(MeshMismatchError, match="^sections built over different meshes$"):
+        section_distance(h1, h3)
+
+
+def test_values_on_a_mesh_are_equal_by_identity():
+    mesh = unit_mesh(weights=(1.0, 2.0))
+    kinds = [lambda: const_section(mesh, np.eye(2)),
+             lambda: TangentSection(mesh, np.zeros((2, 2, 2))),
+             lambda: sections.GaugeTransform(mesh, np.broadcast_to(np.eye(2), (2, 2, 2))),
+             lambda: ScalarField(mesh, np.zeros(2)),
+             lambda: fiber.FiberGeodesic(np.eye(2), np.eye(2))]
+    for make in kinds:
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_l2_inner_examples():
     mesh = unit_mesh()
     h = const_section(mesh, np.eye(2))
