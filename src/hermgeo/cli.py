@@ -90,10 +90,11 @@ def cmd_example(args) -> int:
     # the psh test runs on log det = 2 log|z|^2 (raufi) or phi = log|z|^2
     if args.name == "raufi":
         alpha = 0.0 if args.alpha is None else args.alpha
-        report, key, scale = disk.raufi_integrability(mesh, alpha), "psh_log_det", 2.0
+        report, key = disk.raufi_integrability(mesh, alpha), "psh_log_det"
+        u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2) * 2.0)
     else:
-        report, key, scale = disk.line_bundle_norms(mesh), "psh_phi", 1.0
-    u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2) * scale)
+        u = disk.GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2))
+        report, key = disk._line_bundle_report(u), "psh_phi"
     report[key] = asdict(disk.psh_check(u, radii=[0.05, 0.1]))
     _emit(args, report)
     return 0

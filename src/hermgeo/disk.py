@@ -257,12 +257,15 @@ def raufi_integrability(mesh: DiskMesh, alpha: float = 0.0) -> dict:
 
 def line_bundle_norms(mesh: DiskMesh) -> dict:
     """Rank-1 analogue: ||log|z|^2||_2^2, converging to 2*pi."""
-    phi = GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2))
-    val = phi.integral_sq()
+    return _line_bundle_report(GridFunction.from_callable(mesh, lambda z: np.log(np.abs(z) ** 2)))
+
+
+def _line_bundle_report(phi: GridFunction) -> dict:
+    """``line_bundle_norms`` of phi = log|z|^2 on its mesh."""
     return {
-        "n_r": mesh.n_r,
-        "n_theta": mesh.n_theta,
-        "phi_sq_integral": val,
+        "n_r": phi.mesh.n_r,
+        "n_theta": phi.mesh.n_theta,
+        "phi_sq_integral": phi.integral_sq(),
         "phi_sq_target": float(2.0 * np.pi),
     }
 

@@ -24,9 +24,13 @@ runs out.
 
 The descent runs over an (S, N + 1, r, r) stack of paths, one per
 sample, with the refinement levels in lockstep: each sample keeps its
-own step, previous point, rejection count and stop flag, and only the
-energy evaluations, the step-size products and the cone check are
-stacked.
+own step, energies, rejection count and stop flag as Python scalars,
+and only the energy evaluations, the step-size products and the cone
+check are stacked.  While every sample runs and accepts, the stack
+moves by rebinding its current and previous buffers; rows are indexed
+out only when some sample has stopped or is rejected.  Each sample's p
+and q are first brought to unit scale by a power of 4, which every
+step follows exactly, so a length does not depend on its pair's scale.
 
 The energy kernel works entries first: each call moves the stack to
 one contiguous (r, r, S, N + 1) array, in which entry (i, j) of every
@@ -43,6 +47,8 @@ of the sample alone, which the tests keep as the reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -212,70 +218,90 @@ def _descend(paths: np.ndarray, alpha: np.ndarray, iterations: int) -> np.ndarra
     names the sample.  It also aborts when a sample still running after
     ``iterations`` steps accepted no step and its last rejection was a
     cone rejection: its path never moved.
+
+    Each sample's step, energies and counters are Python scalars: their
+    float arithmetic is numpy's float64 arithmetic, IEEE double, so each
+    sample's steps are bit for bit those of its descent alone.
     """
     paths = paths.copy()
     energy, grad = _energy_and_grad(paths, alpha)
     n = len(paths)
     gnorm = linalg._norm(grad.reshape(n, 1, -1))
-    live = gnorm != 0.0
-    eta = 0.05 * linalg._norm(paths.reshape(n, 1, -1)) / (gnorm + 1e-30)
-    prev_paths = np.empty_like(paths)
-    prev_grad = np.empty_like(grad)
-    has_prev = np.zeros(n, dtype=bool)
-    rejects = np.zeros(n, dtype=int)
-    cone_last = np.zeros(n, dtype=bool)
+    live = (gnorm != 0.0).tolist()
+    eta = (0.05 * linalg._norm(paths.reshape(n, 1, -1)) / (gnorm + 1e-30)).tolist()
+    energy = energy.tolist()
+    prev_paths, prev_grad = np.empty_like(paths), np.empty_like(grad)
+    has_prev = [False] * n
+    rejects = [0] * n
+    cone_last = [False] * n
     # the energies before each sample's last STOP_WIN accepted steps,
     # infinite until it has taken that many
-    past = np.full((n, STOP_WIN), np.inf)
-    steps = np.zeros(n, dtype=int)          # accepted steps
+    past = [[math.inf] * STOP_WIN for _ in range(n)]
+    steps = [0] * n                         # accepted steps
 
-    def halve(idx):
-        eta[idx] *= 0.5
-        has_prev[idx] = False
-        rejects[idx] += 1
+    def halve(k, cone):
+        eta[k] *= 0.5
+        has_prev[k] = False
+        rejects[k] += 1
+        cone_last[k] = cone
 
     for _ in range(iterations):
-        idx = np.flatnonzero(live)
-        if not idx.size:
+        idx = [k for k in range(n) if live[k]]
+        if not idx:
             break
-        bb_idx = idx[has_prev[idx]]
-        if bb_idx.size:
-            dx = paths[bb_idx] - prev_paths[bb_idx]
-            dg = grad[bb_idx] - prev_grad[bb_idx]
-            denom = _dots(dg, dg)
-            usable = denom > 1e-300
-            bb = np.abs(_dots(dx, dg)[usable]) / denom[usable]
-            good = np.isfinite(bb) & (bb > 0)
-            eta[bb_idx[usable][good]] = bb[good]
-        trial = paths[idx] - eta[idx, None, None, None] * grad[idx]
+        whole = len(idx) == n
+        bb_idx = [k for k in idx if has_prev[k]]
+        if bb_idx:
+            if len(bb_idx) == n:
+                dx, dg = paths - prev_paths, grad - prev_grad
+            else:
+                rows = np.array(bb_idx)
+                dx, dg = paths[rows] - prev_paths[rows], grad[rows] - prev_grad[rows]
+            for k, num, denom in zip(bb_idx, _dots(dx, dg).tolist(), _dots(dg, dg).tolist()):
+                bb = abs(num) / denom if denom > 1e-300 else math.nan
+                if 0.0 < bb < math.inf:
+                    eta[k] = bb
+        etas = np.array([eta[k] for k in idx])[:, None, None, None]
+        if whole:
+            trial = paths - etas * grad
+        else:
+            rows = np.array(idx)
+            trial = paths[rows] - etas * grad[rows]
         inside = _in_cone(trial[:, 1:-1])
         if not inside.all():
-            out = idx[~inside]
-            halve(out)
-            cone_last[out] = True
-            lost = np.zeros(n, dtype=bool)
-            lost[out] = rejects[out] > 200
-            reject(lost, OracleFailureError, lambda k: _OFF_CONE)
-            idx, trial = idx[inside], trial[inside]
-            if not idx.size:
+            for k, ok in zip(idx, inside.tolist()):
+                if not ok:
+                    halve(k, True)
+                    if rejects[k] > 200:
+                        raise OracleFailureError(_OFF_CONE, index=k)
+            idx, trial, whole = [k for k, ok in zip(idx, inside) if ok], trial[inside], False
+            if not idx:
                 continue
-        e_trial, g_trial = _energy_and_grad(trial, alpha[idx])
-        better = e_trial < energy[idx]
-        acc = idx[better]
-        past[acc, steps[acc] % STOP_WIN] = energy[acc]
-        steps[acc] += 1
-        prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
-        paths[acc], energy[acc], grad[acc] = trial[better], e_trial[better], g_trial[better]
-        rejects[acc] = 0
-        has_prev[acc] = True
-        stalled = past[acc, steps[acc] % STOP_WIN] - energy[acc] < STOP_TOL * energy[acc]
-        live[acc[stalled]] = False
-        if not better.all():
-            worse = idx[~better]
-            halve(worse)
-            cone_last[worse] = False
-            live[worse[rejects[worse] > 200]] = False
-    reject(live & (steps == 0) & cone_last, OracleFailureError, lambda k: _OFF_CONE)
+        e_trial, g_trial = _energy_and_grad(trial, alpha if whole else alpha[idx])
+        e_trial = e_trial.tolist()
+        better = [e < energy[k] for k, e in zip(idx, e_trial)]
+        if whole and all(better):           # the stack moves without a copy
+            prev_paths, paths, prev_grad, grad = paths, trial, grad, g_trial
+        elif any(better):
+            took = np.array(better)
+            acc = np.array(idx)[took]
+            prev_paths[acc], prev_grad[acc] = paths[acc], grad[acc]
+            paths[acc], grad[acc] = trial[took], g_trial[took]
+        for k, e, b in zip(idx, e_trial, better):
+            if b:
+                past[k][steps[k] % STOP_WIN] = energy[k]
+                steps[k] += 1
+                energy[k] = e
+                rejects[k] = 0
+                has_prev[k] = True
+                if past[k][steps[k] % STOP_WIN] - e < STOP_TOL * e:
+                    live[k] = False
+            else:
+                halve(k, False)
+                if rejects[k] > 200:
+                    live[k] = False
+    reject([live[k] and not steps[k] and cone_last[k] for k in range(n)],
+           OracleFailureError, lambda k: _OFF_CONE)
     return paths
 
 
@@ -297,6 +323,19 @@ def _per_sample(values, n: int, name: str) -> np.ndarray:
     return np.broadcast_to(values, (n,))
 
 
+def _unit_scaled(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's p and q times the power of 4 that brings their
+    largest real or imaginary part into [1, 4).  The distance is
+    invariant under h -> c h, and a power of 4 scales every step of the
+    descent exactly, square roots included, so a sample's length does
+    not depend on its scale: CLAMP_FLOOR acts relative to it, and the
+    products of entries stay far from overflow.  ``np.ldexp`` scales
+    subnormal entries too, without forming the factor."""
+    big = np.abs(np.concatenate([p, q], axis=1).view(float)).max(axis=(1, 2))
+    shift = -2 * ((np.frexp(big)[1] - 1) // 2)[:, None, None]
+    return tuple(np.ldexp(a.view(float), shift).view(complex) for a in (p, q))
+
+
 def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
                     segments: int = 64, iterations: int = 500,
                     seed=0) -> float | np.ndarray:
@@ -305,7 +344,10 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
     p and q are matrices, or (S, r, r) stacks of S samples that share
     segments and iterations; alpha and seed are scalars or one per
     sample.  A stack returns S lengths, each bit for bit the length of
-    its sample run alone.
+    its sample run alone; an empty stack returns an empty array.  Each
+    sample runs at a unit scale (``_unit_scaled``), so c p and c q give
+    the length of p and q for any c > 0, bit for bit when c is a power
+    of 4.
 
     Coarse-to-fine: the path is first optimized at a low segment count
     (low-frequency shape converges cheaply there), then midpoint-refined
@@ -321,7 +363,7 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
         raise DimensionError(f"need two matrices or two (S, r, r) stacks, "
                              f"got shapes {p.shape} and {q.shape}")
     single = p.ndim == 2
-    p, q = p.reshape(-1, r, r), q.reshape(-1, r, r)
+    p, q = _unit_scaled(p.reshape(-1, r, r), q.reshape(-1, r, r))
     for name, ends in (("p", p), ("q", q)):
         reject(~_in_cone(ends[:, None]), NotPositiveDefiniteError,
                lambda k: f"{name} has no Cholesky factor: not positive definite")
@@ -336,6 +378,8 @@ def distance_oracle(p: np.ndarray, q: np.ndarray, alpha,
         levels.append(levels[-1] // 2)
     levels.reverse()
     iterations = check_count(iterations, "iterations", len(levels))
+    if not len(p):
+        return np.zeros(0)
 
     paths = _initial_paths(p, q, levels[0])
     for path, p1, q1, rng in zip(paths, p, q, rngs):

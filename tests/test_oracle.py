@@ -16,6 +16,8 @@ Gauss-point bases, relative to the size of each quantity (for the
 metric gradient hGh - ch, that of G times the largest ||h||^2).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,92 @@ def test_per_sample_alphas_in_one_stack():
         assert np.array_equal(out[k], path)
         assert lengths[k] == reference_length(path, alpha) == discrete_length(path, alpha)
     assert len(set(lengths)) == 3
+
+
+
+def reference_decisions(path, alpha, iterations, monkeypatch):
+    """What ``reference_descend`` decides at each of its iterations on
+    one path: "cone", "accept" or "reject"."""
+    log, current = [], []
+    is_posdef, energy_and_grad = _is_posdef, reference_energy_and_grad
+
+    def logged_posdef(nodes):
+        inside = is_posdef(nodes)
+        if not inside:
+            log.append("cone")
+        return inside
+
+    def logged_energy(trial, a):
+        energy, grad = energy_and_grad(trial, a)
+        if current:                 # a trial, accepted as reference_descend does
+            log.append("accept" if energy < current[0] else "reject")
+            if energy < current[0]:
+                current[0] = energy
+        else:                       # the start of the descent
+            current.append(energy)
+        return energy, grad
+    with monkeypatch.context() as mp:
+        mp.setitem(globals(), "_is_posdef", logged_posdef)
+        mp.setitem(globals(), "reference_energy_and_grad", logged_energy)
+        reference_descend(path, alpha, iterations)
+    return log
+
+
+def test_lockstep_moves_whole_and_partial_stacks_as_the_reference(monkeypatch):
+    # a steep pair whose eighth step leaves the cone, and four plain ones
+    steep = sampling.make_rng(5)
+    ends = [(sampling.random_posdef(steep, 2, spread=3.0),
+             sampling.random_posdef(steep, 2, spread=3.0))]
+    for seed in range(100, 104):
+        rng = sampling.make_rng(seed)
+        ends.append((sampling.random_posdef(rng, 2), sampling.random_posdef(rng, 2)))
+    paths = np.array([oracle._initial_paths(p[None], q[None], 8)[0] for p, q in ends])
+    alphas = np.array([1.0, 0.0, -0.4, 1.0, 0.5])
+    logs = [reference_decisions(path, alpha, 300, monkeypatch)
+            for path, alpha in zip(paths, alphas)]
+
+    def steps_where(*kinds):
+        return [i for i in range(300)
+                if all(any(len(log) > i and log[i] == kind for log in logs) for kind in kinds)]
+    # every sample accepts at once (the stack moves whole), some accept
+    # while others raise their energy, and a cone rejection sits beside
+    # accepts
+    assert any(all(len(log) > i and log[i] == "accept" for log in logs) for i in range(300))
+    assert steps_where("accept", "reject") and steps_where("accept", "cone")
+
+    sizes = []
+    energy_and_grad = oracle._energy_and_grad
+
+    def counted(trial, alpha):
+        sizes.append(len(trial))
+        return energy_and_grad(trial, alpha)
+    monkeypatch.setattr(oracle, "_energy_and_grad", counted)
+    out = oracle._descend(paths, alphas, 300)
+    # after the start, trials of the whole stack and of a part of it
+    assert len(paths) in sizes[1:] and min(sizes) < len(paths)
+    for k, (path, alpha) in enumerate(zip(paths, alphas)):
+        assert np.array_equal(out[k], reference_descend(path, alpha, 300)), k
+
+
+def test_oracle_is_scale_invariant():
+    p, q = np.diag([1.0, 2.0]) + 0j, np.array([[3.0, 0.5], [0.5, 1.0]]) + 0j
+    base = distance_oracle(p, q, 0.0)
+    d = fiber.fiber_distance(p, q, 0.0)
+    assert 0.0 <= base - d <= 1e-4 * d
+    # a power of 4 scales every step exactly; 4**-535 = 2**-1070 leaves
+    # the entries subnormal
+    powers = 4.0 ** np.array([-535, -250, -10, 0, 10, 250])
+    out = distance_oracle(powers[:, None, None] * p, powers[:, None, None] * q, 0.0)
+    assert (out == base).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-12, 1e200, 1e300):
+            assert distance_oracle(c * p, c * q, 0.0) == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_empty_stack_gives_no_lengths():
+    out = distance_oracle(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), 0.0)
+    assert out.shape == (0,)
 
 
 # --- cost model and failures -------------------------------------------------
