@@ -16,8 +16,7 @@ import numpy as np
 
 from . import linalg
 from .completion import CauchyReport, cauchy_experiment, l2_report
-from .errors import (DimensionError, NonFiniteError, ParameterError, check_count, check_floats,
-                     reject)
+from .errors import DimensionError, NonFiniteError, ParameterError, check_count, check_floats
 from .fiber import check_alpha
 from .sections import (MetricSection, QuadratureMesh, ScalarField, _relative_spectra,
                        _weighted_sum)
@@ -143,22 +142,10 @@ class GridFunction:
             sq = self.values**2
         return float(_weighted_sum(w, sq))
 
-    def interpolate(self, z) -> np.ndarray:
-        """Bilinear interpolation in (r, theta) with angular wraparound, at
-        points z of the closed unit disk, of z's shape (a float for a
-        scalar z).  A non-finite z raises NonFiniteError, a z with |z| > 1
-        ParameterError."""
-        z = check_floats(z, "z", complex)
-        reject(~np.isfinite(z), NonFiniteError, lambda k: f"z={z[k]}: not finite")
-        r = np.abs(z)
-        reject(r > 1.0, ParameterError, lambda k: f"z={z[k]}: off the closed unit disk")
-        # the kernel consumes its inputs: fresh 1-d arrays, a scalar's too
-        out = self._bilinear(np.ravel(r), np.ravel(np.arctan2(z.imag, z.real)))
-        return out.reshape(z.shape)[()]
-
     def _bilinear(self, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        """The interpolation at polar coordinates r = |z| and ang = angle(z)
-        in [-pi, pi], arrays of one shape, which it overwrites."""
+        """Bilinear interpolation in (r, theta) with angular wraparound, at
+        polar coordinates r = |z| <= 1 and ang = angle(z) in [-pi, pi],
+        arrays of one shape, which it overwrites."""
         mesh = self.mesh
         # ang + 2 pi where ang < 0, so fj is np.mod(ang, 2 pi)'s, bit for bit
         np.add(ang, 2 * np.pi, out=ang, where=ang < 0)

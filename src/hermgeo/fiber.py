@@ -8,19 +8,21 @@ and exponential/log maps all live here; a sectional curvature belongs to
 its plane and takes any basis of it.
 
 Expressions of the form h^{-1} v are never evaluated as an explicit
-inverse times a matrix: they go through the congruence
-h^{-1/2} (h^{-1/2} v h^{-1/2}) h^{1/2}, whose middle factor is Hermitian,
-so Hermiticity survives roundoff.  Every function also takes (..., r, r)
-stacks, with alpha one value per matrix.  It validates its arguments once,
-factors its base point once into its eigenpair (the eigendecomposition
-that decides positivity), then calls an unvalidated kernel that takes
-the eigenpair: ``_alpha_inner``, ``_curvature``, ``_sectional``,
-``_frame`` and ``_log_map``.  ``linalg._whiten`` forms the middle factor
+inverse times a matrix: v is whitened at h, and a whitened result m goes
+back to h by one congruence, ``linalg._congruence``: b m b^dagger, with
+b = V diag(w^{1/2}) from h's eigenpair (w, V) or h^{1/2} in a frame,
+made Hermitian, and refused if it leaves float64.  Every function also
+takes (..., r, r) stacks, with alpha one value per matrix.  It validates
+its arguments once, factors its base point once into its eigenpair (the
+eigendecomposition that decides positivity), then calls an unvalidated
+kernel that takes the eigenpair: ``_alpha_inner``, ``_curvature``,
+``_sectional``, ``_frame`` and ``_log_map``.  ``linalg._whiten`` whitens
 by a diagonal scaling in the eigenbasis; ``_project`` takes a whitened
 pair, ``_geodesic`` a frame and ``_distance`` a relative spectrum.  Only
-a frame builds the dense roots, from the eigenpair; a geodesic is one
-frame, whose points and log map need no eigh.  Section ops and the check
-suites call the kernels on stacks they validated and factored once.
+a frame builds the dense roots, from the eigenpair, and whitens by
+b = h^{-1/2}; a geodesic is one frame, whose points and log map need no
+eigh.  Section ops and the check suites call the kernels on stacks they
+validated and factored once.
 """
 
 from __future__ import annotations
@@ -90,11 +92,13 @@ def _alpha_inner(eig, v, w, alpha):
 def spray(h: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Metric spray B_h(v, w) = (v h^{-1} w + w h^{-1} v) / 2.
 
-    Independent of alpha: one spray serves the whole metric family.
+    Independent of alpha: one spray serves the whole metric family.  It
+    maps the whitened product v' w' back to h.
     """
     (h, v, w), _, _ = linalg._checked(h=h, v=v, w=w)
-    spec, basis = linalg._factor(h)
-    return linalg.hermitian_part(v @ linalg._recompose(basis, 1.0 / spec) @ w)
+    eig = linalg._factor(h)
+    vp, wp = linalg._whiten(eig, v, w)
+    return linalg._congruence(eig[1] * np.sqrt(eig[0])[..., None, :], vp @ wp)
 
 
 def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -111,12 +115,12 @@ def curvature_tensor(h: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 def _curvature(eig, u, v, w):
     """``curvature_tensor`` at the point whose eigenpair eig = (w, V) maps
-    whitened forms back by B (.) B^dagger, B = V diag(w^{1/2}) = h^{1/2} V."""
+    whitened forms back by the congruence B = V diag(w^{1/2}) = h^{1/2} V."""
     up, vp, wp = linalg._whiten(eig, u, v, w)
     k = up @ vp - vp @ up
-    dbl = k @ wp - wp @ k
-    b = eig[1] * np.sqrt(eig[0])[..., None, :]
-    return linalg.hermitian_part(-0.25 * (b @ dbl @ np.conj(b).swapaxes(-1, -2)))
+    # -1/4 scales exactly either way; taken first, the congruence's products are 4x smaller
+    dbl = -0.25 * (k @ wp - wp @ k)
+    return linalg._congruence(eig[1] * np.sqrt(eig[0])[..., None, :], dbl)
 
 
 def _gram_schmidt_pair(h, u, v, alpha):
@@ -186,12 +190,10 @@ def _frame(eig, m: np.ndarray, endpoint: bool = False) -> tuple:
     eigenpair is eig, from the roots h^{1/2}, h^{-1/2} it gives and
     h^{-1/2} m h^{-1/2} = U diag(mu) U^dagger: lam = mu for a velocity m, and
     lam = log mu for an endpoint m, whose positivity and condition this
-    decides.  This dense whitening, not ``linalg._whiten``, keeps the
-    exp/log roundtrip's rounding; it refuses a product that overflows."""
+    decides.  This dense whitening, the congruence by h^{-1/2}, not
+    ``linalg._whiten``, keeps the exp/log roundtrip's rounding."""
     hs, hsi = linalg._roots_from(*eig)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mw = linalg.hermitian_part(hsi @ m @ hsi)
-    mu, u = linalg._eigh(linalg._finite(mw, linalg.OVERFLOW_DETAIL))
+    mu, u = linalg._eigh(linalg._congruence(hsi, m, linalg.OVERFLOW_DETAIL))
     return hs, u, linalg._log(mu, m) if endpoint else mu, endpoint
 
 
@@ -208,8 +210,7 @@ def _geodesic(h: np.ndarray, frame, t) -> np.ndarray:
     # log mu, mu finite: such a point is bounded by its ends
     # (p #_t q <= (1 - t) p + t q), so only the others meet the exp guard
     guard = ~(endpoint & (t >= 0.0) & (t <= 1.0))
-    g = hs @ linalg._recompose(u, linalg._exp(t[..., None] * lam, guard)) @ hs
-    g = linalg._finite(linalg.hermitian_part(g))
+    g = linalg._congruence(hs, linalg._recompose(u, linalg._exp(t[..., None] * lam, guard)))
     return g if t.all() else np.where(t[..., None, None] == 0.0, h, g)
 
 
@@ -250,7 +251,7 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _log_map(eig, q: np.ndarray) -> np.ndarray:
     """``log_map`` from the point whose eigenpair is eig."""
     ps, u, lam, _ = _frame(eig, q, endpoint=True)
-    return linalg.hermitian_part(ps @ linalg._recompose(u, lam) @ ps)
+    return linalg._congruence(ps, linalg._recompose(u, lam))
 
 
 def geodesic_residual(g: FiberGeodesic, t: float, step: float):

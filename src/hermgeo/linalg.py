@@ -9,13 +9,13 @@ Each takes a matrix or an (..., r, r) stack; underscored helpers, bar
 entries, ``_eigh`` does not.  ``_eigh`` and ``_eigvalsh`` are the
 package's eigensolvers; on rank 1 they return LAPACK's answer without
 calling it.  ``_factor``'s eigendecomposition decides that p is positive
-definite; its eigenpair is a base point's one factorization.  ``_whiten``,
-the one congruence h^{-1/2} (.) h^{-1/2}, scales in that eigenbasis and
-refuses a product that overflows; a relative spectrum is the spectrum of
-a whitened matrix.  Only a geodesic's frame builds both dense roots, by
-``_roots_from``; each matrix root recomposes its own alone.  ``_positive``
-is the one check that a spectrum, a matrix's own or a relative one, is
-positive.
+definite; its eigenpair is a base point's one factorization.  ``_whiten``
+whitens, h^{-1/2} (.) h^{-1/2}, by a scaling in that eigenbasis, and
+``_congruence``, b (.) b^dagger, maps a whitened form back; each refuses
+a product that overflows.  A relative spectrum is a whitened matrix's.
+Only a geodesic's frame builds both dense roots, by ``_roots_from``; each
+matrix root recomposes its own alone.  ``_positive`` is the one check
+that a spectrum, a matrix's own or a relative one, is positive and finite.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def _unconverged(a: np.ndarray, exc: Exception) -> EigenConvergenceError:
 
 
 def _positive(w: np.ndarray, q: np.ndarray | None = None) -> None:
-    """Reject a stack whose ascending eigenvalues ``w`` reach zero.  Given
-    ``q``, whose relative spectrum ``w`` is, the first such point is beyond
-    float64 resolution (IllConditionedError) if q's own eigh, the one that
-    ``_factor`` takes, finds q positive definite."""
+    """Reject a stack whose ascending eigenvalues ``w`` reach zero, then one
+    whose largest is inf.  Given ``q``, whose relative spectrum ``w`` is, a
+    zero is beyond float64 resolution (IllConditionedError) if q's own
+    eigh, the one that ``_factor`` takes, finds q positive definite."""
     bad = w[..., 0] <= 0
     if q is not None and bad.any():
         first = np.unravel_index(np.argmax(bad), bad.shape)
@@ -158,6 +158,7 @@ def _positive(w: np.ndarray, q: np.ndarray | None = None) -> None:
                    "resolution")
     reject(bad, NotPositiveDefiniteError,
            lambda k: f"smallest eigenvalue {w[k][0]:.3e} <= 0")
+    reject(np.isinf(w[..., -1]), NonFiniteError, lambda k: "an eigenvalue overflows float64")
 
 
 def _recompose(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
@@ -202,9 +203,12 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, u)`` with eigenvalues ``w`` ascending and unitary ``u``
-    such that ``u @ diag(w) @ u^dagger`` reconstructs the input.
+    such that ``u @ diag(w) @ u^dagger`` reconstructs the input; an
+    eigenvalue beyond float64 raises NonFiniteError.
     """
-    return _eigh(hermitian(a))
+    w, u = _eigh(hermitian(a))
+    reject(np.isinf(w).any(-1), NonFiniteError, lambda k: "an eigenvalue overflows float64")
+    return w, u
 
 
 def sqrtm_posdef(p: np.ndarray) -> np.ndarray:
@@ -264,6 +268,15 @@ def _whiten(eig: tuple, *vs: np.ndarray) -> list[np.ndarray]:
         out = [hermitian_part(d[..., :, None] * (uh @ v @ u) * d[..., None, :])
                for v in vs]
     return [_finite(m, OVERFLOW_DETAIL) for m in out]
+
+
+def _congruence(b: np.ndarray, m: np.ndarray, *detail: str) -> np.ndarray:
+    """b m b^dagger for each matrix of a stack, its Hermitian part taken: a
+    whitened form mapped back, or m whitened by b = h^{-1/2}.  A product
+    beyond float64 raises NonFiniteError (``detail`` as for ``_finite``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = hermitian_part(b @ m @ np.conj(b).swapaxes(-1, -2))
+    return _finite(out, *detail)
 
 
 def _relative_spectrum(eig: tuple, q: np.ndarray) -> np.ndarray:

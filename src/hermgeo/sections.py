@@ -17,13 +17,13 @@ from validated sections (a geodesic point, a gauge or conformal image)
 is built by the private ``_derived``, which only scans it for non-finite
 entries.  A metric section holds one factorization, the eigenpair
 (w, V) of h: the public constructor's eigendecomposition, which decides
-positivity at once; one handed on by ``_derived``'s caller or taken
-there (a gauge image's); or, for other derived sections, one taken on
-first use.  Every op at h takes that pair; a geodesic's frame builds the
-roots (h^{1/2}, h^{-1/2}) it needs from it, per call.  A section that is
-only ever the second argument of an op (the far end of a distance or a
-geodesic) needs none.  The section ops call the unvalidated linalg and
-fiber kernels on the stacks; none factors h again.
+positivity at once; one handed on by ``_derived``'s caller; or one
+taken on first use, which a gauge image makes at once.  Every op at h
+takes that pair; a geodesic's frame builds the roots (h^{1/2}, h^{-1/2})
+it needs from it, per call.  A section that is only ever the second
+argument of an op (the far end of a distance or a geodesic) needs none.
+The section ops call the unvalidated linalg and fiber kernels on the
+stacks; none factors h again.
 """
 
 from __future__ import annotations
@@ -202,24 +202,19 @@ class _MeshValues:
         object.__setattr__(self, "values", checked)
 
     @classmethod
-    def _derived(cls, mesh: QuadratureMesh, values: np.ndarray, eig=None,
-                 factor: bool = False):
+    def _derived(cls, mesh: QuadratureMesh, values: np.ndarray, eig=None):
         """A section of exactly Hermitian (n, r, r) ``values`` that the
         package computed and the caller hands over: they are only scanned
         for non-finite entries, under the point ids, and kept read-only.
         A metric section takes ``eig``, the eigenpair (w, V) of its values,
-        if given, and refuses a point whose w is not positive; given
-        ``factor``, it factors its values here, after the scan, as the
-        public constructor does; otherwise on first use of ``eig``."""
+        if given, and refuses a point whose w is not positive; otherwise
+        it factors its values on first use of ``eig``."""
         section = cls.__new__(cls)
         object.__setattr__(section, "mesh", mesh)
         with _at_points(mesh.ids):
             linalg._finite(values)
-            if factor:
-                eig = linalg._factor(values)
-            elif eig is not None:
-                linalg._positive(eig[0])
             if eig is not None:
+                linalg._positive(eig[0])
                 object.__setattr__(section, "eig", _read_only(eig))
         values.flags.writeable = False
         object.__setattr__(section, "values", values)
@@ -384,16 +379,19 @@ def gauge_apply(phi: GaugeTransform, section):
 
     Applies to both metric and tangent sections; the observable contract
     is invariance of inner products and distances, which is
-    convention-free.  A metric image's own eigendecomposition decides its
-    positivity: a congruence by a near-singular Phi can round it to a
-    singular matrix.
+    convention-free.  A metric image's own eigendecomposition, taken at
+    once, decides its positivity: a congruence by a near-singular Phi can
+    round it to a singular matrix.
     """
     mesh = _same_mesh(phi, section)
     p = phi.values
     # an overflow is an inf that _derived rejects, naming the point
     with np.errstate(over="ignore", invalid="ignore"):
         m = linalg.hermitian_part(np.conj(p).swapaxes(-1, -2) @ section.values @ p)
-    return type(section)._derived(mesh, m, factor=isinstance(section, MetricSection))
+    image = type(section)._derived(mesh, m)
+    if isinstance(image, MetricSection):
+        image.eig  # factored now, under the point ids, as a constructor would
+    return image
 
 
 def flat_distance(h0: MetricSection, h1: MetricSection, h2: MetricSection) -> float:

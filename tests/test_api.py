@@ -38,10 +38,12 @@ from hermgeo.errors import (
 # sectional curvature's Gram-Schmidt re-run, which its one projection
 # kernel replaced.  Then the dense roots of a base point as a factorization
 # of their own, which the eigenpair replaced: ``linalg._roots`` and
-# ``MetricSection.roots``
+# ``MetricSection.roots``.  Then ``GridFunction.interpolate``, whose one
+# caller, ``psh_check``, calls the bilinear kernel itself
 REMOVED = ("SingularSection", "singular_from_metric", "kept_spectrum",
            "MeasureInconsistencyError", "_expm", "_logm", "flat_inner",
-           "_segment_distances", "posdef", "_orthonormalize", "_roots", "roots")
+           "_segment_distances", "posdef", "_orthonormalize", "_roots", "roots",
+           "interpolate")
 
 
 def test_exports_resolve_and_removed_names_stay_gone():
@@ -50,7 +52,7 @@ def test_exports_resolve_and_removed_names_stay_gone():
         assert not missing, (module.__name__, missing)
     modules = [hermgeo] + [importlib.import_module(f"hermgeo.{info.name}")
                            for info in pkgutil.iter_modules(hermgeo.__path__)]
-    for owner in modules + [sections.MetricSection]:
+    for owner in modules + [sections.MetricSection, disk.GridFunction]:
         stale = [name for name in REMOVED if hasattr(owner, name)]
         assert not stale, (owner.__name__, stale)
     # linalg._log is the spectrum-level guard; fiber's log map kernel is gone
@@ -66,17 +68,6 @@ H = sections.MetricSection(MESH, EYE2)
 BAD_INPUTS = {
     "GridFunction non-finite":
         (NonFiniteError, disk.GridFunction, disk.DiskMesh(1, 2), [[0.0, np.nan]]),
-    "GridFunction interpolate nan z":
-        (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
-         [0.5, complex(np.nan, 0.0)]),
-    "GridFunction interpolate inf z":
-        (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
-         np.inf),
-    "GridFunction interpolate string z":
-        (ParameterError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate, "x"),
-    "GridFunction interpolate z off the disk":
-        (ParameterError, disk.GridFunction(disk.DiskMesh(1, 2), [[0.0, 1.0]]).interpolate,
-         [0.5, 5.0]),
     "GridFunction integral overflow":
         (NonFiniteError, disk.GridFunction(disk.DiskMesh(1, 2), [[1e200, 1.0]]).integral_sq),
     "refinement_trend one level": (ParameterError, completion.refinement_trend, [1.0], [1]),
@@ -243,9 +234,7 @@ NAMED_ARGUMENTS = {
     "MetricSection string entry": "values", "GaugeTransform string entry": "values",
     "ScalarField string values": "values", "DiskMesh quadrature string alpha": "alpha",
     "raufi_integrability string alpha": "alpha", "raufi_matrix string z": "z",
-    "GridFunction string values": "values", "GridFunction interpolate nan z": "z",
-    "GridFunction interpolate inf z": "z", "GridFunction interpolate string z": "z",
-    "GridFunction interpolate z off the disk": "z",
+    "GridFunction string values": "values",
     "fiber_distance numeric string alpha": "alpha", "hermitian numeric string entry": "a",
     "hermitian numeric string in an object array": "a",
     "QuadratureMesh numeric string weight": "weights", "raufi_matrix numeric string z": "z",
@@ -418,15 +407,15 @@ def test_no_module_warns():
 
 # the modules that may factor a matrix: linalg, and fiber, whose entry
 # points take one base point per call.  A metric section factors its
-# values once: in its construction; in ``_derived``, for a gauge image,
-# whose own eigendecomposition decides its positivity; or, if derived
-# without an eigenpair, on first use of ``eig``.  Every op at the section
-# takes that eigenpair.  The invariants suite factors each base stack of
-# a rank once
+# values once: in its construction or, if derived without an eigenpair,
+# on first use of ``eig``, which a gauge image, whose own
+# eigendecomposition decides its positivity, makes at once.  Every op at
+# the section takes that eigenpair.  The invariants suite factors each
+# base stack of a rank once
 FACTORING = {"_factor", "_roots_from"}
 FACTORING_MODULES = {"linalg", "fiber"}
 FACTORING_SITES = {
-    "sections": {"MetricSection._validate", "MetricSection.eig", "_MeshValues._derived"},
+    "sections": {"MetricSection._validate", "MetricSection.eig"},
     "suites": {"_fiber_invariants"},
 }
 
@@ -461,6 +450,32 @@ def test_only_frames_and_matrix_roots_build_dense_roots():
     calls = _callers(lambda call: ast.unparse(call.func).removeprefix("linalg.")
                      == "_roots_from")
     assert {m: c for m, c in calls.items() if c} == {"fiber": {"_frame"}}
+
+
+def _matmul(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+
+def test_fiber_congruences_go_through_linalg_congruence():
+    """fiber whitens a frame's endpoint, and maps each whitened form back
+    to h, by ``linalg._congruence``, which takes the Hermitian part and
+    refuses a product beyond float64 without a warning.  So fiber writes
+    no product a @ m @ b, calls no ``hermitian_part``, opens no
+    ``np.errstate`` and forms no explicit inverse ``_recompose(u, 1.0 / w)``."""
+    tree = ast.parse((Path(hermgeo.__file__).parent / "fiber.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if _matmul(node) and (_matmul(node.left) or _matmul(node.right)):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func).split(".")[-1]
+            inverse = func == "_recompose" and any(
+                isinstance(a, ast.BinOp) and isinstance(a.op, ast.Div) for a in node.args)
+            if func in ("hermitian_part", "errstate") or inverse:
+                found.append(ast.unparse(node))
+    assert not found
+    calls = _callers(lambda call: ast.unparse(call.func) == "linalg._congruence")
+    assert calls["fiber"] == {"spray", "_curvature", "_frame", "_geodesic", "_log_map"}
 
 
 # the public section constructors validate their input: the package calls

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermgeo import fiber, linalg, sampling
-from hermgeo.errors import DegeneratePlaneError, DimensionError
+from hermgeo.errors import DegeneratePlaneError, DimensionError, HermGeoError, NonFiniteError
 
 I2 = np.eye(2, dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -316,3 +318,62 @@ def test_fiber_cost_model(counts):
         call()
         seen[name] = counts["eig"]
     assert seen == EIGENSOLVES
+
+
+def _rank3_draw(seed):
+    """A base point p, an endpoint q and tangents u, v, w, all rank 3."""
+    rng = sampling.make_rng(seed)
+    p, q = (sampling.random_posdef(rng, 3) for _ in range(2))
+    return (p, q, *sampling.random_hermitians(rng, 3, 3))
+
+
+# each op of a draw (p, q, u, v, w); the first two are c times their value
+# at c = 1 when every argument is scaled by c
+SCALED_OPS = {
+    "spray": lambda p, q, u, v, w: fiber.spray(p, u, v),
+    "curvature_tensor": lambda p, q, u, v, w: fiber.curvature_tensor(p, u, v, w),
+    "log_map": lambda p, q, u, v, w: fiber.log_map(p, q),
+    "geodesic_eval": lambda p, q, u, v, w: fiber.geodesic_eval(fiber.FiberGeodesic(p, u), 0.7),
+    "eig_hermitian": lambda p, q, u, v, w: linalg.eig_hermitian(p)[0],
+    "sqrtm_posdef": lambda p, q, u, v, w: linalg.sqrtm_posdef(p),
+}
+HOMOGENEOUS = ("spray", "curvature_tensor")
+
+
+@pytest.mark.parametrize("seed", [6, 11, 13])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-1074, 1023))
+@example(k=-1074)
+@example(k=-1073)
+@example(k=-1060)
+@example(k=-1024)
+@example(k=-1023)
+@example(k=-1022)
+@example(k=0)
+@example(k=1019)
+@example(k=1020)
+@example(k=1021)
+@example(k=1022)
+@example(k=1023)
+def test_ops_answer_or_refuse_at_every_scale(seed, k):
+    """Every argument scaled by c = 2^k: each op returns finite output or
+    raises a HermGeoError, with no numpy warning.  Where the scaled
+    arguments stay far from the float limits, the spray and the curvature
+    tensor are c times their value at c = 1."""
+    draw = _rank3_draw(seed)
+    c = 2.0 ** k
+    for name, op in SCALED_OPS.items():
+        try:
+            got = op(*(c * a for a in draw))
+        except HermGeoError:
+            continue
+        assert np.isfinite(got).all(), (name, k)
+        if name in HOMOGENEOUS and abs(k) <= 1000:
+            want = c * op(*draw)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, k)
+
+
+def test_log_map_past_the_float_limit_is_refused():
+    # the log map is 1e307 diag(log 1e-13, 0): -3.0e308 overflows float64
+    with pytest.raises(NonFiniteError):
+        fiber.log_map(1e307 * np.eye(2), np.diag([1e294, 1e307]))
